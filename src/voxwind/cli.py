@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -154,17 +153,7 @@ def config_echo_json(run: RunConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def worker_count() -> int:
-    """VOXWIND_THREADS caps the burst-level simulation workers (default 1)."""
-    raw = os.environ.get("VOXWIND_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"VOXWIND_THREADS: expected an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
-def _build_env(run: RunConfig, mode: str, workers: int) -> WindTunnelEnv:
+def _build_env(run: RunConfig, mode: str) -> WindTunnelEnv:
     settings = run.env
     if (settings.grid_csv is None) == (settings.synth is None):
         raise ConfigError("env.grid_csv: exactly one of env.grid_csv or env.synth is required")
@@ -201,7 +190,7 @@ def _build_env(run: RunConfig, mode: str, workers: int) -> WindTunnelEnv:
         baseline_seeds=settings.baseline_seeds,
         reward_scale=settings.reward_scale,
     )
-    return WindTunnelEnv(env_config, workers=workers)
+    return WindTunnelEnv(env_config)
 
 
 # --- commands -----------------------------------------------------------------
@@ -235,7 +224,6 @@ def cmd_simulate(args) -> int:
         run = resolve_seeds(run, raw, args.seed)
         run.tunnel.validate("tunnel")
         run.ppo.validate("ppo")
-        workers = worker_count()
     except ConfigError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -247,7 +235,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = run_simulation(grid, run.tunnel, workers=workers)
+        result = run_simulation(grid, run.tunnel)
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -266,8 +254,7 @@ def cmd_train(args) -> int:
         run.env.mode = mode
         run.tunnel.validate("tunnel")
         run.ppo.validate("ppo")
-        workers = worker_count()
-        env = _build_env(run, mode, workers)
+        env = _build_env(run, mode)
     except ConfigError as exc:
         print(f"train: {exc}", file=sys.stderr)
         return EXIT_CONFIG

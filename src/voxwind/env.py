@@ -59,12 +59,11 @@ class Baseline:
         return {name: float(getattr(self, name)) for name in METRIC_NAMES}
 
 
-def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3,
-                     workers: int = 1) -> Baseline:
+def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3) -> Baseline:
     """Average the SimResult of the untouched design over consecutive seeds."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
-    results = [run_simulation(grid, replace(tunnel, seed=tunnel.seed + i), workers=workers)
+    results = [run_simulation(grid, replace(tunnel, seed=tunnel.seed + i))
                for i in range(n_seeds)]
     heatmap = np.mean([r.heatmap for r in results], axis=0)
     return Baseline(
@@ -189,10 +188,9 @@ class EnvConfig:
 class WindTunnelEnv:
     """Episodic design loop: observe the design, nudge heights, re-simulate."""
 
-    def __init__(self, config: EnvConfig, workers: int = 1):
+    def __init__(self, config: EnvConfig):
         config.validate()
         self.config = config
-        self.workers = workers
         self._initial = config.grid.copy()
         self.mask = config.mask if config.mask is not None else VoxelMask.none(
             config.grid.width, config.grid.length)
@@ -215,7 +213,7 @@ class WindTunnelEnv:
         """Restore the original design; the baseline is measured once and reused."""
         if self.baseline is None:
             self.baseline = measure_baseline(self._initial, self.config.tunnel,
-                                             self.config.baseline_seeds, self.workers)
+                                             self.config.baseline_seeds)
         self.grid = self._initial.copy()
         self._t = 0
         self._metrics = self.baseline.metrics()
@@ -249,7 +247,7 @@ class WindTunnelEnv:
         deltas = bilinear_upsample(a, (self.grid.width, self.grid.length)) \
             * self.config.max_delta
         self.grid = apply_height_delta(self.grid, deltas, self.mask)
-        result = run_simulation(self.grid, self.config.tunnel, workers=self.workers)
+        result = run_simulation(self.grid, self.config.tunnel)
         self._metrics = result.metrics()
         value = reward(result, self.baseline, self.config.mode, self.config.weights,
                        self.config.reward_scale)

@@ -10,7 +10,6 @@ count, and the grid's height sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,31 +71,12 @@ class TunnelConfig:
             bad("seed", "must be non-negative")
 
 
-@dataclass
-class Particle:
-    """A single spherical air particle."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    alive: bool = True
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64)
-
-
-@dataclass
-class CollisionEvent:
-    particle: int
-    column: tuple
-    impact_speed: float
-    normal: np.ndarray
-    voxel: tuple = (0, 0, 0)
-    penetration: float = 0.0
-
-
 class ParticleBurst:
-    """Struct-of-arrays state for one burst of particles."""
+    """Struct-of-arrays state of every particle in one simulation.
+
+    Burst k owns the block of rows k * n .. (k + 1) * n, where n is the
+    per-burst particle count, so all bursts advance together.
+    """
 
     def __init__(self, position: np.ndarray, velocity: np.ndarray):
         self.position = np.asarray(position, dtype=np.float64)
@@ -108,9 +88,36 @@ class ParticleBurst:
     def __len__(self) -> int:
         return len(self.position)
 
-    def particle(self, i: int) -> Particle:
-        return Particle(self.position[i].copy(), self.velocity[i].copy(),
-                        bool(self.alive[i]))
+
+@dataclass
+class Contacts:
+    """Sphere-voxel contacts, one row per contact, in increasing sphere row."""
+
+    particle: np.ndarray       # row of the sphere in the queried batch or burst
+    voxel: np.ndarray          # (M, 3) winning voxel (ix, iy, iz)
+    axis: np.ndarray           # axis of minimal penetration
+    sign: np.ndarray           # +1.0 or -1.0, pointing toward the sphere center
+    penetration: np.ndarray    # overlap along `axis`
+    impact_speed: np.ndarray | None = None  # speed before the bounce; set by step
+
+    def __len__(self) -> int:
+        return len(self.particle)
+
+    @property
+    def normal(self) -> np.ndarray:
+        """(M, 3) unit face normals."""
+        out = np.zeros((len(self), 3))
+        out[np.arange(len(self)), self.axis] = self.sign
+        return out
+
+    @classmethod
+    def none(cls) -> "Contacts":
+        return cls(np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.int64),
+                   np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0))
+
+    def take(self, rows: np.ndarray) -> "Contacts":
+        return Contacts(self.particle[rows], self.voxel[rows], self.axis[rows],
+                        self.sign[rows], self.penetration[rows])
 
 
 @dataclass
@@ -183,33 +190,39 @@ def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
     return out
 
 
-def spawn_burst(config: TunnelConfig, rng: np.random.Generator) -> ParticleBurst:
-    """particle_count particles on the x = 0 inlet plane, jittered over the
-    cross-section, all moving at the configured air speed in +x."""
+def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
+    """particle_count particles per generator in `rngs`, one block of rows
+    each, on the x = 0 inlet plane, jittered over the cross-section, all
+    moving at the configured air speed in +x."""
     n = config.particle_count
     _, dy, dz = config.domain_size
-    pos = np.zeros((n, 3), dtype=np.float64)
-    jitter = rng.uniform(0.0, 1.0, size=(n, 2))
-    pos[:, 1] = jitter[:, 0] * dy
-    pos[:, 2] = jitter[:, 1] * dz
-    vel = np.zeros((n, 3), dtype=np.float64)
+    pos = np.zeros((len(rngs) * n, 3), dtype=np.float64)
+    for k, rng in enumerate(rngs):
+        jitter = rng.uniform(0.0, 1.0, size=(n, 2))
+        pos[k * n:(k + 1) * n, 1] = jitter[:, 0] * dy
+        pos[k * n:(k + 1) * n, 2] = jitter[:, 1] * dz
+    vel = np.zeros_like(pos)
     vel[:, 0] = mph_to_mps(config.air_speed)
     return ParticleBurst(pos, vel)
 
 
-def _best_overlap(cx: float, cy: float, cz: float, radius: float, grid: VoxelGrid):
+# Batches of up to this many spheres take the scalar contact query: below it
+# the per-call cost of the batched numpy query outweighs its per-sphere saving.
+SMALL_BATCH = 4
+
+
+def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: np.ndarray,
+                  vs: float):
     """Scalar core of the contact query: the minimal (closest-point distance
     squared, x, y, z) tuple over the candidate voxels, or None.
 
     Only voxels whose axis slabs overlap the sphere are scanned; the
     lexicographic key breaks distance ties toward the lowest index.
     """
-    vs = grid.voxel_size
-    heights = grid.column_heights
     x_lo = max(int(math.floor((cx - radius) / vs)), 0)
-    x_hi = min(int(math.floor((cx + radius) / vs)), grid.width - 1)
+    x_hi = min(int(math.floor((cx + radius) / vs)), heights.shape[0] - 1)
     y_lo = max(int(math.floor((cy - radius) / vs)), 0)
-    y_hi = min(int(math.floor((cy + radius) / vs)), grid.length - 1)
+    y_hi = min(int(math.floor((cy + radius) / vs)), heights.shape[1] - 1)
     if x_lo > x_hi or y_lo > y_hi:
         return None
     z_lo = max(int(math.floor((cz - radius) / vs)), 0)
@@ -255,123 +268,187 @@ def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
     return axis, sign, pens[axis]
 
 
-def sphere_voxel_contact(particle: Particle, radius: float, grid: VoxelGrid,
-                         particle_index: int = 0) -> CollisionEvent | None:
-    """Deepest-penetration contact between a sphere and the occupied voxels.
+def _query_each(centers, radius, heights, vs) -> Contacts:
+    """The contact query one sphere at a time, through the scalar core."""
+    m = len(centers)
+    radii = np.broadcast_to(radius, (m,))
+    rows, voxels, axes, signs, pens = [], [], [], [], []
+    for j in range(m):
+        cx, cy, cz = (float(v) for v in centers[j])
+        r = float(radii[j])
+        h = heights if heights.ndim == 2 else heights[j]
+        best = _best_overlap(cx, cy, cz, r, h, vs)
+        if best is None:
+            continue
+        _, ix, iy, iz = best
+        axis, sign, pen = _face_normal(cx, cy, cz, ix, iy, iz, r, vs)
+        rows.append(j)
+        voxels.append((ix, iy, iz))
+        axes.append(axis)
+        signs.append(sign)
+        pens.append(pen)
+    return Contacts(np.array(rows, dtype=np.intp),
+                    np.array(voxels, dtype=np.int64).reshape(-1, 3),
+                    np.array(axes, dtype=np.intp), np.array(signs, dtype=np.float64),
+                    np.array(pens, dtype=np.float64))
 
-    Positions are grid-local (grid corner at the origin). Candidates are
-    ranked by (closest-point distance, x, y, z) so ties break to the lowest
-    index; the face normal is the axis of minimal penetration for the winning
-    voxel, signed toward the sphere center. Returns None when nothing
-    overlaps within `radius`.
+
+def _query_batch(centers, radius, heights, vs) -> Contacts:
+    """The contact query for every sphere in one numpy evaluation.
+
+    Each sphere's candidate voxels span the same (x, y, z) windows the scalar
+    core scans, laid out in (ix, iy, iz) order; per axis there are at most
+    ceil(2 * radius / vs) + 2 of them. Distances use the scalar core's float
+    expressions, and a first-occurrence argmin over the candidates repeats
+    its (d2, ix, iy, iz) tie-break, so both agree bit for bit.
     """
-    c = np.asarray(particle.position, dtype=np.float64)
-    best = _best_overlap(float(c[0]), float(c[1]), float(c[2]), radius, grid)
-    if best is None:
-        return None
-    _, ix, iy, iz = best
-    axis, sign, pen = _face_normal(float(c[0]), float(c[1]), float(c[2]),
-                                   ix, iy, iz, radius, grid.voxel_size)
-    normal = np.zeros(3)
-    normal[axis] = sign
-    v = np.asarray(particle.velocity, dtype=np.float64)
-    return CollisionEvent(
-        particle=particle_index,
-        column=(ix, iy),
-        impact_speed=math.sqrt(float(v @ v)),
-        normal=normal,
-        voxel=(ix, iy, iz),
-        penetration=float(pen),
-    )
+    m = len(centers)
+    r = np.broadcast_to(np.reshape(radius, (-1, 1)), (m, 1))
+    w, l = heights.shape[-2:]
+    lo = np.maximum(np.floor((centers - r) / vs).astype(np.int64), 0)
+    hi = np.floor((centers + r) / vs).astype(np.int64)
+    np.minimum(hi[:, :2], (w - 1, l - 1), out=hi[:, :2])
+    k = max(int((hi - lo).max()) + 1, 0)   # one window length for all three axes
+    if k == 0:
+        return Contacts.none()
+    idx = lo[:, None, :] + np.arange(k)[:, None]            # (m, k, axis)
+    b0 = idx * vs
+    c = centers[:, None, :]
+    dd = (c - np.minimum(np.maximum(c, b0), b0 + vs)) ** 2
+    ok = idx <= hi[:, None, :]
+    ix, iy, iz = idx[:, :, 0], idx[:, :, 1], idx[:, :, 2]
+    col = (np.minimum(ix, w - 1)[:, :, None], np.minimum(iy, l - 1)[:, None, :])
+    if heights.ndim == 3:
+        col = (np.arange(m)[:, None, None],) + col
+    # Voxel iz of a candidate column is a candidate while iz < min(h, z_hi + 1).
+    top = np.minimum(heights[col], hi[:, 2, None, None] + 1)
+    top *= ok[:, :, 0, None] & ok[:, None, :, 1]
+    d2 = (dd[:, :, None, 0] + dd[:, None, :, 1])[..., None] + dd[:, None, None, :, 2]
+    d2[iz[:, None, None, :] >= top[..., None]] = np.inf
+    d2 = d2.reshape(m, -1)
+    best = d2.argmin(axis=1)
+    rows = np.flatnonzero(d2[np.arange(m), best] < (r * r)[:, 0])
+    voxel = lo[rows] + np.stack(np.unravel_index(best[rows], (k, k, k)), axis=1)
+    d = centers[rows] - (voxel + 0.5) * vs
+    pens = (r[rows] + 0.5 * vs) - np.abs(d)
+    axis = pens.argmin(axis=1)
+    j = np.arange(len(rows))
+    sign = np.where(d[j, axis] >= 0, 1.0, -1.0)
+    return Contacts(rows, voxel, axis, sign, pens[j, axis])
 
 
-def step(burst: ParticleBurst, grid: VoxelGrid, config: TunnelConfig,
-         heatmap: np.ndarray, origin: np.ndarray | None = None,
-         reach: np.ndarray | None = None) -> list:
+def contact_query(centers, radius, heights: np.ndarray, vs: float) -> Contacts:
+    """Deepest-penetration contact of each sphere against the occupied voxels.
+
+    `centers` is (M, 3) in grid-local coordinates (grid corner at the
+    origin); `radius` is one radius or one per sphere; `heights` holds the
+    column heights, (W, L) for every sphere or (M, W, L) with a grid per
+    sphere. Candidates are ranked by (closest-point distance squared, x, y,
+    z), the closest point being the sphere-AABB query of Ericson, Real-Time
+    Collision Detection (2004), 5.2, so ties break to the lowest index. The
+    face normal is the axis of minimal penetration for the winning voxel,
+    signed toward the sphere center. Spheres that overlap nothing within
+    their radius get no row.
+    """
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    heights = np.asarray(heights)
+    query = _query_each if len(centers) <= SMALL_BATCH else _query_batch
+    return query(centers, radius, heights, vs)
+
+
+class PlacedGrid:
+    """A grid placed in the tunnel: the constants `step` tests against,
+    computed once per simulation."""
+
+    def __init__(self, grid: VoxelGrid, config: TunnelConfig):
+        vs = grid.voxel_size
+        r = config.particle_radius
+        self.config = config
+        self.heights = grid.column_heights
+        self.voxel_size = vs
+        self.origin = grid_origin(grid, config)
+        # A sphere whose center lies below this height over its column can
+        # touch a voxel; outside the footprint grown by r it touches none.
+        self.reach_top = neighborhood_reach(grid, r) * vs + r
+        self.near_hi = np.array([grid.width * vs + r, grid.length * vs + r])
+        self.col_max = np.array([grid.width - 1, grid.length - 1])
+        self.domain = np.array(config.domain_size)
+
+
+def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
+            placed: PlacedGrid, heatmap: np.ndarray) -> Contacts:
+    """Reflect and pop out the spheres at `centers` (burst rows `rows`) that
+    touch a voxel while moving into it; tally them into `heatmap`."""
+    config = placed.config
+    contacts = contact_query(centers, config.particle_radius, placed.heights,
+                             placed.voxel_size)
+    i = rows[contacts.particle]
+    axis, sign = contacts.axis, contacts.sign
+    v = burst.velocity[i]
+    vn = sign * v[np.arange(len(i)), axis]
+    hit = np.flatnonzero(vn < 0.0)  # separating contacts get no impulse and no row
+    if hit.size < len(i):
+        contacts = contacts.take(hit)
+        i, axis, sign, v, vn = i[hit], axis[hit], sign[hit], v[hit], vn[hit]
+    burst.velocity[i, axis] -= (1.0 + config.restitution) * vn * sign
+    burst.position[i, axis] += sign * contacts.penetration  # pop out of the face
+    np.add.at(heatmap, (contacts.voxel[:, 0], contacts.voxel[:, 1]), 1)
+    contacts.particle = i
+    contacts.impact_speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    return contacts
+
+
+def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Contacts:
     """Advance one dt: integrate, resolve voxel contacts, retire exited particles.
 
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
-    restitution. One event at most per particle per step; events and heatmap
-    tallies accumulate in particle-index order. Particles leaving the domain
-    are marked dead with their exit kinetic energy recorded. Mutates `burst`
+    restitution. One contact at most per particle per step; contacts come
+    back in particle-row order and tally into `heatmap`. Particles leaving the
+    domain are marked dead with their exit kinetic energy recorded. Dead
+    particles drift on but never collide or retire again. Mutates `burst`
     and `heatmap`.
     """
+    config = placed.config
     if config.dt <= 0:
         raise ValueError("dt must be positive")
-    if origin is None:
-        origin = grid_origin(grid, config)
-    if reach is None:
-        reach = neighborhood_reach(grid, config.particle_radius)
-    idx = np.nonzero(burst.alive)[0]
-    if idx.size == 0:
-        return []
     r = config.particle_radius
-    e = config.restitution
-    vs = grid.voxel_size
-    ox, oy, oz = float(origin[0]), float(origin[1]), float(origin[2])
-    pos = burst.position[idx] + burst.velocity[idx] * config.dt
-    lx = pos[:, 0] - ox
-    ly = pos[:, 1] - oy
-    lz = pos[:, 2] - oz
-    colx = np.minimum(np.maximum((lx // vs).astype(np.int64), 0), grid.width - 1)
-    coly = np.minimum(np.maximum((ly // vs).astype(np.int64), 0), grid.length - 1)
-    near = (
-        (lx > -r) & (lx < grid.width * vs + r)
-        & (ly > -r) & (ly < grid.length * vs + r)
-        & (lz > -r) & (lz < reach[colx, coly] * vs + r)
-    )
-    events = []
-    for j in np.nonzero(near)[0]:
-        best = _best_overlap(float(lx[j]), float(ly[j]), float(lz[j]), r, grid)
-        if best is None:
-            continue
-        _, ix, iy, iz = best
-        axis, sign, pen = _face_normal(float(lx[j]), float(ly[j]), float(lz[j]),
-                                       ix, iy, iz, r, vs)
-        i = int(idx[j])
-        vx, vy, vz = burst.velocity[i]
-        vn = sign * (vx, vy, vz)[axis]
-        if vn >= 0.0:
-            continue  # already separating; no impulse, no event
-        normal = np.zeros(3)
-        normal[axis] = sign
-        burst.velocity[i, axis] = (vx, vy, vz)[axis] - (1.0 + e) * vn * sign
-        pos[j, axis] += sign * pen  # pop out of the face
-        heatmap[ix, iy] += 1
-        events.append(CollisionEvent(
-            particle=i,
-            column=(ix, iy),
-            impact_speed=math.sqrt(vx * vx + vy * vy + vz * vz),
-            normal=normal,
-            voxel=(ix, iy, iz),
-            penetration=pen,
-        ))
-    burst.position[idx] = pos
-    dx, dy, dz = config.domain_size
-    out = (
-        (pos[:, 0] < 0.0) | (pos[:, 0] > dx)
-        | (pos[:, 1] < 0.0) | (pos[:, 1] > dy)
-        | (pos[:, 2] < 0.0) | (pos[:, 2] > dz)
-    )
-    gone = idx[out]
+    vs = placed.voxel_size
+    pos, vel, alive = burst.position, burst.velocity, burst.alive
+    pos += vel * config.dt
+    loc = pos - placed.origin
+    col = np.minimum(np.maximum((loc[:, :2] // vs).astype(np.intp), 0), placed.col_max)
+    near = (alive & (loc > -r).all(axis=1) & (loc[:, :2] < placed.near_hi).all(axis=1)
+            & (loc[:, 2] < placed.reach_top[col[:, 0], col[:, 1]])).nonzero()[0]
+    if near.size == 0:
+        contacts = Contacts.none()
+    else:
+        contacts = _bounce(burst, loc[near], near, placed, heatmap)
+    gone = (alive & ((pos < 0.0) | (pos > placed.domain)).any(axis=1)).nonzero()[0]
     if gone.size:
-        vel = burst.velocity[gone]
-        sp2 = np.einsum("ij,ij->i", vel, vel)
+        v = vel[gone]
+        sp2 = np.einsum("ij,ij->i", v, v)
         burst.exit_ke[gone] = 0.5 * config.particle_mass * sp2
-        burst.alive[gone] = False
-    return events
+        alive[gone] = False
+    return contacts
 
 
-def run_simulation(grid: VoxelGrid, config: TunnelConfig, workers: int = 1) -> SimResult:
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, the order a Python `+=` loop adds in."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     """Run burst_count bursts against the grid and aggregate the metrics.
 
     drag_force: per-burst sum of per-impact drag (impact speed, sphere
     cross-section) averaged over bursts. kinetic_energy: mean per-particle
     energy at domain exit or at max_steps. collision_count: total impacts
     over all bursts normalised by burst_count * base_cycle_count.
-    Deterministic for a fixed config.seed; bursts draw from spawned
-    substreams and reduce in burst order regardless of `workers`.
+    Deterministic for a fixed config.seed: each burst draws from its own
+    spawned substream, all bursts advance together in one ParticleBurst, and
+    the sums are taken per burst, in time and particle order, then added in
+    burst order.
     """
     config.validate()
     vs = grid.voxel_size
@@ -382,44 +459,34 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig, workers: int = 1) -> S
             f"grid extent ({grid.width * vs}, {grid.length * vs}, {grid.h_max * vs}) "
             f"does not fit inside domain {config.domain_size}"
         )
-    origin = grid_origin(grid, config)
-    reach = neighborhood_reach(grid, config.particle_radius)
-    area = math.pi * config.particle_radius ** 2
-    seeds = np.random.SeedSequence(config.seed).spawn(config.burst_count)
-
-    def run_one(k: int):
-        rng = np.random.default_rng(seeds[k])
-        burst = spawn_burst(config, rng)
-        tallies = np.zeros((grid.width, grid.length), dtype=np.int64)
-        drag = 0.0
-        for _ in range(config.max_steps):
-            if not burst.alive.any():
-                break
-            for ev in step(burst, grid, config, tallies, origin=origin, reach=reach):
-                drag += drag_force(config.fluid_density, ev.impact_speed,
-                                   config.drag_coefficient, area)
-        live = np.nonzero(burst.alive)[0]
-        if live.size:
-            vel = burst.velocity[live]
-            sp2 = np.einsum("ij,ij->i", vel, vel)
-            burst.exit_ke[live] = 0.5 * config.particle_mass * sp2
-        return drag, float(burst.exit_ke.sum()), tallies
-
-    b = config.burst_count
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run_one, range(b)))
-    else:
-        outputs = [run_one(k) for k in range(b)]
-
+    placed = PlacedGrid(grid, config)
+    b, n = config.burst_count, config.particle_count
+    seeds = np.random.SeedSequence(config.seed).spawn(b)
+    burst = spawn_burst(config, [np.random.default_rng(s) for s in seeds])
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
+    hit_rows, hit_speeds = [], []
+    for _ in range(config.max_steps):
+        if not burst.alive.any():
+            break
+        contacts = step(burst, placed, heatmap)
+        if len(contacts):
+            hit_rows.append(contacts.particle)
+            hit_speeds.append(contacts.impact_speed)
+    live = np.nonzero(burst.alive)[0]
+    if live.size:
+        vel = burst.velocity[live]
+        sp2 = np.einsum("ij,ij->i", vel, vel)
+        burst.exit_ke[live] = 0.5 * config.particle_mass * sp2
+    area = math.pi * config.particle_radius ** 2
+    owner = np.concatenate(hit_rows) // n if hit_rows else np.zeros(0, dtype=np.intp)
+    drag = drag_force(config.fluid_density, np.concatenate(hit_speeds or [np.zeros(0)]),
+                      config.drag_coefficient, area)
     drag_total = 0.0
     ke_total = 0.0
-    for drag, ke_sum, tallies in outputs:
-        drag_total += drag
-        ke_total += ke_sum
-        heatmap += tallies
-    total_particles = config.particle_count * b
+    for k in range(b):
+        drag_total += _running_sum(drag[owner == k])
+        ke_total += float(burst.exit_ke[k * n:(k + 1) * n].sum())
+    total_particles = n * b
     mean_ke = ke_total / total_particles if total_particles else 0.0
     count = collision_count_metric([heatmap.sum()], b, config.base_cycle_count)
     return SimResult(

@@ -63,6 +63,27 @@ def random_contact_cases(n_cases, seed):
         yield grid, pos, radius
 
 
+def stacked_contact_cases(cases):
+    """Cases from random_contact_cases as one batch for `contact_query`:
+    (centers, radii, per-sphere heights, voxel size). Grids are zero-padded
+    to a common footprint; empty columns are never candidates."""
+    grids, centers, radii = zip(*cases)
+    w = max(g.width for g in grids)
+    l = max(g.length for g in grids)
+    heights = np.zeros((len(grids), w, l), dtype=np.int64)
+    for k, g in enumerate(grids):
+        heights[k, :g.width, :g.length] = g.column_heights
+    return np.array(centers), np.array(radii), heights, grids[0].voxel_size
+
+
+def contacts_per_sphere(contacts, m):
+    """A Contacts record as one ((x, y, z), normal) or None per queried sphere."""
+    out = [None] * m
+    for row, voxel, normal in zip(contacts.particle, contacts.voxel, contacts.normal):
+        out[row] = (tuple(int(v) for v in voxel), normal)
+    return out
+
+
 @pytest.fixture
 def wedge_grid():
     return voxelise(synth_heightmap("wedge", 16, 16, 1.0), 8, 0.1)

@@ -17,15 +17,19 @@ from voxwind.ppo import PpoConfig, clipped_surrogate, compute_gae, train
 from voxwind.report import improvement_pct
 from voxwind.voxel import VoxelGrid, VoxelMask, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
-    Particle,
     TunnelConfig,
     collision_count_metric,
+    contact_query,
     drag_force,
     kinetic_energy,
-    sphere_voxel_contact,
 )
 
-from conftest import exhaustive_contact, random_contact_cases
+from conftest import (
+    contacts_per_sphere,
+    exhaustive_contact,
+    random_contact_cases,
+    stacked_contact_cases,
+)
 from test_nn import max_rel_error, numeric_grads
 from test_ppo import gae_bruteforce
 
@@ -151,20 +155,28 @@ def test_criterion_4_gradient_check():
 
 
 def test_criterion_5_collision_oracle():
-    agreements = 0
-    total = 0
-    for grid, pos, radius in random_contact_cases(1000, seed=7):
-        total += 1
-        event = sphere_voxel_contact(Particle(pos, np.zeros(3)), radius, grid)
+    cases = list(random_contact_cases(1000, seed=7))
+    centers, radii, heights, vs = stacked_contact_cases(cases)
+    sides = {
+        "one batch": contacts_per_sphere(contact_query(centers, radii, heights, vs),
+                                         len(cases)),
+        "per case": [contacts_per_sphere(contact_query(pos, radius, grid.column_heights,
+                                                       grid.voxel_size), 1)[0]
+                     for grid, pos, radius in cases],
+    }
+    agreements = dict.fromkeys(sides, 0)
+    for k, (grid, pos, radius) in enumerate(cases):
         expected = exhaustive_contact(pos, radius, grid)
-        if expected is None:
-            agreements += event is None
-        else:
-            voxel, normal = expected
-            agreements += (event is not None and event.voxel == voxel
-                           and np.array_equal(event.normal, normal))
-    ok = agreements == total == 1000
-    assert report_line(5, "collision oracle", ok, f"{agreements}/{total} agree")
+        for side, found in sides.items():
+            got = found[k]
+            if expected is None:
+                agreements[side] += got is None
+            else:
+                agreements[side] += (got is not None and got[0] == expected[0]
+                                     and np.array_equal(got[1], expected[1]))
+    ok = all(n == len(cases) == 1000 for n in agreements.values())
+    assert report_line(5, "collision oracle", ok, ", ".join(
+        f"{side} {n}/{len(cases)} agree" for side, n in agreements.items()))
 
 
 def test_criterion_6_determinism(tmp_path):

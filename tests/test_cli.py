@@ -180,17 +180,6 @@ class TestSimulate:
         assert (tmp_path / "a" / "simresult.csv").read_text() != \
             (tmp_path / "b" / "simresult.csv").read_text()
 
-    def test_threads_env_var_keeps_results(self, tmp_path, monkeypatch):
-        grid = write_wedge_grid(tmp_path / "grid.csv")
-        config = write_config(tmp_path / "run.json", base_config())
-        main(["simulate", "--grid", grid, "--config", config,
-              "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("VOXWIND_THREADS", "4")
-        main(["simulate", "--grid", grid, "--config", config,
-              "--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "simresult.csv").read_bytes() == \
-            (tmp_path / "b" / "simresult.csv").read_bytes()
-
     def test_negative_seed_rejected(self, tmp_path, capsys):
         grid = write_wedge_grid(tmp_path / "grid.csv")
         config = write_config(tmp_path / "run.json", base_config())
@@ -198,15 +187,6 @@ class TestSimulate:
                      "--out", str(tmp_path / "sim"), "--seed", "-3"])
         assert code == 3
         assert "seed" in capsys.readouterr().err
-
-    def test_bad_threads_env_var(self, tmp_path, monkeypatch, capsys):
-        grid = write_wedge_grid(tmp_path / "grid.csv")
-        config = write_config(tmp_path / "run.json", base_config())
-        monkeypatch.setenv("VOXWIND_THREADS", "many")
-        code = main(["simulate", "--grid", grid, "--config", config,
-                     "--out", str(tmp_path / "sim")])
-        assert code == 3
-        assert "VOXWIND_THREADS" in capsys.readouterr().err
 
 
 class TestTrain:

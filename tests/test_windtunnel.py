@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from voxwind.errors import ConfigError
 from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
 from voxwind.windtunnel import (
-    Particle,
+    SMALL_BATCH,
+    ParticleBurst,
+    PlacedGrid,
     SimResult,
     TunnelConfig,
     collision_count_metric,
+    contact_query,
     drag_force,
     grid_origin,
     heatmap_to_csv,
@@ -23,11 +26,16 @@ from voxwind.windtunnel import (
     simresult_from_csv,
     simresult_to_csv,
     spawn_burst,
-    sphere_voxel_contact,
     step,
 )
 
-from conftest import desk_tunnel, exhaustive_contact, random_contact_cases
+from conftest import (
+    contacts_per_sphere,
+    desk_tunnel,
+    exhaustive_contact,
+    random_contact_cases,
+    stacked_contact_cases,
+)
 
 
 class TestFormulas:
@@ -101,19 +109,19 @@ class TestTunnelConfig:
 class TestSpawnBurst:
     def test_zero_particles(self):
         cfg = desk_tunnel(particle_count=0)
-        burst = spawn_burst(cfg, np.random.default_rng(0))
+        burst = spawn_burst(cfg, [np.random.default_rng(0)])
         assert len(burst) == 0
 
     def test_same_seed_identical(self):
         cfg = desk_tunnel()
-        b1 = spawn_burst(cfg, np.random.default_rng(5))
-        b2 = spawn_burst(cfg, np.random.default_rng(5))
+        b1 = spawn_burst(cfg, [np.random.default_rng(5)])
+        b2 = spawn_burst(cfg, [np.random.default_rng(5)])
         np.testing.assert_array_equal(b1.position, b2.position)
         np.testing.assert_array_equal(b1.velocity, b2.velocity)
 
     def test_spawn_plane_and_speed(self):
         cfg = desk_tunnel(particle_count=50)
-        burst = spawn_burst(cfg, np.random.default_rng(1))
+        burst = spawn_burst(cfg, [np.random.default_rng(1)])
         assert np.all(burst.position[:, 0] == 0.0)
         assert np.all(burst.position[:, 1] >= 0)
         assert np.all(burst.position[:, 1] <= cfg.domain_size[1])
@@ -121,104 +129,166 @@ class TestSpawnBurst:
         speeds = np.linalg.norm(burst.velocity, axis=1)
         np.testing.assert_allclose(speeds, mph_to_mps(cfg.air_speed))
 
+    def test_bursts_stack_in_generator_order(self):
+        cfg = desk_tunnel(particle_count=7)
+        stacked = spawn_burst(cfg, [np.random.default_rng(s) for s in (3, 4, 5)])
+        assert len(stacked) == 21
+        for k, s in enumerate((3, 4, 5)):
+            alone = spawn_burst(cfg, [np.random.default_rng(s)])
+            np.testing.assert_array_equal(stacked.position[7 * k:7 * (k + 1)], alone.position)
+            np.testing.assert_array_equal(stacked.velocity[7 * k:7 * (k + 1)], alone.velocity)
+
+
+def single_contact(pos, radius, grid):
+    """contact_query for one sphere as ((x, y, z), normal, penetration) or None."""
+    c = contact_query(pos, radius, grid.column_heights, grid.voxel_size)
+    if len(c) == 0:
+        return None
+    return tuple(int(v) for v in c.voxel[0]), c.normal[0], c.penetration[0]
+
+
+def lone_burst(position, velocity):
+    return ParticleBurst(np.array([position], dtype=float), np.array([velocity], dtype=float))
+
+
+def head_on_step(restitution, velocity=(1.0, 0.0, 0.0)):
+    # tall column dead ahead; particle flies straight at its -x face
+    grid = VoxelGrid(4, 1, 10, 0.1, np.array([[0], [0], [10], [0]]))
+    cfg = desk_tunnel(particle_count=0)
+    cfg = TunnelConfig(**{**cfg.__dict__, "restitution": restitution,
+                          "domain_size": (0.4, 0.1, 1.0), "dt": 0.01})
+    placed = PlacedGrid(grid, cfg)
+    burst = lone_burst(placed.origin + [0.145, 0.05, 0.05], velocity)
+    hm = np.zeros((4, 1), dtype=np.int64)
+    contacts = step(burst, placed, hm)
+    return burst, contacts, hm
+
 
 class TestSphereVoxelContact:
     def test_far_particle_no_contact(self):
         grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
-        p = Particle(np.array([1.0, 1.0, 1.0]), np.zeros(3))
-        assert sphere_voxel_contact(p, 0.05, grid) is None
+        assert single_contact([1.0, 1.0, 1.0], 0.05, grid) is None
 
     def test_center_inside_voxel(self):
         grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
-        p = Particle(np.array([0.05, 0.05, 0.05]), np.zeros(3))
-        ev = sphere_voxel_contact(p, 0.03, grid)
-        assert ev is not None
-        assert ev.voxel == (0, 0, 0)
+        hit = single_contact([0.05, 0.05, 0.05], 0.03, grid)
+        assert hit is not None
+        assert hit[0] == (0, 0, 0)
 
     def test_face_normal_above_top(self):
         grid = VoxelGrid(1, 1, 4, 0.1, np.array([[2]]))
-        p = Particle(np.array([0.05, 0.05, 0.23]), np.array([0.0, 0.0, -1.0]))
-        ev = sphere_voxel_contact(p, 0.05, grid)
-        assert ev is not None
-        np.testing.assert_array_equal(ev.normal, [0.0, 0.0, 1.0])
-        assert ev.voxel == (0, 0, 1)
+        hit = single_contact([0.05, 0.05, 0.23], 0.05, grid)
+        assert hit is not None
+        voxel, normal, pen = hit
+        np.testing.assert_array_equal(normal, [0.0, 0.0, 1.0])
+        assert voxel == (0, 0, 1)
+        assert pen == pytest.approx(0.02)
+
+    def test_batch_rows_name_the_touching_spheres(self):
+        grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
+        centers = [[1.0, 1.0, 1.0], [0.05, 0.05, 0.05], [0.1, 0.1, 0.5],
+                   [0.15, 0.15, 0.22], [2.0, 0.0, 0.0], [0.05, 0.15, 0.1]]
+        c = contact_query(centers, 0.03, grid.column_heights, grid.voxel_size)
+        assert len(centers) > SMALL_BATCH
+        assert c.particle.tolist() == [1, 3, 5]
 
     def test_impact_speed_is_velocity_norm(self):
-        grid = VoxelGrid(1, 1, 4, 0.1, np.array([[4]]))
-        p = Particle(np.array([0.05, 0.05, 0.05]), np.array([3.0, 4.0, 0.0]))
-        ev = sphere_voxel_contact(p, 0.05, grid)
-        assert ev.impact_speed == pytest.approx(5.0)
+        _, contacts, _ = head_on_step(1.0, velocity=(3.0, 4.0, 0.0))
+        assert len(contacts) == 1
+        assert contacts.impact_speed[0] == pytest.approx(5.0)
 
     def test_matches_exhaustive_oracle_sample(self):
-        for grid, pos, radius in random_contact_cases(200, seed=42):
-            p = Particle(pos, np.zeros(3))
-            ev = sphere_voxel_contact(p, radius, grid)
-            oracle = exhaustive_contact(pos, radius, grid)
-            if oracle is None:
-                assert ev is None
-            else:
-                voxel, normal = oracle
-                assert ev is not None
-                assert ev.voxel == voxel
-                np.testing.assert_array_equal(ev.normal, normal)
+        # once as one batch (the vectorised query), once per case (the scalar one)
+        cases = list(random_contact_cases(200, seed=42))
+        centers, radii, heights, vs = stacked_contact_cases(cases)
+        sides = (contacts_per_sphere(contact_query(centers, radii, heights, vs), len(cases)),
+                 [single_contact(pos, radius, grid) for grid, pos, radius in cases])
+        for found in sides:
+            for (grid, pos, radius), got in zip(cases, found):
+                oracle = exhaustive_contact(pos, radius, grid)
+                if oracle is None:
+                    assert got is None
+                else:
+                    assert got is not None
+                    assert got[0] == oracle[0]
+                    np.testing.assert_array_equal(got[1], oracle[1])
 
 
 class TestStep:
     def test_empty_grid_straight_line(self):
         grid = VoxelGrid(4, 4, 4, 0.1, np.zeros((4, 4), dtype=int))
         cfg = desk_tunnel(particle_count=0)
-        burst = spawn_burst(cfg, np.random.default_rng(0))
-        burst.position = np.array([[0.5, 0.5, 0.5]])
-        burst.velocity = np.array([[1.0, 0.0, 0.0]])
-        burst.alive = np.array([True])
-        burst.exit_ke = np.zeros(1)
+        burst = lone_burst([0.5, 0.5, 0.5], [1.0, 0.0, 0.0])
         hm = np.zeros((4, 4), dtype=np.int64)
-        events = step(burst, grid, cfg, hm)
-        assert events == []
+        contacts = step(burst, PlacedGrid(grid, cfg), hm)
+        assert len(contacts) == 0
         np.testing.assert_allclose(burst.position[0],
                                    [0.5 + cfg.dt, 0.5, 0.5])
         assert hm.sum() == 0
 
-    def _head_on(self, restitution):
-        # tall column dead ahead; particle flies straight at its -x face
-        grid = VoxelGrid(4, 1, 10, 0.1, np.array([[0], [0], [10], [0]]))
-        cfg = desk_tunnel(particle_count=0)
-        cfg = TunnelConfig(**{**cfg.__dict__, "restitution": restitution,
-                              "domain_size": (0.4, 0.1, 1.0), "dt": 0.01})
-        origin = grid_origin(grid, cfg)
-        burst = spawn_burst(cfg, np.random.default_rng(0))
-        burst.position = np.array([origin + [0.145, 0.05, 0.05]])
-        burst.velocity = np.array([[1.0, 0.0, 0.0]])
-        burst.alive = np.array([True])
-        burst.exit_ke = np.zeros(1)
-        hm = np.zeros((4, 1), dtype=np.int64)
-        events = step(burst, grid, cfg, hm)
-        return burst, events, hm
-
     def test_elastic_head_on(self):
-        burst, events, hm = self._head_on(1.0)
-        assert len(events) == 1
+        burst, contacts, hm = head_on_step(1.0)
+        assert len(contacts) == 1
         np.testing.assert_allclose(burst.velocity[0], [-1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(events[0].normal, [-1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(contacts.normal[0], [-1.0, 0.0, 0.0])
+        assert contacts.particle.tolist() == [0]
+        assert tuple(contacts.voxel[0]) == (2, 0, 0)
         assert hm[2, 0] == 1
 
     def test_plastic_head_on(self):
-        burst, events, _ = self._head_on(0.0)
-        assert len(events) == 1
+        burst, contacts, _ = head_on_step(0.0)
+        assert len(contacts) == 1
         np.testing.assert_allclose(burst.velocity[0], [0.0, 0.0, 0.0])
 
     def test_exit_records_ke(self):
         grid = VoxelGrid(2, 2, 2, 0.1, np.zeros((2, 2), dtype=int))
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
-        burst = spawn_burst(cfg, np.random.default_rng(0))
-        burst.position = np.array([[0.1, 0.1, 0.1]])
-        burst.velocity = np.array([[2.0, 0.0, 0.0]])
-        burst.alive = np.array([True])
-        burst.exit_ke = np.zeros(1)
+        burst = lone_burst([0.1, 0.1, 0.1], [2.0, 0.0, 0.0])
         hm = np.zeros((2, 2), dtype=np.int64)
-        step(burst, grid, cfg, hm)
+        step(burst, PlacedGrid(grid, cfg), hm)
         assert not burst.alive[0]
         assert burst.exit_ke[0] == pytest.approx(0.5 * cfg.particle_mass * 4.0)
+
+    def test_batch_matches_particles_stepped_alone(self):
+        # Hits, near misses, separating contacts, exits and dead particles in
+        # one step must come out as if every particle were stepped by itself.
+        grid = VoxelGrid(4, 4, 6, 0.1, np.array(
+            [[0, 2, 3, 0], [1, 6, 6, 2], [0, 4, 5, 1], [3, 0, 2, 2]]))
+        cfg = TunnelConfig(domain_size=(0.8, 0.8, 0.8), dt=0.01, restitution=0.3)
+        placed = PlacedGrid(grid, cfg)
+        rng = np.random.default_rng(11)
+        n = 400
+        pos = placed.origin + rng.uniform(-0.1, 0.5, size=(n, 3)) * [1, 1, 1.4]
+        vel = rng.normal(0.0, 3.0, size=(n, 3))
+        was_alive = np.arange(n) % 7 != 0
+        burst = ParticleBurst(pos.copy(), vel.copy())
+        burst.alive[:] = was_alive
+        hm = np.zeros((4, 4), dtype=np.int64)
+        contacts = step(burst, placed, hm)
+
+        # the batch holds every kind of particle this test is about
+        drifted = pos + vel * cfg.dt - placed.origin
+        touching = contact_query(drifted, cfg.particle_radius, grid.column_heights,
+                                 grid.voxel_size).particle
+        assert len(contacts) > SMALL_BATCH
+        assert was_alive[touching].sum() > len(contacts)  # separating contacts
+        assert len(touching) < n                          # misses
+        assert (was_alive & ~burst.alive).any()           # exits
+
+        rows = []
+        alone_hm = np.zeros_like(hm)
+        for i in range(n):
+            one = lone_burst(pos[i], vel[i])
+            one.alive[0] = was_alive[i]
+            c = step(one, placed, alone_hm)
+            rows += [i] * len(c)
+            np.testing.assert_array_equal(burst.position[i], one.position[0])
+            np.testing.assert_array_equal(burst.velocity[i], one.velocity[0])
+            assert burst.alive[i] == one.alive[0]
+            assert burst.exit_ke[i] == one.exit_ke[0]
+        assert contacts.particle.tolist() == rows
+        np.testing.assert_array_equal(hm, alone_hm)
+        assert not burst.exit_ke[~was_alive].any()  # dead particles never retire again
 
 
 class TestRunSimulation:
@@ -244,14 +314,6 @@ class TestRunSimulation:
         assert r1.drag_force == r2.drag_force
         assert r1.kinetic_energy == r2.kinetic_energy
         assert r1.collision_count == r2.collision_count
-        np.testing.assert_array_equal(r1.heatmap, r2.heatmap)
-
-    def test_workers_match_serial(self, wedge_grid):
-        cfg = desk_tunnel()
-        r1 = run_simulation(wedge_grid, cfg, workers=1)
-        r2 = run_simulation(wedge_grid, cfg, workers=4)
-        assert r1.drag_force == r2.drag_force
-        assert r1.kinetic_energy == r2.kinetic_energy
         np.testing.assert_array_equal(r1.heatmap, r2.heatmap)
 
     def test_taller_wedge_collides_more(self):
