@@ -210,6 +210,10 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
 # the per-call cost of the batched numpy query outweighs its per-sphere saving.
 SMALL_BATCH = 4
 
+# Most candidate voxels one batched query evaluates at once; larger batches
+# go in chunks, which bounds its temporaries when a sphere spans many voxels.
+MAX_CANDIDATES = 1 << 16
+
 
 def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: np.ndarray,
                   vs: float):
@@ -351,9 +355,24 @@ def contact_query(centers, radius, heights: np.ndarray, vs: float) -> Contacts:
     their radius get no row.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    radius = np.asarray(radius, dtype=np.float64)
     heights = np.asarray(heights)
-    query = _query_each if len(centers) <= SMALL_BATCH else _query_batch
-    return query(centers, radius, heights, vs)
+    m = len(centers)
+    if m <= SMALL_BATCH:
+        return _query_each(centers, radius, heights, vs)
+    window = math.ceil(2.0 * float(radius.max()) / vs) + 2
+    size = max(1, MAX_CANDIDATES // window ** 3)
+    if m <= size:
+        return _query_batch(centers, radius, heights, vs)
+    parts = []
+    for start in range(0, m, size):
+        rows = slice(start, start + size)
+        part = _query_batch(centers[rows], radius[rows] if radius.ndim else radius,
+                            heights[rows] if heights.ndim == 3 else heights, vs)
+        part.particle += start
+        parts.append(part)
+    return Contacts(*(np.concatenate([getattr(p, name) for p in parts])
+                      for name in ("particle", "voxel", "axis", "sign", "penetration")))
 
 
 class PlacedGrid:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxwind import windtunnel
 from voxwind.errors import ConfigError
 from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
 from voxwind.windtunnel import (
@@ -197,11 +198,16 @@ class TestSphereVoxelContact:
         assert len(contacts) == 1
         assert contacts.impact_speed[0] == pytest.approx(5.0)
 
-    def test_matches_exhaustive_oracle_sample(self):
-        # once as one batch (the vectorised query), once per case (the scalar one)
+    def test_matches_exhaustive_oracle_sample(self, monkeypatch):
+        # as one batch (the vectorised query), in chunks of a few spheres, and
+        # per case (the scalar query)
         cases = list(random_contact_cases(200, seed=42))
         centers, radii, heights, vs = stacked_contact_cases(cases)
-        sides = (contacts_per_sphere(contact_query(centers, radii, heights, vs), len(cases)),
+        one_batch = contact_query(centers, radii, heights, vs)
+        monkeypatch.setattr(windtunnel, "MAX_CANDIDATES", 1000)
+        chunked = contact_query(centers, radii, heights, vs)
+        sides = (contacts_per_sphere(one_batch, len(cases)),
+                 contacts_per_sphere(chunked, len(cases)),
                  [single_contact(pos, radius, grid) for grid, pos, radius in cases])
         for found in sides:
             for (grid, pos, radius), got in zip(cases, found):
