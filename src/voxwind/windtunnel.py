@@ -103,13 +103,6 @@ class Contacts:
     def __len__(self) -> int:
         return len(self.particle)
 
-    @property
-    def normal(self) -> np.ndarray:
-        """(M, 3) unit face normals."""
-        out = np.zeros((len(self), 3))
-        out[np.arange(len(self)), self.axis] = self.sign
-        return out
-
     @classmethod
     def none(cls) -> "Contacts":
         return cls(np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.int64),

@@ -79,7 +79,10 @@ def stacked_contact_cases(cases):
 def contacts_per_sphere(contacts, m):
     """A Contacts record as one ((x, y, z), normal) or None per queried sphere."""
     out = [None] * m
-    for row, voxel, normal in zip(contacts.particle, contacts.voxel, contacts.normal):
+    for row, voxel, axis, sign in zip(contacts.particle, contacts.voxel, contacts.axis,
+                                      contacts.sign):
+        normal = np.zeros(3)
+        normal[axis] = sign
         out[row] = (tuple(int(v) for v in voxel), normal)
     return out
 

@@ -141,11 +141,9 @@ class TestSpawnBurst:
 
 
 def single_contact(pos, radius, grid):
-    """contact_query for one sphere as ((x, y, z), normal, penetration) or None."""
+    """contact_query for one sphere as ((x, y, z), normal) or None."""
     c = contact_query(pos, radius, grid.column_heights, grid.voxel_size)
-    if len(c) == 0:
-        return None
-    return tuple(int(v) for v in c.voxel[0]), c.normal[0], c.penetration[0]
+    return contacts_per_sphere(c, 1)[0]
 
 
 def lone_burst(position, velocity):
@@ -178,12 +176,11 @@ class TestSphereVoxelContact:
 
     def test_face_normal_above_top(self):
         grid = VoxelGrid(1, 1, 4, 0.1, np.array([[2]]))
-        hit = single_contact([0.05, 0.05, 0.23], 0.05, grid)
-        assert hit is not None
-        voxel, normal, pen = hit
-        np.testing.assert_array_equal(normal, [0.0, 0.0, 1.0])
-        assert voxel == (0, 0, 1)
-        assert pen == pytest.approx(0.02)
+        c = contact_query([0.05, 0.05, 0.23], 0.05, grid.column_heights, grid.voxel_size)
+        assert len(c) == 1
+        assert (c.axis[0], c.sign[0]) == (2, 1.0)  # normal +z
+        assert tuple(c.voxel[0]) == (0, 0, 1)
+        assert c.penetration[0] == pytest.approx(0.02)
 
     def test_batch_rows_name_the_touching_spheres(self):
         grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
@@ -236,7 +233,7 @@ class TestStep:
         burst, contacts, hm = head_on_step(1.0)
         assert len(contacts) == 1
         np.testing.assert_allclose(burst.velocity[0], [-1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(contacts.normal[0], [-1.0, 0.0, 0.0])
+        assert (contacts.axis[0], contacts.sign[0]) == (0, -1.0)  # normal -x
         assert contacts.particle.tolist() == [0]
         assert tuple(contacts.voxel[0]) == (2, 0, 0)
         assert hm[2, 0] == 1
