@@ -17,7 +17,6 @@ from voxwind.windtunnel import (
     collision_count_metric,
     contact_query,
     drag_force,
-    grid_origin,
     heatmap_to_csv,
     heatmap_to_pgm,
     kinetic_energy,
