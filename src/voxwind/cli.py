@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .env import EnvConfig, ObjectiveMode, RewardWeights, WindTunnelEnv
+from .env import EnvConfig, ObjectiveMode, WindTunnelEnv
 from .errors import ConfigError, TrainingError
 from .ppo import PpoConfig, evaluate_policy, train, write_trace_csv
 from .report import MODES, ComparisonRow, build_comparison_table, export_heatmap_delta
+from .schema import build, check_fields, defaults, rules, setting
 from .voxel import (
+    SYNTH_SHAPES,
     PgmParseError,
     grid_from_csv,
     grid_to_csv,
@@ -47,150 +49,80 @@ EXIT_REPORT = 5
 class SynthSpec:
     """Analytic stand-in design generated at train time."""
 
-    shape: str = "wedge"
-    width: int = 16
-    length: int = 16
-    amplitude: float = 1.0
-    h_max: int = 8
-    voxel_size: float = 0.1
+    shape: str = setting("wedge", choices=SYNTH_SHAPES)
+    width: int = setting(16, ge=1)
+    length: int = setting(16, ge=1)
+    amplitude: float = setting(1.0, ge=0.0, le=1.0)
+    h_max: int = setting(8, ge=1)
+    voxel_size: float = setting(0.1, gt=0.0)
 
 
 @dataclass
-class EnvSettings:
-    """JSON-facing environment section; the grid comes from a CSV or a synth spec."""
+class GridSource:
+    """The env section's design: a grid CSV or a synth spec, and an optional mask."""
 
-    grid_csv: str | None = None
-    synth: SynthSpec | None = None
-    mask_csv: str | None = None
-    mode: str = "ke_df_vcc"
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    control_dims: tuple = (8, 8)
-    pool_dims: tuple = (8, 8)
-    max_delta: int = 2
-    episode_length: int = 16
-    baseline_seeds: int = 3
-    reward_scale: float = 1.0
+    grid_csv: str | None = setting(None, str)
+    synth: SynthSpec | None = setting(None, SynthSpec)
+    mask_csv: str | None = setting(None, str)
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    out_dir: str | None = None
-    tunnel: TunnelConfig = field(default_factory=TunnelConfig)
-    ppo: PpoConfig = field(default_factory=PpoConfig)
-    env: EnvSettings = field(default_factory=EnvSettings)
+    """The run-config document; `env` maps each GridSource and EnvConfig setting to its value."""
+
+    seed: int = setting(0, ge=0)
+    out_dir: str | None = setting(None, str)
+    tunnel: TunnelConfig = setting(factory=TunnelConfig)
+    ppo: PpoConfig = setting(factory=PpoConfig)
+    env: dict = setting(kind=(GridSource, EnvConfig),
+                        factory=lambda: defaults(GridSource, EnvConfig))
 
 
-def _checked_kwargs(cls, data, path: str) -> dict:
-    """Reject unknown keys so hyperparameter typos fail loudly."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    allowed = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-        kwargs[key] = value
-    return kwargs
-
-
-def load_run_config(path) -> tuple[RunConfig, dict]:
-    """Parse a run-config JSON document with strict unknown-key rejection.
-
-    Returns (config, raw document) so callers can tell explicitly-set keys
-    from defaulted ones.
-    """
+def load_run_config(path, seed: int | None = None) -> RunConfig:
+    """Parse and validate a run-config JSON document. `seed` overrides the master
+    seed, which the tunnel and ppo sections follow unless they set their own."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-    top = _checked_kwargs(RunConfig, raw, "config")
-    tunnel = TunnelConfig(**_checked_kwargs(TunnelConfig, raw.get("tunnel", {}), "tunnel"))
-    ppo = PpoConfig(**_checked_kwargs(PpoConfig, raw.get("ppo", {}), "ppo"))
-    env_raw = dict(raw.get("env", {}))
-    env_kwargs = _checked_kwargs(EnvSettings, env_raw, "env")
-    if "weights" in env_kwargs:
-        env_kwargs["weights"] = RewardWeights(
-            **_checked_kwargs(RewardWeights, env_raw["weights"], "env.weights"))
-    if env_kwargs.get("synth") is not None:
-        env_kwargs["synth"] = SynthSpec(
-            **_checked_kwargs(SynthSpec, env_raw["synth"], "env.synth"))
-    for key in ("control_dims", "pool_dims"):
-        if key in env_kwargs:
-            dims = env_kwargs[key]
-            if not isinstance(dims, (list, tuple)) or len(dims) != 2:
-                raise ConfigError(f"env.{key}: expected two integers")
-            env_kwargs[key] = tuple(int(v) for v in dims)
-    env_settings = EnvSettings(**env_kwargs)
-    seed = top.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config.seed: expected an integer")
-    return RunConfig(seed=seed, out_dir=top.get("out_dir"), tunnel=tunnel,
-                     ppo=ppo, env=env_settings), raw
-
-
-def resolve_seeds(run: RunConfig, raw: dict, seed_flag: int | None) -> RunConfig:
-    """--seed overrides the master seed; sections keep explicit JSON seeds."""
-    if seed_flag is not None:
-        run.seed = seed_flag
-    if "seed" not in raw.get("tunnel", {}):
-        run.tunnel = replace(run.tunnel, seed=run.seed)
-    if "seed" not in raw.get("ppo", {}):
-        run.ppo = replace(run.ppo, seed=run.seed)
+    run = build(RunConfig, raw, "")
+    if seed is not None:
+        run.seed = seed
+    for section in ("tunnel", "ppo"):
+        if "seed" not in raw.get(section, {}):
+            setattr(run, section, replace(getattr(run, section), seed=run.seed))
+    check_fields(run, "")
     return run
 
 
 def config_echo_json(run: RunConfig) -> str:
-    doc = {
-        "seed": run.seed,
-        "out_dir": run.out_dir,
-        "tunnel": asdict(run.tunnel),
-        "ppo": asdict(run.ppo),
-        "env": asdict(run.env),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(asdict(run), indent=2, default=lambda member: member.value) + "\n"
 
 
-def _build_env(run: RunConfig, mode: str) -> WindTunnelEnv:
-    settings = run.env
-    if (settings.grid_csv is None) == (settings.synth is None):
+def _read_csv(name: str, parse, path: str):
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"env.{name}: {exc}") from exc
+
+
+def _build_env(run: RunConfig) -> WindTunnelEnv:
+    settings = dict(run.env)
+    source = GridSource(**{name: settings.pop(name) for name in rules(GridSource)})
+    if (source.grid_csv is None) == (source.synth is None):
         raise ConfigError("env.grid_csv: exactly one of env.grid_csv or env.synth is required")
-    if settings.grid_csv is not None:
-        try:
-            grid = grid_from_csv(Path(settings.grid_csv).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"env.grid_csv: {exc}") from exc
+    if source.grid_csv is not None:
+        grid = _read_csv("grid_csv", grid_from_csv, source.grid_csv)
     else:
-        spec = settings.synth
+        spec = source.synth
         grid = voxelise(
             synth_heightmap(spec.shape, spec.width, spec.length, spec.amplitude),
             spec.h_max, spec.voxel_size)
-    mask = None
-    if settings.mask_csv is not None:
-        try:
-            mask = mask_from_csv(Path(settings.mask_csv).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"env.mask_csv: {exc}") from exc
-    try:
-        objective = ObjectiveMode(mode)
-    except ValueError as exc:
-        raise ConfigError(f"env.mode: unknown mode {mode!r}") from exc
-    env_config = EnvConfig(
-        grid=grid,
-        tunnel=run.tunnel,
-        mode=objective,
-        weights=settings.weights,
-        mask=mask,
-        control_dims=settings.control_dims,
-        pool_dims=settings.pool_dims,
-        max_delta=settings.max_delta,
-        episode_length=settings.episode_length,
-        baseline_seeds=settings.baseline_seeds,
-        reward_scale=settings.reward_scale,
-    )
-    return WindTunnelEnv(env_config)
+    mask = None if source.mask_csv is None else _read_csv("mask_csv", mask_from_csv,
+                                                           source.mask_csv)
+    return WindTunnelEnv(EnvConfig(grid=grid, tunnel=run.tunnel, mask=mask, **settings))
 
 
 # --- commands -----------------------------------------------------------------
@@ -220,10 +152,7 @@ def cmd_voxelize(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        run, raw = load_run_config(args.config)
-        run = resolve_seeds(run, raw, args.seed)
-        run.tunnel.validate("tunnel")
-        run.ppo.validate("ppo")
+        run = load_run_config(args.config, args.seed)
     except ConfigError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -248,13 +177,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     try:
-        run, raw = load_run_config(args.config)
-        run = resolve_seeds(run, raw, args.seed)
-        mode = args.mode if args.mode is not None else run.env.mode
-        run.env.mode = mode
-        run.tunnel.validate("tunnel")
-        run.ppo.validate("ppo")
-        env = _build_env(run, mode)
+        run = load_run_config(args.config, args.seed)
+        if args.mode is not None:
+            run.env["mode"] = ObjectiveMode(args.mode)
+        env = _build_env(run)
     except ConfigError as exc:
         print(f"train: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -271,14 +197,11 @@ def cmd_train(args) -> int:
         return 0
     grid_opt, res_opt = evaluate_policy(env, result.policy)
     (out / "optimised_grid.csv").write_text(grid_to_csv(grid_opt))
-    (out / f"simresult_{mode}.csv").write_text(simresult_to_csv(res_opt))
+    (out / f"simresult_{env.config.mode.value}.csv").write_text(simresult_to_csv(res_opt))
     baseline_dir = out / "baseline"
     baseline_dir.mkdir(exist_ok=True)
-    base = env.baseline
-    base_row = ",".join(repr(float(getattr(base, name))) for name in METRIC_NAMES)
-    (baseline_dir / "simresult.csv").write_text(
-        "drag_force,kinetic_energy,collision_count,heightmap_sum\n" + base_row + "\n")
-    maps = export_heatmap_delta(base.heatmap, res_opt.heatmap)
+    (baseline_dir / "simresult.csv").write_text(simresult_to_csv(env.baseline))
+    maps = export_heatmap_delta(env.baseline.heatmap, res_opt.heatmap)
     (out / "heatmap_before.pgm").write_bytes(maps.before_pgm)
     (out / "heatmap_after.pgm").write_bytes(maps.after_pgm)
     (out / "heatmap_before.csv").write_text(maps.before_csv)

@@ -10,12 +10,13 @@ the untouched design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
+from .schema import check_fields, setting
 from .voxel import VoxelGrid, VoxelMask, apply_height_delta
 from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, run_simulation
 
@@ -30,55 +31,27 @@ class ObjectiveMode(Enum):
 class RewardWeights:
     """Term weights: energy gain, drag drop, collision drop, height-change penalty."""
 
-    w_ke: float = 1.0
-    w_df: float = 1.0
-    w_vcc: float = 1.0
-    w_h: float = 0.1
-
-    def validate(self, prefix: str = "env.weights") -> None:
-        for name in ("w_ke", "w_df", "w_vcc", "w_h"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"{prefix}.{name}: must be finite and non-negative")
-        if self.w_h <= 0:
-            raise ConfigError(f"{prefix}.w_h: must be positive")
+    w_ke: float = setting(1.0, ge=0.0)
+    w_df: float = setting(1.0, ge=0.0)
+    w_vcc: float = setting(1.0, ge=0.0)
+    w_h: float = setting(0.1, gt=0.0)
 
 
-@dataclass
-class Baseline:
-    """Metrics of the unmodified design, averaged over n_seeds simulation seeds."""
-
-    drag_force: float
-    kinetic_energy: float
-    collision_count: float
-    heightmap_sum: float
-    heatmap: np.ndarray
-    n_seeds: int
-
-    def metrics(self) -> dict:
-        return {name: float(getattr(self, name)) for name in METRIC_NAMES}
-
-
-def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3) -> Baseline:
-    """Average the SimResult of the untouched design over consecutive seeds."""
+def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3) -> SimResult:
+    """The SimResult of the untouched design, averaged over consecutive seeds."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
     results = [run_simulation(grid, replace(tunnel, seed=tunnel.seed + i))
                for i in range(n_seeds)]
-    heatmap = np.mean([r.heatmap for r in results], axis=0)
-    return Baseline(
-        drag_force=float(np.mean([r.drag_force for r in results])),
-        kinetic_energy=float(np.mean([r.kinetic_energy for r in results])),
-        collision_count=float(np.mean([r.collision_count for r in results])),
-        heightmap_sum=float(np.mean([r.heightmap_sum for r in results])),
-        heatmap=heatmap,
-        n_seeds=n_seeds,
+    return SimResult(
+        **{name: float(np.mean([getattr(r, name) for r in results])) for name in METRIC_NAMES},
+        heatmap=np.mean([r.heatmap for r in results], axis=0),
     )
 
 
-def reward(result: SimResult, baseline: Baseline, mode: ObjectiveMode,
+def reward(result: SimResult, baseline: SimResult, mode: ObjectiveMode,
            weights: RewardWeights, scale: float = 1.0) -> float:
-    """Baseline-relative reward; exactly 0 when the result equals the baseline.
+    """Reward relative to the baseline; exactly 0 when the result equals it.
 
     Energy above baseline pays, drag and collisions below baseline pay (when
     their mode terms are active), and any drift of the height sum costs. A
@@ -150,39 +123,25 @@ def bilinear_upsample(control: np.ndarray, out_dims) -> np.ndarray:
 class EnvConfig:
     grid: VoxelGrid
     tunnel: TunnelConfig
-    mode: ObjectiveMode = ObjectiveMode.KE_DF_VCC
-    weights: RewardWeights = field(default_factory=RewardWeights)
+    mode: ObjectiveMode = setting(ObjectiveMode.KE_DF_VCC)
+    weights: RewardWeights = setting(factory=RewardWeights)
     mask: VoxelMask | None = None
-    control_dims: tuple = (8, 8)
-    pool_dims: tuple = (8, 8)
-    max_delta: int = 2
-    episode_length: int = 16
-    baseline_seeds: int = 3
-    reward_scale: float = 1.0
+    control_dims: tuple = setting((8, 8), ge=1)     # coarse action grid
+    pool_dims: tuple = setting((8, 8), ge=1)        # observation pooling
+    max_delta: int = setting(2, ge=1)               # voxels moved per unit action
+    episode_length: int = setting(16, ge=1)
+    baseline_seeds: int = setting(3, ge=1)
+    reward_scale: float = setting(1.0)
 
     def validate(self, prefix: str = "env") -> None:
-        def bad(name, msg):
-            raise ConfigError(f"{prefix}.{name}: {msg}")
-
-        if not isinstance(self.mode, ObjectiveMode):
-            bad("mode", f"unknown objective mode {self.mode!r}")
-        self.weights.validate(f"{prefix}.weights")
-        kx, ky = self.control_dims
-        px, py = self.pool_dims
-        if kx < 1 or ky < 1 or kx > self.grid.width or ky > self.grid.length:
-            bad("control_dims", f"{self.control_dims} exceeds grid "
-                f"({self.grid.width}, {self.grid.length})")
-        if px < 1 or py < 1 or px > self.grid.width or py > self.grid.length:
-            bad("pool_dims", f"{self.pool_dims} exceeds grid "
-                f"({self.grid.width}, {self.grid.length})")
-        if self.max_delta < 1:
-            bad("max_delta", "must be at least 1")
-        if self.episode_length < 1:
-            bad("episode_length", "must be at least 1")
-        if self.baseline_seeds < 1:
-            bad("baseline_seeds", "must be at least 1")
-        if self.mask is not None and self.mask.frozen.shape != (self.grid.width, self.grid.length):
-            bad("mask", f"mask shape {self.mask.frozen.shape} does not match grid")
+        check_fields(self, prefix)
+        shape = (self.grid.width, self.grid.length)
+        for name in ("control_dims", "pool_dims"):
+            dims = getattr(self, name)
+            if dims[0] > shape[0] or dims[1] > shape[1]:
+                raise ConfigError(f"{prefix}.{name}: {tuple(dims)} exceeds grid {shape}")
+        if self.mask is not None and self.mask.frozen.shape != shape:
+            raise ConfigError(f"{prefix}.mask: shape {self.mask.frozen.shape} is not {shape}")
 
 
 class WindTunnelEnv:
@@ -195,7 +154,7 @@ class WindTunnelEnv:
         self.mask = config.mask if config.mask is not None else VoxelMask.none(
             config.grid.width, config.grid.length)
         self.grid = config.grid.copy()
-        self.baseline: Baseline | None = None
+        self.baseline: SimResult | None = None
         self._metrics: dict | None = None
         self._t = 0
 
@@ -243,6 +202,8 @@ class WindTunnelEnv:
         a = np.asarray(action, dtype=np.float64).ravel()
         if a.size != self.action_dim:
             raise ValueError(f"action size {a.size} does not match {self.action_dim}")
+        if not np.isfinite(a).all():
+            raise ValueError("action has non-finite components")
         a = np.clip(a, -1.0, 1.0).reshape(self.config.control_dims)
         deltas = bilinear_upsample(a, (self.grid.width, self.grid.length)) \
             * self.config.max_delta

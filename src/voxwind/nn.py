@@ -99,14 +99,6 @@ class Mlp:
         return grads, (delta[0] if single else delta)
 
 
-def mlp_forward(net: Mlp, x):
-    return net.forward(x)
-
-
-def mlp_backward(net: Mlp, cache, grad_out):
-    return net.backward(cache, grad_out)
-
-
 @dataclass
 class GaussianPolicy:
     """Diagonal Gaussian over actions: state-dependent mean, global log-std."""

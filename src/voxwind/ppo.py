@@ -10,66 +10,42 @@ import numpy as np
 
 from . import nn
 from .errors import ConfigError, TrainingError
-
-TRACE_CSV_HEADER = ("step,reward,drag_force,kinetic_energy,collision_count,"
-                    "heightmap_sum,policy_loss,value_loss,entropy")
+from .schema import check_fields, setting
 
 _TRACE_FLOAT_KEYS = ("reward", "drag_force", "kinetic_energy", "collision_count",
                      "heightmap_sum", "policy_loss", "value_loss", "entropy")
+TRACE_CSV_HEADER = ",".join(("step",) + _TRACE_FLOAT_KEYS)
 
 
 @dataclass
 class PpoConfig:
     """Trainer hyperparameters; defaults follow the published training setup."""
 
-    batch_size: int = 1024
-    buffer_size: int = 10240
-    learning_rate: float = 3.0e-4     # decays linearly to learning_rate_final
-    learning_rate_final: float = 0.0
-    beta: float = 9.0e-3              # entropy bonus coefficient, constant schedule
-    epsilon: float = 0.2              # clip range, decays linearly to epsilon_final
-    epsilon_final: float = 0.1
-    lam: float = 0.95
-    epochs: int = 5
-    max_training_steps: int = 5000    # environment steps
-    time_horizon: int = 64
-    gamma: float = 0.99
-    extrinsic_strength: float = 1.0   # reward multiplier
-    value_coef: float = 0.5
-    grad_clip: float = 0.5
-    hidden_layers: int = 2
-    hidden_units: int = 128
-    log_std_init: float = -0.5
-    memory_sequence_length: int = 64  # recorded only; the policy is feedforward
-    memory_size: int = 256            # recorded only
-    seed: int = 0
+    batch_size: int = setting(1024, ge=1)
+    buffer_size: int = setting(10240, ge=1)
+    learning_rate: float = setting(3.0e-4, ge=0.0)     # decays linearly to learning_rate_final
+    learning_rate_final: float = setting(0.0, ge=0.0)
+    beta: float = setting(9.0e-3)                      # entropy bonus coefficient, constant schedule
+    epsilon: float = setting(0.2, gt=0.0, lt=1.0)      # clip range, decays linearly to epsilon_final
+    epsilon_final: float = setting(0.1, gt=0.0, lt=1.0)
+    lam: float = setting(0.95, ge=0.0, le=1.0)
+    epochs: int = setting(5, ge=0)
+    max_training_steps: int = setting(5000, ge=0)      # environment steps
+    time_horizon: int = setting(64, ge=1)
+    gamma: float = setting(0.99, ge=0.0, le=1.0)
+    extrinsic_strength: float = setting(1.0)           # reward multiplier
+    value_coef: float = setting(0.5)
+    grad_clip: float = setting(0.5)                    # <= 0 disables clipping
+    hidden_layers: int = setting(2, ge=1)
+    hidden_units: int = setting(128, ge=1)
+    log_std_init: float = setting(-0.5)
+    seed: int = setting(0, ge=0)
 
     def validate(self, prefix: str = "ppo") -> None:
-        def bad(name, msg):
-            raise ConfigError(f"{prefix}.{name}: {msg}")
-
-        if self.batch_size < 1:
-            bad("batch_size", "must be at least 1")
+        check_fields(self, prefix)
         if self.batch_size > self.buffer_size:
-            bad("batch_size", f"{self.batch_size} exceeds buffer_size {self.buffer_size}")
-        if not 0.0 < self.epsilon < 1.0:
-            bad("epsilon", "must lie in (0, 1)")
-        if not 0.0 <= self.lam <= 1.0:
-            bad("lam", "must lie in [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            bad("gamma", "must lie in [0, 1]")
-        if self.learning_rate < 0 or self.learning_rate_final < 0:
-            bad("learning_rate", "must be non-negative")
-        if self.epochs < 0:
-            bad("epochs", "must be non-negative")
-        if self.max_training_steps < 0:
-            bad("max_training_steps", "must be non-negative")
-        if self.time_horizon < 1:
-            bad("time_horizon", "must be at least 1")
-        if self.hidden_layers < 1 or self.hidden_units < 1:
-            bad("hidden_layers", "network shape must be positive")
-        if self.seed < 0:
-            bad("seed", "must be non-negative")
+            raise ConfigError(f"{prefix}.batch_size: {self.batch_size} exceeds "
+                              f"buffer_size {self.buffer_size}")
 
 
 class RolloutBuffer:
@@ -206,6 +182,40 @@ def clip_grad_norm(grads, max_norm: float) -> float:
     return total
 
 
+def ppo_loss_and_grads(policy: nn.GaussianPolicy, value_net: nn.Mlp, states, actions,
+                       logp_old, advantages, returns, epsilon: float, config: PpoConfig):
+    """(policy_loss, value_loss, entropy, policy_grads, value_grads) of a minibatch.
+
+    policy_loss is the negated mean clipped surrogate and value_loss the mean
+    squared value error. policy_grads (aligned with policy.params) are the exact
+    gradients of policy_loss - beta * entropy, value_grads (aligned with
+    value_net.params) those of value_coef * value_loss.
+    """
+    bsz = len(returns)
+    mu, cache = policy.mean_net.forward(states)
+    ratio = probability_ratio(nn.gaussian_logprob(policy, mu, actions), logp_old)
+    surrogate = clipped_surrogate(ratio, advantages, epsilon)
+    policy_loss = -float(surrogate.mean())
+    entropy = nn.gaussian_entropy(policy)
+
+    # d(-min)/d(logp): only the unclipped branch carries gradient
+    unclipped = surrogate == ratio * advantages
+    dlogp = np.where(unclipped, -advantages * ratio, 0.0) / bsz
+    var = np.exp(2.0 * policy.log_std)
+    diff = actions - mu
+    dmu = dlogp[:, None] * (diff / var)
+    dlog_std = (dlogp[:, None] * (diff * diff / var - 1.0)).sum(axis=0)
+    dlog_std -= config.beta * np.ones(policy.action_dim)  # entropy bonus
+    net_grads, _ = policy.mean_net.backward(cache, dmu)
+
+    val, vcache = value_net.forward(states)
+    verr = val[:, 0] - returns
+    value_loss = float((verr * verr).mean())
+    dval = (config.value_coef * 2.0 * verr / bsz)[:, None]
+    value_grads, _ = value_net.backward(vcache, dval)
+    return policy_loss, value_loss, entropy, net_grads + [dlog_std], value_grads
+
+
 def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.Mlp,
                config: PpoConfig, progress: float,
                policy_opt: nn.AdamState, value_opt: nn.AdamState,
@@ -225,52 +235,18 @@ def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.M
                          f"{config.batch_size}")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    states = data["states"]
-    actions = data["actions"]
-    logp_old = data["logprobs"]
-    returns = data["returns"]
     adv_all = normalize_advantages(data["advantages"])
     lr = linear_schedule(config.learning_rate, config.learning_rate_final, progress)
     eps = linear_schedule(config.epsilon, config.epsilon_final, progress)
-    act_dim = policy.action_dim
     diag = {"policy_loss": [], "value_loss": [], "entropy": []}
     for _ in range(config.epochs):
         order = rng.permutation(n)
         pl_acc, vl_acc, ent_acc = [], [], []
         for start in range(0, n - config.batch_size + 1, config.batch_size):
             mb = order[start:start + config.batch_size]
-            s = states[mb]
-            a = actions[mb]
-            adv = adv_all[mb]
-            ret = returns[mb]
-            lpo = logp_old[mb]
-            bsz = len(mb)
-
-            mu, cache = policy.mean_net.forward(s)
-            lpn = gaussian_logprob_batch(policy, mu, a)
-            ratio = np.exp(lpn - lpo)
-            surr = ratio * adv
-            clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-            policy_loss = -float(np.minimum(surr, clipped).mean())
-            entropy = nn.gaussian_entropy(policy)
-
-            # d(-min)/d(logp): only the unclipped branch carries gradient
-            use_unclipped = surr <= clipped
-            dlogp = np.where(use_unclipped, -adv * ratio, 0.0) / bsz
-            var = np.exp(2.0 * policy.log_std)
-            diff = a - mu
-            dmu = dlogp[:, None] * (diff / var)
-            dlog_std = (dlogp[:, None] * (diff * diff / var - 1.0)).sum(axis=0)
-            dlog_std -= config.beta * np.ones(act_dim)  # entropy bonus
-            net_grads, _ = policy.mean_net.backward(cache, dmu)
-            policy_grads = net_grads + [dlog_std]
-
-            val, vcache = value_net.forward(s)
-            verr = val[:, 0] - ret
-            value_loss = float((verr * verr).mean())
-            dval = (config.value_coef * 2.0 * verr / bsz)[:, None]
-            value_grads, _ = value_net.backward(vcache, dval)
-
+            policy_loss, value_loss, entropy, policy_grads, value_grads = ppo_loss_and_grads(
+                policy, value_net, data["states"][mb], data["actions"][mb],
+                data["logprobs"][mb], adv_all[mb], data["returns"][mb], eps, config)
             clip_grad_norm(policy_grads, config.grad_clip)
             clip_grad_norm(value_grads, config.grad_clip)
             nn.adam_step(policy.params, policy_grads, policy_opt, lr)
@@ -286,11 +262,6 @@ def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.M
     diag["lr"] = lr
     diag["epsilon"] = eps
     return diag
-
-
-def gaussian_logprob_batch(policy: nn.GaussianPolicy, mean: np.ndarray,
-                           action: np.ndarray) -> np.ndarray:
-    return nn.gaussian_logprob(policy, mean, action)
 
 
 # --- training loop ---------------------------------------------------------------

@@ -242,11 +242,8 @@ def synth_heightmap(shape: str, width: int, length: int, amplitude: float = 1.0)
 
 
 def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
-    """Convert normalized elevations to integer column heights: round(v * h_max)."""
-    if h_max < 1:
-        raise ValueError("h_max must be at least 1")
-    if voxel_size <= 0.0:
-        raise ValueError("voxel_size must be positive")
+    """Convert normalized elevations to integer column heights: round(v * h_max).
+    VoxelGrid rejects h_max < 1 and voxel_size <= 0."""
     heights = round_half_away(hm.values * h_max)
     return VoxelGrid(hm.width, hm.length, int(h_max), float(voxel_size), heights)
 
@@ -347,5 +344,8 @@ def mask_from_csv(text: str) -> VoxelMask:
         cells = row.split(",")
         if len(cells) != length:
             raise ValueError(f"mask csv: row {x} has {len(cells)} cells, expected {length}")
+        for y, cell in enumerate(cells):
+            if cell not in ("0", "1"):
+                raise ValueError(f"mask csv: row {x} column {y}: cell {cell!r} is not 0 or 1")
         frozen[x] = [c == "1" for c in cells]
     return VoxelMask(frozen)

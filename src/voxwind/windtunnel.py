@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .schema import check_fields, setting
 from .voxel import VoxelGrid, heightmap_sum, round_half_away, write_pgm
 
 MPH_TO_MPS = 0.44704
@@ -28,47 +28,25 @@ METRIC_NAMES = ("drag_force", "kinetic_energy", "collision_count", "heightmap_su
 class TunnelConfig:
     """Simulation parameters; defaults are desk-scale stand-ins, not claims."""
 
-    air_speed: float = 10.0           # mph; valid range 10..120
-    particle_count: int = 256         # particles per burst
-    burst_count: int = 2              # simulation runs per iteration
-    base_cycle_count: float = 10.0    # collision-count normaliser
-    dt: float = 1.0 / 120.0           # seconds
-    max_steps: int = 240              # integration steps per burst
-    fluid_density: float = 1.225      # kg/m^3
-    particle_mass: float = 0.01       # kg
-    particle_radius: float = 0.05     # m
-    drag_coefficient: float = 0.47    # sphere
-    restitution: float = 0.5          # 0 = plastic, 1 = elastic
-    domain_size: tuple = (6.0, 4.0, 4.0)  # meters (x, y, z)
-    seed: int = 0
+    air_speed: float = setting(10.0, ge=10.0, le=120.0)     # mph
+    particle_count: int = setting(256, ge=0)                 # particles per burst
+    burst_count: int = setting(2, ge=1)                      # simulation runs per iteration
+    base_cycle_count: float = setting(10.0, ge=1.0)          # collision-count normaliser
+    dt: float = setting(1.0 / 120.0, gt=0.0)                 # seconds
+    max_steps: int = setting(240, ge=1)                      # integration steps per burst
+    fluid_density: float = setting(1.225, gt=0.0)            # kg/m^3
+    particle_mass: float = setting(0.01, gt=0.0)             # kg
+    particle_radius: float = setting(0.05, gt=0.0)           # m
+    drag_coefficient: float = setting(0.47, gt=0.0)          # sphere
+    restitution: float = setting(0.5, ge=0.0, le=1.0)        # 0 = plastic, 1 = elastic
+    domain_size: tuple = setting((6.0, 4.0, 4.0), gt=0.0)   # meters (x, y, z)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
         self.domain_size = tuple(float(v) for v in self.domain_size)
 
     def validate(self, prefix: str = "tunnel") -> None:
-        def bad(name, msg):
-            raise ConfigError(f"{prefix}.{name}: {msg}")
-
-        if not 10.0 <= self.air_speed <= 120.0:
-            bad("air_speed", f"{self.air_speed} outside the valid range [10, 120] mph")
-        if self.particle_count < 0:
-            bad("particle_count", "must be non-negative")
-        if self.burst_count < 1:
-            bad("burst_count", "must be at least 1")
-        if self.base_cycle_count < 1:
-            bad("base_cycle_count", "must be at least 1")
-        for name in ("dt", "fluid_density", "particle_mass", "particle_radius",
-                     "drag_coefficient"):
-            if getattr(self, name) <= 0:
-                bad(name, "must be positive")
-        if self.max_steps < 1:
-            bad("max_steps", "must be at least 1")
-        if not 0.0 <= self.restitution <= 1.0:
-            bad("restitution", "must lie in [0, 1]")
-        if len(self.domain_size) != 3 or any(v <= 0 for v in self.domain_size):
-            bad("domain_size", "must be three positive extents (x, y, z)")
-        if self.seed < 0:
-            bad("seed", "must be non-negative")
+        check_fields(self, prefix)
 
 
 class ParticleBurst:

@@ -1,19 +1,29 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from voxwind.cli import main
+from voxwind.cli import GridSource, RunConfig, SynthSpec, config_echo_json, load_run_config, main
+from voxwind.env import EnvConfig, RewardWeights
+from voxwind.errors import ConfigError
 from voxwind.nn import load_checkpoint
+from voxwind.ppo import PpoConfig
 from voxwind.report import parse_comparison_table
+from voxwind.schema import rules
 from voxwind.voxel import (
+    VoxelMask,
     grid_from_csv,
     grid_to_csv,
+    mask_to_csv,
     synth_heightmap,
     voxelise,
     write_heightmap_pgm,
 )
-from voxwind.windtunnel import simresult_from_csv
+from voxwind.windtunnel import TunnelConfig, simresult_from_csv
 
 
 def base_config():
@@ -235,6 +245,129 @@ class TestTrain:
         out = tmp_path / "train"
         assert main(["train", "--config", config, "--out", str(out)]) == 0
         assert (out / "simresult_ke.csv").is_file()
+
+
+class TestTrainFailures:
+    def test_bad_mask_cell_exits_3(self, tmp_path, capsys):
+        lines = mask_to_csv(VoxelMask(np.zeros((16, 16), dtype=bool))).splitlines()
+        lines[3] = "2" + lines[3][1:]
+        mask = tmp_path / "mask.csv"
+        mask.write_text("\n".join(lines) + "\n")
+        doc = base_config()
+        doc["env"]["mask_csv"] = str(mask)
+        code = main(["train", "--config", write_config(tmp_path / "run.json", doc),
+                     "--out", str(tmp_path / "train")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "env.mask_csv" in err and "row 1 column 0" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_action_exits_4(self, tmp_path, capsys):
+        doc = base_config()
+        doc["ppo"]["log_std_init"] = 1000.0     # exp overflows: the first action is infinite
+        code = main(["train", "--config", write_config(tmp_path / "run.json", doc),
+                     "--out", str(tmp_path / "train")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "step 1" in err and "non-finite" in err
+
+
+def set_key(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc.setdefault(key, {})
+    doc[keys[-1]] = value
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("keys, value", [
+        (("tunnel", "particle_count"), "64"),
+        (("tunnel", "max_steps"), 2.5),
+        (("env", "control_dims"), ["a", 2]),
+        (("env", "synth", "shape"), "blob"),
+        (("env", "synth", "width"), 0),
+        (("tunnel", "dt"), float("nan")),
+        (("seed",), True),
+        (("ppo", "epsilon_final"), 1.5),
+        (("tunnel", "domain_size"), [3.2, 1.8]),
+        (("env", "mode"), "fast"),
+        (("env", "weights", "w_h"), 0),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_bad_value_exits_3_naming_field(self, tmp_path, capsys, command, keys, value):
+        doc = base_config()
+        set_key(doc, keys, value)
+        argv = [command, "--config", write_config(tmp_path / "run.json", doc),
+                "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--grid", write_wedge_grid(tmp_path / "grid.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {'.'.join(keys)}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [b"[" * 100000, b"\xff\xfe{}", b"{"])
+    def test_unparseable_file_exits_3(self, tmp_path, capsys, data):
+        path = tmp_path / "run.json"
+        path.write_bytes(data)
+        code = main(["simulate", "--grid", write_wedge_grid(tmp_path / "grid.csv"),
+                     "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("simulate: config: ")
+
+    def test_readme_example_loads(self, tmp_path):
+        """The README's run-config block, comments stripped, loads, and every
+        key in it is a declared field."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//[^\n]*", "", block))
+        load_run_config(write_config(tmp_path / "readme.json", doc))
+
+        def walk(section, classes, path):
+            declared = rules(*classes)
+            for key, value in section.items():
+                assert key in declared, f"{path}{key} is not a config field"
+                kind = declared[key].kind
+                if isinstance(value, dict):
+                    walk(value, kind if isinstance(kind, tuple) else (kind,), f"{path}{key}.")
+
+        walk(doc, (RunConfig,), "")
+
+
+FIELD_NAMES = sorted({name for cls in (RunConfig, TunnelConfig, PpoConfig, GridSource, EnvConfig,
+                                       SynthSpec, RewardWeights) for name in rules(cls)})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=6), children, max_size=5),
+    max_leaves=24)
+
+
+def leaf_paths(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        yield prefix + (key,)
+
+
+def with_value(keys, value):
+    doc = base_config()
+    set_key(doc, keys, value)
+    return doc
+
+
+@given(doc=JSON_VALUES | st.builds(with_value, st.sampled_from(list(leaf_paths(base_config()))),
+                                   JSON_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_any_json_document_loads_or_raises_config_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        run = load_run_config(path)
+    except ConfigError:
+        return
+    assert isinstance(run, RunConfig)
+    json.loads(config_echo_json(run))
 
 
 class TestReport:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from voxwind.env import (
-    Baseline,
     EnvConfig,
     ObjectiveMode,
     RewardWeights,
@@ -41,42 +40,38 @@ def fake_result(drag=10.0, ke=5.0, cc=4.0, hs=100.0):
     return SimResult(drag, ke, cc, hs, np.zeros((2, 2), dtype=np.int64))
 
 
-def fake_baseline(drag=10.0, ke=5.0, cc=4.0, hs=100.0):
-    return Baseline(drag, ke, cc, hs, np.zeros((2, 2)), 1)
-
-
 class TestReward:
     def test_baseline_is_zero_in_every_mode(self):
-        base = fake_baseline()
+        base = fake_result()
         for mode in ObjectiveMode:
             assert reward(fake_result(), base, mode, RewardWeights()) == 0.0
 
     def test_ke_gain(self):
-        base = fake_baseline()
+        base = fake_result()
         res = fake_result(ke=5.5)
         r = reward(res, base, ObjectiveMode.KE, RewardWeights(w_ke=1.0))
         assert r == pytest.approx(0.1)
 
     def test_df_drop_in_ke_df_mode(self):
-        base = fake_baseline()
+        base = fake_result()
         res = fake_result(drag=9.0)
         r = reward(res, base, ObjectiveMode.KE_DF, RewardWeights(w_df=1.0))
         assert r == pytest.approx(0.1)
 
     def test_df_ignored_in_ke_mode(self):
-        base = fake_baseline()
+        base = fake_result()
         res = fake_result(drag=2.0)
         assert reward(res, base, ObjectiveMode.KE, RewardWeights()) == 0.0
 
     def test_vcc_only_in_full_mode(self):
-        base = fake_baseline()
+        base = fake_result()
         res = fake_result(cc=2.0)
         assert reward(res, base, ObjectiveMode.KE_DF, RewardWeights()) == 0.0
         r = reward(res, base, ObjectiveMode.KE_DF_VCC, RewardWeights(w_vcc=1.0))
         assert r == pytest.approx(0.5)
 
     def test_height_drift_penalised_both_ways(self):
-        base = fake_baseline()
+        base = fake_result()
         w = RewardWeights(w_h=0.1)
         up = reward(fake_result(hs=110.0), base, ObjectiveMode.KE, w)
         down = reward(fake_result(hs=90.0), base, ObjectiveMode.KE, w)
@@ -84,7 +79,7 @@ class TestReward:
         assert down == pytest.approx(-0.01)
 
     def test_monotone_directions(self):
-        base = fake_baseline()
+        base = fake_result()
         w = RewardWeights()
         mode = ObjectiveMode.KE_DF_VCC
         r0 = reward(fake_result(), base, mode, w)
@@ -93,12 +88,12 @@ class TestReward:
         assert reward(fake_result(cc=5.0), base, mode, w) < r0
 
     def test_zero_baseline_terms_disabled(self):
-        base = fake_baseline(cc=0.0)
+        base = fake_result(cc=0.0)
         res = fake_result(cc=3.0)
         assert reward(res, base, ObjectiveMode.KE_DF_VCC, RewardWeights()) == 0.0
 
     def test_scale_multiplier(self):
-        base = fake_baseline()
+        base = fake_result()
         res = fake_result(ke=5.5)
         assert reward(res, base, ObjectiveMode.KE, RewardWeights(), scale=2.0) \
             == pytest.approx(0.2)
@@ -254,6 +249,15 @@ class TestWindTunnelEnv:
         env.reset()
         with pytest.raises(ValueError):
             env.act(np.zeros(env.action_dim + 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_action_rejected(self, bad):
+        env = make_env()
+        env.reset()
+        before = env.grid.column_heights.copy()
+        with pytest.raises(ValueError, match="non-finite"):
+            env.act(np.full(env.action_dim, bad))
+        np.testing.assert_array_equal(env.grid.column_heights, before)
 
     def test_masked_columns_survive_random_sequence(self):
         frozen = np.zeros((16, 16), dtype=bool)

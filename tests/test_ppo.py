@@ -14,12 +14,15 @@ from voxwind.ppo import (
     compute_gae,
     linear_schedule,
     normalize_advantages,
+    ppo_loss_and_grads,
     ppo_update,
     probability_ratio,
     train,
     write_trace_csv,
 )
 from voxwind.windtunnel import SimResult
+
+from test_nn import central_differences, max_rel_error
 
 
 def gae_bruteforce(rewards, values, dones, gamma, lam, bootstrap):
@@ -248,6 +251,44 @@ class TestRolloutBuffer:
         assert buf.stacked()["advantages"].shape == (1,)
 
 
+class TestPpoLossAndGrads:
+    def test_gradients_match_central_differences(self):
+        """Mean net, log_std (with the beta entropy term) and value net, over
+        random shapes; samples sit inside the clip range or well beyond it."""
+        rng = np.random.default_rng(21)
+        config = PpoConfig(beta=0.05, value_coef=0.5)
+        worst, checked = 0.0, 0
+        for _ in range(8):
+            obs_dim, act_dim = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            hidden = [int(rng.integers(1, 7)) for _ in range(int(rng.integers(1, 3)))]
+            policy = nn.GaussianPolicy.create(obs_dim, act_dim, hidden, -0.3, rng)
+            value_net = nn.Mlp([obs_dim, *hidden, 1], rng)
+            states = rng.standard_normal((12, obs_dim))
+            mean = policy.mean_net.forward(states)[0]
+            actions = mean + rng.standard_normal((12, act_dim))
+            # ratio exp(-shift): ~1 is unclipped, ~0.5 and ~2 are clipped for one sign of the advantage
+            shift = rng.choice([-0.7, -0.05, 0.0, 0.05, 0.7], size=12)
+            logp_old = nn.gaussian_logprob(policy, mean, actions) + shift
+            args = (states, actions, logp_old, rng.standard_normal(12),
+                    rng.standard_normal(12), 0.2, config)
+            _, _, _, policy_grads, value_grads = ppo_loss_and_grads(policy, value_net, *args)
+
+            def policy_objective():
+                policy_loss, _, entropy, _, _ = ppo_loss_and_grads(policy, value_net, *args)
+                return policy_loss - config.beta * entropy
+
+            def value_objective():
+                return config.value_coef * ppo_loss_and_grads(policy, value_net, *args)[1]
+
+            worst = max(worst,
+                        max_rel_error(policy_grads,
+                                      central_differences(policy.params, policy_objective)),
+                        max_rel_error(value_grads,
+                                      central_differences(value_net.params, value_objective)))
+            checked += 1
+        assert checked == 8 and worst <= 1e-4
+
+
 class TestPpoUpdate:
     def test_zero_advantages_freeze_mean_net(self):
         config = small_config(epochs=2)
@@ -341,6 +382,11 @@ class TestPpoConfig:
     def test_epsilon_range(self):
         with pytest.raises(ConfigError, match="ppo.epsilon"):
             PpoConfig(epsilon=1.0).validate()
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5])
+    def test_epsilon_final_range(self, value):
+        with pytest.raises(ConfigError, match="ppo.epsilon_final"):
+            PpoConfig(epsilon_final=value).validate()
 
 
 class TestTrain:

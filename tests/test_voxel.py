@@ -283,6 +283,13 @@ class TestGridCsv:
         again = mask_from_csv(mask_to_csv(mask))
         np.testing.assert_array_equal(again.frozen, mask.frozen)
 
+    @pytest.mark.parametrize("cell", ["2", "x", "", "1.0", " 1"])
+    def test_mask_cells_must_be_0_or_1(self, cell):
+        text = mask_to_csv(VoxelMask(np.zeros((2, 3), dtype=bool)))
+        text = text[:-2] + cell + "\n"     # the last cell: row 1, column 2
+        with pytest.raises(ValueError, match="row 1 column 2"):
+            mask_from_csv(text)
+
 
 class TestInvariantValidation:
     def test_heightmap_range(self):
