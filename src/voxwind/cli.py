@@ -87,7 +87,7 @@ def load_run_config(path, seed: int | None = None) -> RunConfig:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-    run = build(RunConfig, raw, "")
+    run = build(RunConfig, raw, "")    # converted, not yet checked
     if seed is not None:
         run.seed = seed
     for section in ("tunnel", "ppo"):

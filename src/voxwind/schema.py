@@ -1,7 +1,8 @@
 """Config fields declared with `setting`: type, range and default, stated once.
 
-`check_fields` validates a config object and `build` makes one from parsed
-JSON; both name a failing field by its path, as in `tunnel.air_speed`.
+`build` makes a config object from parsed JSON, rejecting unknown keys, and
+`check_fields` validates one; both name a failing field by its path, as in
+`tunnel.air_speed`.
 Bools are never numbers, and an int passes for a float.
 """
 
@@ -66,18 +67,18 @@ class Rule:
         if not ok:
             raise ConfigError(f"{_join(prefix, name)}: expected {self.what}, got {value!r}")
 
-    def load(self, value, prefix: str, name: str):
-        """The JSON value converted to the field's type; raises unless it obeys the rule."""
+    def load(self, value, path: str):
+        """The JSON value at path in the field's type, where it has that type's
+        shape; `check` judges what it holds."""
         kind = self.kind
         if isinstance(kind, tuple):
-            return {**defaults(*kind), **read(kind, value, _join(prefix, name))}
+            return {**defaults(*kind), **read(kind, value, path)}
         if is_dataclass(kind) and not (value is None and self.optional):
-            return build(kind, value, _join(prefix, name))
+            return build(kind, value, path)
         if self.length and isinstance(value, list):
-            value = tuple(value)
-        elif isinstance(kind, EnumMeta):
-            value = next((m for m in kind if m.value == value), value)
-        self.check(value, prefix, name)
+            return tuple(float(v) if kind is float and type(v) is int else v for v in value)
+        if isinstance(kind, EnumMeta):
+            return next((m for m in kind if m.value == value), value)
         return value
 
 
@@ -118,34 +119,10 @@ def rules(*classes) -> dict:
             for cls in classes for f in fields(cls) if "rule" in f.metadata}
 
 
-@cache
-def _plan(cls):
-    """(quick test, the fields it leaves out, rules) for a config dataclass.
-
-    The quick test, compiled from the number rules, passes when every number
-    field is a Python int or float in range: a check on every simulation
-    then costs what hand-written comparisons cost."""
-    terms, others = [], []
-    for name, rule in rules(cls).items():
-        if rule.kind not in (int, float):
-            others.append(name)
-            continue
-        items = [f"o.{name}"]
-        if rule.length:
-            terms.append(f"o.{name}.__class__ is tuple and len(o.{name}) == {rule.length}")
-            items = [f"o.{name}[{i}]" for i in range(rule.length)]
-        exact = "is int" if rule.kind is int else "in REAL"
-        terms += [f"{x}.__class__ {exact} and {float(rule.lo)!r} <= {x} <= {float(rule.hi)!r}"
-                  for x in items]
-    quick = eval(f"lambda o: {' and '.join(terms) or 'True'}", {"REAL": frozenset((int, float))})
-    return quick, tuple(others), rules(cls)
-
-
 def check_fields(obj, prefix: str) -> None:
     """Raise ConfigError for the first field of obj that breaks its rule."""
-    quick, others, declared = _plan(type(obj))
-    for name in (others if quick(obj) else declared):
-        declared[name].check(getattr(obj, name), prefix, name)
+    for name, rule in rules(type(obj)).items():
+        rule.check(getattr(obj, name), prefix, name)
 
 
 def defaults(*classes) -> dict:
@@ -156,7 +133,7 @@ def defaults(*classes) -> dict:
 
 def read(classes, data, path: str) -> dict:
     """Keyword arguments for `classes` from a JSON object whose every key
-    names a declared field and holds a value that obeys its rule."""
+    names a declared field. The values are not checked: see `check_fields`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected a JSON object")
     declared = rules(*classes)
@@ -164,7 +141,7 @@ def read(classes, data, path: str) -> dict:
     for key, value in data.items():
         if key not in declared:
             raise ConfigError(f"{_join(path, key)}: unknown key")
-        out[key] = declared[key].load(value, path, key)
+        out[key] = declared[key].load(value, _join(path, key))
     return out
 
 

@@ -42,9 +42,6 @@ class TunnelConfig:
     domain_size: tuple = setting((6.0, 4.0, 4.0), gt=0.0)   # meters (x, y, z)
     seed: int = setting(0, ge=0)
 
-    def __post_init__(self):
-        self.domain_size = tuple(float(v) for v in self.domain_size)
-
     def validate(self, prefix: str = "tunnel") -> None:
         check_fields(self, prefix)
 

@@ -367,7 +367,9 @@ def test_any_json_document_loads_or_raises_config_error(tmp_path_factory, doc):
     except ConfigError:
         return
     assert isinstance(run, RunConfig)
-    json.loads(config_echo_json(run))
+    echo = config_echo_json(run)
+    path.write_text(echo)
+    assert config_echo_json(load_run_config(path)) == echo
 
 
 class TestReport:
