@@ -71,7 +71,6 @@ class RunConfig:
     """The run-config document; `env` maps each GridSource and EnvConfig setting to its value."""
 
     seed: int = setting(0, ge=0)
-    out_dir: str | None = setting(None, str)
     tunnel: TunnelConfig = setting(factory=TunnelConfig)
     ppo: PpoConfig = setting(factory=PpoConfig)
     env: dict = setting(kind=(GridSource, EnvConfig),

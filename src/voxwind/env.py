@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,20 +74,52 @@ def reward(result: SimResult, baseline: SimResult, mode: ObjectiveMode,
     return scale * total
 
 
+def _split_runs(n: int, parts: int):
+    """`np.array_split(range(n), parts)` as runs of equal blocks: (output
+    slice, input slice, block length) for the longer blocks, then the shorter."""
+    size, longer = divmod(n, parts)
+    cut = longer * (size + 1)
+    runs = ((slice(0, longer), slice(0, cut), size + 1),
+            (slice(longer, parts), slice(cut, n), size))
+    return [run for run in runs if run[0].start < run[0].stop]
+
+
 def mean_pool(field2d: np.ndarray, dims) -> np.ndarray:
-    """Block-mean a 2D field down to dims; blocks split as evenly as possible."""
+    """Block-mean a 2D field down to dims; blocks split as evenly as possible.
+
+    Blocks are those of `np.array_split` on each axis, so there are at most
+    four rectangles of equal blocks. Each block is gathered in C order and
+    summed in one reduction, the sum `ndarray.mean` takes over the block.
+    """
     field2d = np.asarray(field2d, dtype=np.float64)
     px, py = dims
     w, l = field2d.shape
     if px < 1 or py < 1 or px > w or py > l:
         raise ValueError(f"pool dims {dims} invalid for field {field2d.shape}")
-    xs = np.array_split(np.arange(w), px)
-    ys = np.array_split(np.arange(l), py)
     out = np.empty((px, py), dtype=np.float64)
-    for i, xi in enumerate(xs):
-        for j, yj in enumerate(ys):
-            out[i, j] = field2d[np.ix_(xi, yj)].mean()
+    for ox, ix, bx in _split_runs(w, px):
+        for oy, iy, by in _split_runs(l, py):
+            nx, ny = ox.stop - ox.start, oy.stop - oy.start
+            blocks = field2d[ix, iy].reshape(nx, bx, ny, by).transpose(0, 2, 1, 3)
+            # A copy: a strided view would be summed in another order.
+            blocks = np.ascontiguousarray(blocks).reshape(nx, ny, bx * by)
+            out[ox, oy] = np.add.reduce(blocks, axis=-1) / (bx * by)
     return out
+
+
+@lru_cache(maxsize=64)
+def _upsample_axis(k: int, n: int):
+    """One axis of `bilinear_upsample` from k control cells to n cells: the
+    lower and upper control index, the upper one's weight, and one minus it.
+    Read-only, since every call with the same (k, n) shares them."""
+    c = (np.arange(n) + 0.5) * k / n - 0.5
+    lo = np.clip(np.floor(c), 0, k - 1).astype(np.int64)
+    hi = np.minimum(lo + 1, k - 1)
+    frac = np.clip(c - lo, 0.0, 1.0)
+    tables = (lo, hi, frac, 1 - frac)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def bilinear_upsample(control: np.ndarray, out_dims) -> np.ndarray:
@@ -99,23 +132,15 @@ def bilinear_upsample(control: np.ndarray, out_dims) -> np.ndarray:
     control = np.asarray(control, dtype=np.float64)
     kx, ky = control.shape
     w, l = out_dims
-
-    def axis(k, n):
-        c = (np.arange(n) + 0.5) * k / n - 0.5
-        lo = np.clip(np.floor(c), 0, k - 1).astype(np.int64)
-        hi = np.minimum(lo + 1, k - 1)
-        frac = np.clip(c - lo, 0.0, 1.0)
-        return lo, hi, frac
-
-    x0, x1, fx = axis(kx, w)
-    y0, y1, fy = axis(ky, l)
-    wx = fx[:, None]
-    wy = fy[None, :]
+    x0, x1, fx, gx = _upsample_axis(kx, w)
+    y0, y1, fy, gy = _upsample_axis(ky, l)
+    x0, x1, wx, ux = x0[:, None], x1[:, None], fx[:, None], gx[:, None]
+    wy, uy = fy[None, :], gy[None, :]    # ux = 1 - wx, uy = 1 - wy
     return (
-        control[np.ix_(x0, y0)] * (1 - wx) * (1 - wy)
-        + control[np.ix_(x1, y0)] * wx * (1 - wy)
-        + control[np.ix_(x0, y1)] * (1 - wx) * wy
-        + control[np.ix_(x1, y1)] * wx * wy
+        control[x0, y0] * ux * uy
+        + control[x1, y0] * wx * uy
+        + control[x0, y1] * ux * wy
+        + control[x1, y1] * wx * wy
     )
 
 

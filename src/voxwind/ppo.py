@@ -22,7 +22,7 @@ class PpoConfig:
     """Trainer hyperparameters; defaults follow the published training setup."""
 
     batch_size: int = setting(1024, ge=1)
-    buffer_size: int = setting(10240, ge=1)
+    buffer_size: int = setting(10240, ge=1, le=100_000)
     learning_rate: float = setting(3.0e-4, ge=0.0)     # decays linearly to learning_rate_final
     learning_rate_final: float = setting(0.0, ge=0.0)
     beta: float = setting(9.0e-3)                      # entropy bonus coefficient, constant schedule
@@ -36,8 +36,8 @@ class PpoConfig:
     extrinsic_strength: float = setting(1.0)           # reward multiplier
     value_coef: float = setting(0.5)
     grad_clip: float = setting(0.5)                    # <= 0 disables clipping
-    hidden_layers: int = setting(2, ge=1)
-    hidden_units: int = setting(128, ge=1)
+    hidden_layers: int = setting(2, ge=1, le=16)
+    hidden_units: int = setting(128, ge=1, le=1024)
     log_std_init: float = setting(-0.5)
     seed: int = setting(0, ge=0)
 

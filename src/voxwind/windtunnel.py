@@ -29,8 +29,8 @@ class TunnelConfig:
     """Simulation parameters; defaults are desk-scale stand-ins, not claims."""
 
     air_speed: float = setting(10.0, ge=10.0, le=120.0)     # mph
-    particle_count: int = setting(256, ge=0)                 # particles per burst
-    burst_count: int = setting(2, ge=1)                      # simulation runs per iteration
+    particle_count: int = setting(256, ge=0, le=100_000)     # particles per burst
+    burst_count: int = setting(2, ge=1, le=100)              # simulation runs per iteration
     base_cycle_count: float = setting(10.0, ge=1.0)          # collision-count normaliser
     dt: float = setting(1.0 / 120.0, gt=0.0)                 # seconds
     max_steps: int = setting(240, ge=1)                      # integration steps per burst
@@ -59,6 +59,7 @@ class ParticleBurst:
         n = len(self.position)
         self.alive = np.ones(n, dtype=bool)
         self.exit_ke = np.zeros(n, dtype=np.float64)
+        self.near = 0   # live particles the latest `step` found near the grid
 
     def __len__(self) -> int:
         return len(self.position)
@@ -360,6 +361,16 @@ class PlacedGrid:
         self.near_hi = np.array([grid.width * vs + r, grid.length * vs + r])
         self.col_max = np.array([grid.width - 1, grid.length - 1])
         self.domain = np.array(config.domain_size)
+        # No sphere whose center lies outside the open near box, the footprint
+        # grown by r and capped at reach_top.max(), is near. `drift_horizon`
+        # tests against that box grown, and the domain shrunk, by a slack:
+        # each drift addition rounds a coordinate by at most eps/2 of
+        # `scale`, and the slack allows 8x that for every step of a run.
+        scale = 2.0 * (float(self.domain.max()) + r)   # bounds every |coordinate|
+        slack = 4.0 * np.finfo(np.float64).eps * scale * (config.max_steps + 3)
+        self.far_lo = np.full(3, -r - slack)
+        self.far_hi = np.append(self.near_hi, self.reach_top.max()) + slack
+        self.inner_lo, self.inner_hi = slack, self.domain - slack
 
 
 def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
@@ -369,11 +380,15 @@ def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
     config = placed.config
     contacts = contact_query(centers, config.particle_radius, placed.heights,
                              placed.voxel_size)
+    if not len(contacts):
+        return Contacts.none()
     i = rows[contacts.particle]
     axis, sign = contacts.axis, contacts.sign
     v = burst.velocity[i]
     vn = sign * v[np.arange(len(i)), axis]
     hit = np.flatnonzero(vn < 0.0)  # separating contacts get no impulse and no row
+    if hit.size == 0:
+        return Contacts.none()
     if hit.size < len(i):
         contacts = contacts.take(hit)
         i, axis, sign, v, vn = i[hit], axis[hit], sign[hit], v[hit], vn[hit]
@@ -394,7 +409,8 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     back in particle-row order and tally into `heatmap`. Particles leaving the
     domain are marked dead with their exit kinetic energy recorded. Dead
     particles drift on but never collide or retire again. Mutates `burst`
-    and `heatmap`.
+    (`burst.near` counts the live particles found near the grid) and
+    `heatmap`.
     """
     config = placed.config
     if config.dt <= 0:
@@ -407,6 +423,7 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     col = np.minimum(np.maximum((loc[:, :2] // vs).astype(np.intp), 0), placed.col_max)
     near = (alive & (loc > -r).all(axis=1) & (loc[:, :2] < placed.near_hi).all(axis=1)
             & (loc[:, 2] < placed.reach_top[col[:, 0], col[:, 1]])).nonzero()[0]
+    burst.near = near.size
     if near.size == 0:
         contacts = Contacts.none()
     else:
@@ -418,6 +435,38 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
         burst.exit_ke[gone] = 0.5 * config.particle_mass * sp2
         alive[gone] = False
     return contacts
+
+
+def drift_horizon(burst: ParticleBurst, placed: PlacedGrid, steps_left: int) -> int:
+    """How many of the next `steps_left` steps are pure drift: steps in which
+    no live particle can be near the grid or leave the domain, so that `step`
+    would only add velocity * dt to every position.
+
+    Each live particle's straight line is slab-tested against the near box
+    and the domain's faces, moved by `PlacedGrid`'s slack for rounding,
+    which covers up to `max_steps` steps; one step of margin covers the
+    rounding of the crossing times.
+    """
+    live = burst.alive
+    loc = burst.position - placed.origin
+    if not live.any() or (((loc > placed.far_lo) & (loc < placed.far_hi)).all(axis=1)
+                          & live).any():
+        return 0    # a live particle is in the near box, above its column's reach
+    pos, loc = burst.position[live], loc[live]
+    d = burst.velocity[live] * placed.config.dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A zero component gives infinite times, or NaN exactly on a face,
+        # which fmin and fmax pass over.
+        a = (placed.far_lo - loc) / d
+        b = (placed.far_hi - loc) / d
+        enter = np.fmin(a, b).max(axis=1)
+        leave = np.fmax(a, b).min(axis=1)
+        exits = np.fmax((placed.inner_lo - pos) / d, (placed.inner_hi - pos) / d).min(axis=1)
+    meets = (enter < leave) & (leave > 0.0)
+    first = float(np.minimum(np.where(meets, enter, np.inf), exits).min())
+    if not first >= 2.0:    # NaN included
+        return 0
+    return steps_left if first > steps_left + 1 else math.floor(first) - 1
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -435,7 +484,10 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     Deterministic for a fixed config.seed: each burst draws from its own
     spawned substream, all bursts advance together in one ParticleBurst, and
     the sums are taken per burst, in time and particle order, then added in
-    burst order.
+    burst order. Steps in which `drift_horizon` shows that no live particle
+    can come near the grid or leave the domain only drift the positions,
+    with the float operation `step` would apply, so every output is the one
+    that calling `step` on every dt gives.
     """
     config.validate()
     vs = grid.voxel_size
@@ -452,13 +504,18 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     burst = spawn_burst(config, [np.random.default_rng(s) for s in seeds])
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
     hit_rows, hit_speeds = [], []
-    for _ in range(config.max_steps):
-        if not burst.alive.any():
-            break
+    t = 0
+    while t < config.max_steps and burst.alive.any():
         contacts = step(burst, placed, heatmap)
+        t += 1
         if len(contacts):
             hit_rows.append(contacts.particle)
             hit_speeds.append(contacts.impact_speed)
+        elif not burst.near:
+            drift = drift_horizon(burst, placed, config.max_steps - t)
+            for _ in range(drift):
+                burst.position += burst.velocity * config.dt   # what `step` adds
+            t += drift
     live = np.nonzero(burst.alive)[0]
     if live.size:
         vel = burst.velocity[live]

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
-from voxwind.windtunnel import TunnelConfig
+from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
+from voxwind.windtunnel import (
+    PlacedGrid,
+    SimResult,
+    TunnelConfig,
+    collision_count_metric,
+    drag_force,
+    spawn_burst,
+    step,
+)
 
 
 def desk_tunnel(seed=7, particle_count=64, burst_count=2, max_steps=140,
@@ -85,6 +95,40 @@ def contacts_per_sphere(contacts, m):
         normal[axis] = sign
         out[row] = (tuple(int(v) for v in voxel), normal)
     return out
+
+
+def stepped_simulation(grid, config):
+    """`run_simulation` as a plain loop that calls `step` on every dt and adds
+    each burst's drag impact by impact: the reference for its drift-only
+    steps."""
+    placed = PlacedGrid(grid, config)
+    b, n = config.burst_count, config.particle_count
+    seeds = np.random.SeedSequence(config.seed).spawn(b)
+    burst = spawn_burst(config, [np.random.default_rng(s) for s in seeds])
+    heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
+    area = math.pi * config.particle_radius ** 2
+    drag = [0.0] * b
+    for _ in range(config.max_steps):
+        if not burst.alive.any():
+            break
+        contacts = step(burst, placed, heatmap)
+        for row, speed in zip(contacts.particle, contacts.impact_speed):
+            drag[row // n] += drag_force(config.fluid_density, speed,
+                                         config.drag_coefficient, area)
+    for i in np.flatnonzero(burst.alive):
+        v = burst.velocity[i]
+        burst.exit_ke[i] = 0.5 * config.particle_mass * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    drag_total = ke_total = 0.0
+    for k in range(b):
+        drag_total += drag[k]
+        ke_total += float(burst.exit_ke[k * n:(k + 1) * n].sum())
+    return SimResult(
+        drag_force=drag_total / b,
+        kinetic_energy=ke_total / (n * b) if n else 0.0,
+        collision_count=collision_count_metric([heatmap.sum()], b, config.base_cycle_count),
+        heightmap_sum=float(heightmap_sum(grid)),
+        heatmap=heatmap,
+    )
 
 
 @pytest.fixture

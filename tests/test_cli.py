@@ -292,6 +292,12 @@ class TestRunConfig:
         (("tunnel", "domain_size"), [3.2, 1.8]),
         (("env", "mode"), "fast"),
         (("env", "weights", "w_h"), 0),
+        (("tunnel", "particle_count"), 1000000000000),
+        (("tunnel", "burst_count"), 101),
+        (("ppo", "buffer_size"), 100001),
+        (("ppo", "hidden_layers"), 17),
+        (("ppo", "hidden_units"), 10 ** 9),
+        (("out_dir",), "runs"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_bad_value_exits_3_naming_field(self, tmp_path, capsys, command, keys, value):

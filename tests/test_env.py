@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxwind.env import (
     EnvConfig,
     ObjectiveMode,
     RewardWeights,
     WindTunnelEnv,
+    _upsample_axis,
     bilinear_upsample,
     mean_pool,
     measure_baseline,
@@ -117,8 +120,72 @@ class TestPooling:
         with pytest.raises(ValueError):
             mean_pool(np.zeros((4, 4)), (5, 1))
 
+    @pytest.mark.parametrize("shape, dims", [
+        ((16, 16), (8, 8)), ((16, 16), (4, 4)), ((16, 16), (16, 16)), ((5, 3), (2, 2)),
+        ((17, 13), (5, 4)), ((38, 28), (5, 23)), ((300, 2), (1, 1)), ((1, 1), (1, 1)),
+    ])
+    def test_equals_the_block_loop(self, shape, dims):
+        rng = np.random.default_rng(3)
+        for field in (rng.integers(0, 9, size=shape) / 7, rng.normal(size=shape) * 1e3):
+            assert mean_pool(field, dims).tobytes() == loop_mean_pool(field, dims).tobytes()
+
+    @given(data=st.data(), w=st.integers(1, 40), l=st.integers(1, 40),
+           h=st.sampled_from([7, 8, 13]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_equals_the_block_loop(self, data, w, l, h):
+        dims = (data.draw(st.integers(1, w)), data.draw(st.integers(1, l)))
+        heights = np.array(data.draw(st.lists(st.integers(0, h), min_size=w * l,
+                                              max_size=w * l))).reshape(w, l)
+        field = heights / h
+        assert mean_pool(field, dims).tobytes() == loop_mean_pool(field, dims).tobytes()
+
+
+def loop_mean_pool(field2d, dims):
+    """The block mean one `np.array_split` block at a time."""
+    xs = np.array_split(np.arange(field2d.shape[0]), dims[0])
+    ys = np.array_split(np.arange(field2d.shape[1]), dims[1])
+    out = np.empty(dims)
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            out[i, j] = field2d[np.ix_(xi, yj)].mean()
+    return out
+
+
+def uncached_upsample(control, out_dims):
+    """`bilinear_upsample` with its index and weight tables built per call."""
+    def axis(k, n):
+        c = (np.arange(n) + 0.5) * k / n - 0.5
+        lo = np.clip(np.floor(c), 0, k - 1).astype(np.int64)
+        return lo, np.minimum(lo + 1, k - 1), np.clip(c - lo, 0.0, 1.0)
+
+    x0, x1, fx = axis(control.shape[0], out_dims[0])
+    y0, y1, fy = axis(control.shape[1], out_dims[1])
+    wx = fx[:, None]
+    wy = fy[None, :]
+    return (
+        control[np.ix_(x0, y0)] * (1 - wx) * (1 - wy)
+        + control[np.ix_(x1, y0)] * wx * (1 - wy)
+        + control[np.ix_(x0, y1)] * (1 - wx) * wy
+        + control[np.ix_(x1, y1)] * wx * wy
+    )
+
 
 class TestBilinearUpsample:
+    @pytest.mark.parametrize("k, n", [((8, 8), (16, 16)), ((4, 4), (16, 16)), ((3, 5), (7, 11)),
+                                      ((1, 2), (9, 2)), ((6, 6), (6, 6))])
+    def test_equals_the_uncached_formula(self, k, n):
+        rng = np.random.default_rng(4)
+        for _ in range(3):     # the second and third calls read the cached tables
+            control = rng.uniform(-1.0, 1.0, size=k)
+            assert bilinear_upsample(control, n).tobytes() == \
+                uncached_upsample(control, n).tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        bilinear_upsample(np.zeros((3, 3)), (9, 9))
+        for table in _upsample_axis(3, 9):
+            with pytest.raises(ValueError):
+                table[0] = 1
+
     def test_constant_is_exact(self):
         out = bilinear_upsample(np.full((3, 3), 0.7), (16, 16))
         np.testing.assert_allclose(out, 0.7)
