@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="optimise the design with PPO")
     p_train.add_argument("--config", required=True, help="run config JSON")
-    p_train.add_argument("--mode", choices=[m for m in MODES], default=None,
+    p_train.add_argument("--mode", choices=MODES, default=None,
                          help="objective mode (default from config)")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--seed", type=int, default=None, help="override config seed")

@@ -11,9 +11,9 @@ import numpy as np
 from . import nn
 from .errors import ConfigError, TrainingError
 from .schema import check_fields, setting
+from .windtunnel import METRIC_NAMES
 
-_TRACE_FLOAT_KEYS = ("reward", "drag_force", "kinetic_energy", "collision_count",
-                     "heightmap_sum", "policy_loss", "value_loss", "entropy")
+_TRACE_FLOAT_KEYS = ("reward", *METRIC_NAMES, "policy_loss", "value_loss", "entropy")
 TRACE_CSV_HEADER = ",".join(("step",) + _TRACE_FLOAT_KEYS)
 
 

@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .voxel import round_half_away, write_pgm
-from .windtunnel import heatmap_to_csv
+from .env import ObjectiveMode
+from .voxel import write_pgm
+from .windtunnel import heatmap_to_csv, minmax_pixels
 
-MODES = ("ke", "ke_df", "ke_df_vcc")
+MODES = tuple(mode.value for mode in ObjectiveMode)
 
 TABLE_CSV_HEADER = ("car,metric,original,opt_ke,impr_ke,opt_ke_df,impr_ke_df,"
                     "opt_all,impr_all")
@@ -96,15 +97,9 @@ def export_heatmap_delta(before: np.ndarray, after: np.ndarray) -> HeatmapExport
         raise ValueError(f"heatmap dimensions differ: {b.shape} vs {a.shape}")
     lo = min(float(b.min()), float(a.min()))
     hi = max(float(b.max()), float(a.max()))
-
-    def pixels(t):
-        if hi > lo:
-            return round_half_away((t - lo) / (hi - lo) * 255.0)
-        return np.zeros(t.shape, dtype=np.int64)
-
     return HeatmapExport(
-        before_pgm=write_pgm(pixels(b), maxval=255, binary=True),
-        after_pgm=write_pgm(pixels(a), maxval=255, binary=True),
+        before_pgm=write_pgm(minmax_pixels(b, lo, hi), maxval=255, binary=True),
+        after_pgm=write_pgm(minmax_pixels(a, lo, hi), maxval=255, binary=True),
         before_csv=heatmap_to_csv(before),
         after_csv=heatmap_to_csv(after),
     )

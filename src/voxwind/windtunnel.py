@@ -19,9 +19,9 @@ from .voxel import VoxelGrid, heightmap_sum, round_half_away, write_pgm
 
 MPH_TO_MPS = 0.44704
 
-SIMRESULT_CSV_HEADER = "drag_force,kinetic_energy,collision_count,heightmap_sum"
-
 METRIC_NAMES = ("drag_force", "kinetic_energy", "collision_count", "heightmap_sum")
+
+SIMRESULT_CSV_HEADER = ",".join(METRIC_NAMES)
 
 
 @dataclass
@@ -59,7 +59,6 @@ class ParticleBurst:
         n = len(self.position)
         self.alive = np.ones(n, dtype=bool)
         self.exit_ke = np.zeros(n, dtype=np.float64)
-        self.near = 0   # live particles the latest `step` found near the grid
 
     def __len__(self) -> int:
         return len(self.position)
@@ -361,16 +360,6 @@ class PlacedGrid:
         self.near_hi = np.array([grid.width * vs + r, grid.length * vs + r])
         self.col_max = np.array([grid.width - 1, grid.length - 1])
         self.domain = np.array(config.domain_size)
-        # No sphere whose center lies outside the open near box, the footprint
-        # grown by r and capped at reach_top.max(), is near. `drift_horizon`
-        # tests against that box grown, and the domain shrunk, by a slack:
-        # each drift addition rounds a coordinate by at most eps/2 of
-        # `scale`, and the slack allows 8x that for every step of a run.
-        scale = 2.0 * (float(self.domain.max()) + r)   # bounds every |coordinate|
-        slack = 4.0 * np.finfo(np.float64).eps * scale * (config.max_steps + 3)
-        self.far_lo = np.full(3, -r - slack)
-        self.far_hi = np.append(self.near_hi, self.reach_top.max()) + slack
-        self.inner_lo, self.inner_hi = slack, self.domain - slack
 
 
 def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
@@ -408,9 +397,10 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     restitution. One contact at most per particle per step; contacts come
     back in particle-row order and tally into `heatmap`. Particles leaving the
     domain are marked dead with their exit kinetic energy recorded. Dead
-    particles drift on but never collide or retire again. Mutates `burst`
-    (`burst.near` counts the live particles found near the grid) and
-    `heatmap`.
+    particles drift on but never collide or retire again. Mutates `burst` and
+    `heatmap`. `run_simulation` leaves out the inlet lead-in, the steps before
+    any particle can come near the grid, in which a step would only add the
+    shared x drift to every position.
     """
     config = placed.config
     if config.dt <= 0:
@@ -423,7 +413,6 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     col = np.minimum(np.maximum((loc[:, :2] // vs).astype(np.intp), 0), placed.col_max)
     near = (alive & (loc > -r).all(axis=1) & (loc[:, :2] < placed.near_hi).all(axis=1)
             & (loc[:, 2] < placed.reach_top[col[:, 0], col[:, 1]])).nonzero()[0]
-    burst.near = near.size
     if near.size == 0:
         contacts = Contacts.none()
     else:
@@ -435,38 +424,6 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
         burst.exit_ke[gone] = 0.5 * config.particle_mass * sp2
         alive[gone] = False
     return contacts
-
-
-def drift_horizon(burst: ParticleBurst, placed: PlacedGrid, steps_left: int) -> int:
-    """How many of the next `steps_left` steps are pure drift: steps in which
-    no live particle can be near the grid or leave the domain, so that `step`
-    would only add velocity * dt to every position.
-
-    Each live particle's straight line is slab-tested against the near box
-    and the domain's faces, moved by `PlacedGrid`'s slack for rounding,
-    which covers up to `max_steps` steps; one step of margin covers the
-    rounding of the crossing times.
-    """
-    live = burst.alive
-    loc = burst.position - placed.origin
-    if not live.any() or (((loc > placed.far_lo) & (loc < placed.far_hi)).all(axis=1)
-                          & live).any():
-        return 0    # a live particle is in the near box, above its column's reach
-    pos, loc = burst.position[live], loc[live]
-    d = burst.velocity[live] * placed.config.dt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero component gives infinite times, or NaN exactly on a face,
-        # which fmin and fmax pass over.
-        a = (placed.far_lo - loc) / d
-        b = (placed.far_hi - loc) / d
-        enter = np.fmin(a, b).max(axis=1)
-        leave = np.fmax(a, b).min(axis=1)
-        exits = np.fmax((placed.inner_lo - pos) / d, (placed.inner_hi - pos) / d).min(axis=1)
-    meets = (enter < leave) & (leave > 0.0)
-    first = float(np.minimum(np.where(meets, enter, np.inf), exits).min())
-    if not first >= 2.0:    # NaN included
-        return 0
-    return steps_left if first > steps_left + 1 else math.floor(first) - 1
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -484,10 +441,12 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     Deterministic for a fixed config.seed: each burst draws from its own
     spawned substream, all bursts advance together in one ParticleBurst, and
     the sums are taken per burst, in time and particle order, then added in
-    burst order. Steps in which `drift_horizon` shows that no live particle
-    can come near the grid or leave the domain only drift the positions,
-    with the float operation `step` would apply, so every output is the one
-    that calling `step` on every dt gives.
+    burst order. Every particle spawns at x = 0 moving at (v, 0, 0), so until
+    the first can come near the grid they share one x, and each step only
+    adds v * dt to it. That inlet lead-in runs as a scalar loop making the
+    same float additions and the same `loc > -r` test as `step`; after it,
+    `step` runs on every dt, so every output is the one that calling `step`
+    on every dt gives.
     """
     config.validate()
     vs = grid.voxel_size
@@ -504,18 +463,18 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     burst = spawn_burst(config, [np.random.default_rng(s) for s in seeds])
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
     hit_rows, hit_speeds = [], []
-    t = 0
+    x, d, t = 0.0, mph_to_mps(config.air_speed) * config.dt, 0
+    ox, r = float(placed.origin[0]), config.particle_radius
+    while t < config.max_steps and (x + d) - ox <= -r:
+        x += d
+        t += 1
+    burst.position[:, 0] = x
     while t < config.max_steps and burst.alive.any():
         contacts = step(burst, placed, heatmap)
         t += 1
         if len(contacts):
             hit_rows.append(contacts.particle)
             hit_speeds.append(contacts.impact_speed)
-        elif not burst.near:
-            drift = drift_horizon(burst, placed, config.max_steps - t)
-            for _ in range(drift):
-                burst.position += burst.velocity * config.dt   # what `step` adds
-            t += drift
     live = np.nonzero(burst.alive)[0]
     if live.size:
         vel = burst.velocity[live]
@@ -569,12 +528,14 @@ def heatmap_to_csv(tallies: np.ndarray) -> str:
     return "\n".join(rows) + "\n"
 
 
+def minmax_pixels(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Tallies scaled from [lo, hi] to 8-bit grey levels; all black when hi == lo."""
+    if hi > lo:
+        return round_half_away((t - lo) / (hi - lo) * 255.0)
+    return np.zeros(t.shape, dtype=np.int64)
+
+
 def heatmap_to_pgm(tallies: np.ndarray) -> bytes:
     """Min-max normalise tallies to 8-bit pixels (uniform maps render black)."""
     t = np.asarray(tallies, dtype=np.float64)
-    lo, hi = float(t.min()), float(t.max())
-    if hi > lo:
-        pix = round_half_away((t - lo) / (hi - lo) * 255.0)
-    else:
-        pix = np.zeros(t.shape, dtype=np.int64)
-    return write_pgm(pix, maxval=255, binary=True)
+    return write_pgm(minmax_pixels(t, float(t.min()), float(t.max())), maxval=255, binary=True)

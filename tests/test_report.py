@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxwind.cli import build_parser
 from voxwind.report import (
+    MODES,
     ComparisonRow,
     HeatmapExport,
     TABLE_CSV_HEADER,
@@ -12,6 +14,8 @@ from voxwind.report import (
     improvement_pct,
     parse_comparison_table,
 )
+from voxwind.voxel import round_half_away, write_pgm
+from voxwind.windtunnel import heatmap_to_pgm
 
 
 class TestImprovementPct:
@@ -60,6 +64,14 @@ class TestComparisonTable:
             ComparisonRow("F1 car", "kinetic_energy", 283.60,
                           {"ke": 371.41, "ke_df": 391.16, "ke_df_vcc": 402.78}),
         ]
+
+    def test_modes_and_their_columns(self, capsys):
+        assert MODES == ("ke", "ke_df", "ke_df_vcc")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--config", "c", "--out", "o", "--mode", "x"])
+        assert "(choose from 'ke', 'ke_df', 'ke_df_vcc')" in capsys.readouterr().err
+        assert TABLE_CSV_HEADER == ("car,metric,original,opt_ke,impr_ke,opt_ke_df,impr_ke_df,"
+                                    "opt_all,impr_all")
 
     def test_empty_rows_header_only(self):
         assert build_comparison_table([]) == TABLE_CSV_HEADER + "\n"
@@ -130,3 +142,24 @@ class TestHeatmapExport:
         out = export_heatmap_delta(np.array([[1, 2]]), np.array([[3, 4]]))
         assert out.before_csv == "1,2\n"
         assert out.after_csv == "3,4\n"
+
+    @pytest.mark.parametrize("before,after", [
+        (np.full((2, 3), 4), np.full((2, 3), 4)),                       # uniform: black
+        (np.array([[0, 5, 17], [3, 3, 9]]), np.array([[1, 0, 40], [2, 8, 6]])),
+        (np.array([[0.0, 1.0], [2.0, 0.3]]), np.array([[0.25, 1.5], [0.0, 2.0]])),  # 127.5
+    ])
+    def test_pgm_bytes_match_minmax_expression(self, before, after):
+        def pgm(t, lo, hi):
+            t = np.asarray(t, dtype=np.float64)
+            if hi > lo:
+                pix = round_half_away((t - lo) / (hi - lo) * 255.0)
+            else:
+                pix = np.zeros(t.shape, dtype=np.int64)
+            return write_pgm(pix, maxval=255, binary=True)
+
+        assert heatmap_to_pgm(before) == pgm(before, float(before.min()), float(before.max()))
+        lo = float(min(before.min(), after.min()))
+        hi = float(max(before.max(), after.max()))
+        out = export_heatmap_delta(before, after)
+        assert out.before_pgm == pgm(before, lo, hi)
+        assert out.after_pgm == pgm(after, lo, hi)

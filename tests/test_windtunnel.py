@@ -18,7 +18,6 @@ from voxwind.windtunnel import (
     collision_count_metric,
     contact_query,
     drag_force,
-    drift_horizon,
     heatmap_to_csv,
     heatmap_to_pgm,
     kinetic_energy,
@@ -353,131 +352,12 @@ class TestRunSimulation:
         assert res.heatmap.shape == (wedge_grid.width, wedge_grid.length)
 
 
-def stepped_safely(burst, placed, steps):
-    """Call `step` `steps` times, asserting that each only drifts: no live
-    particle comes near the grid or leaves the domain."""
-    alive = burst.alive.copy()
-    hm = np.zeros(placed.heights.shape, dtype=np.int64)
-    for _ in range(steps):
-        expected = burst.position + burst.velocity * placed.config.dt
-        assert len(step(burst, placed, hm)) == 0
-        assert burst.near == 0
-        np.testing.assert_array_equal(burst.alive, alive)
-        np.testing.assert_array_equal(burst.position, expected)
-
-
-class TestDriftHorizon:
-    # A 2x2 grid of 0.1 m voxels, 3 high, centered in a 2 m cube: the near
-    # box is x, y in (0.9 - r, 1.1 + r), z in (-r, 0.3 + r). Calls ask for
-    # at most max_steps (240) steps, the run length the slack is sized for.
-    cfg = TunnelConfig(domain_size=(2.0, 2.0, 2.0), dt=0.01, particle_radius=0.05)
-    grid = VoxelGrid(2, 2, 3, 0.1, np.full((2, 2), 3))
-
-    def placed(self):
-        return PlacedGrid(self.grid, self.cfg)
-
-    def test_near_box(self):
-        placed = self.placed()
-        np.testing.assert_allclose(placed.origin + placed.far_lo, [0.85, 0.85, -0.05])
-        np.testing.assert_allclose(placed.origin + placed.far_hi, [1.15, 1.15, 0.35])
-        assert 0.0 < placed.inner_lo < 1e-9
-
-    def test_far_particle_drifts_until_just_short_of_the_box(self):
-        placed = self.placed()
-        # 1 m/s in +x, 30 steps of 0.01 m short of the box's x = 0.85 face
-        burst = lone_burst([0.55, 1.0, 0.2], [1.0, 0.0, 0.0])
-        k = drift_horizon(burst, placed, 200)
-        assert 28 <= k < 30
-        stepped_safely(burst, placed, k)
-
-    @pytest.mark.parametrize("steps_short", [1.0, 0.0])
-    def test_one_step_short_and_on_the_boundary(self, steps_short):
-        placed = self.placed()
-        lo = placed.origin[0] - self.cfg.particle_radius
-        for v in (1.0, 7.3, 14.0):     # two steps stay inside the 0.3 m box
-            d = v * self.cfg.dt
-            burst = lone_burst([lo - steps_short * d, 1.0, 0.2], [v, 0.0, 0.0])
-            assert drift_horizon(burst, placed, 100) == 0
-            hm = np.zeros((2, 2), dtype=np.int64)
-            for _ in range(int(steps_short) + 1):
-                step(burst, placed, hm)
-            assert burst.near == 1      # the next step after the shortfall is near
-
-    def test_leaving_the_boundary_drifts(self):
-        placed = self.placed()
-        lo = placed.origin[0] - self.cfg.particle_radius
-        burst = lone_burst([lo, 1.0, 0.2], [-1.0, 0.0, 0.0])   # on the face, moving away
-        assert drift_horizon(burst, placed, 200) == 0          # within the slack
-        step(burst, placed, np.zeros((2, 2), dtype=np.int64))
-        k = drift_horizon(burst, placed, 200)
-        assert k >= 80              # about 84 steps to the x = 0 face
-        stepped_safely(burst, placed, k)
-
-    def test_top_of_the_box_from_above(self):
-        placed = self.placed()
-        top = placed.reach_top.max()
-        burst = lone_burst([1.0, 1.0, top + 0.05], [0.0, 0.0, -1.0])
-        k = drift_horizon(burst, placed, 200)
-        assert 3 <= k < 5
-        stepped_safely(burst, placed, k)
-        hm = np.zeros((2, 2), dtype=np.int64)
-        for _ in range(2):
-            step(burst, placed, hm)
-        assert burst.near == 1
-
-    @pytest.mark.parametrize("velocity", [
-        [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [1.0, 1e-300, -1e-300],
-        [1.0, 5e-324, -5e-324], [0.0, 1e-12, 0.0], [-3.0, -0.5, -0.2], [2.0, -0.0, -0.0],
-    ])
-    def test_zero_tiny_and_negative_velocity_components(self, velocity):
-        placed = self.placed()
-        # outside the near box in y, so only the domain faces limit the drift
-        burst = lone_burst([0.2, 0.3, 1.0], velocity)
-        k = drift_horizon(burst, placed, 200)
-        if velocity[0] == 0.0 and velocity[2] == 0.0:
-            assert k == 200
-        stepped_safely(burst, placed, k)
-
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    @pytest.mark.parametrize("outward", [1.0, -1.0])
-    def test_about_to_leave_through_each_face(self, axis, outward):
-        placed = self.placed()
-        v = np.zeros(3)
-        v[axis] = 3.0 * outward
-        d = 3.0 * self.cfg.dt
-        pos = np.array([0.3, 0.3, 1.0])     # away from the grid on every axis
-        pos[axis] = 2.0 - 2.5 * d if outward > 0 else 2.5 * d
-        burst = lone_burst(pos, v)
-        k = drift_horizon(burst, placed, 100)
-        assert k == 1
-        stepped_safely(burst, placed, k)
-        hm = np.zeros((2, 2), dtype=np.int64)
-        step(burst, placed, hm)
-        assert burst.alive[0]
-        step(burst, placed, hm)
-        assert not burst.alive[0]    # the third step leaves the domain
-
-    def test_capped_by_steps_left_and_zero_without_live_particles(self):
-        placed = self.placed()
-        burst = lone_burst([0.2, 0.3, 1.0], [0.0, 0.0, 0.0])
-        assert drift_horizon(burst, placed, 7) == 7
-        burst.alive[0] = False
-        assert drift_horizon(burst, placed, 7) == 0
-        assert drift_horizon(ParticleBurst(np.zeros((0, 3)), np.zeros((0, 3))), placed, 7) == 0
-
-    def test_random_particles_only_drift_within_the_horizon(self):
-        placed = self.placed()
-        rng = np.random.default_rng(5)
-        checked = 0
-        for _ in range(300):
-            n = int(rng.integers(1, 4))
-            pos = rng.uniform(0.0, 2.0, size=(n, 3))
-            vel = rng.normal(0.0, 10.0, size=(n, 3)) * (rng.random((n, 3)) < 0.8)
-            burst = ParticleBurst(pos, vel)
-            k = drift_horizon(burst, placed, 60)
-            checked += k
-            stepped_safely(burst, placed, k)
-        assert checked > 1000
+def checked_simulation(grid, cfg):
+    """`run_simulation`, asserted bit for bit equal to stepping every dt."""
+    got, want = run_simulation(grid, cfg), stepped_simulation(grid, cfg)
+    assert got.metrics() == want.metrics()
+    np.testing.assert_array_equal(got.heatmap, want.heatmap)
+    return got
 
 
 class TestRunSimulationDrift:
@@ -504,11 +384,27 @@ class TestRunSimulationDrift:
         np.testing.assert_array_equal(got.heatmap, want.heatmap)
 
     def test_desk_runs_equal_stepping_every_dt(self, wedge_grid):
+        desk = desk_tunnel(particle_count=40)
         for mph in (10.0, 60.0, 120.0):
-            cfg = replace(desk_tunnel(particle_count=40), air_speed=mph)
-            got, want = run_simulation(wedge_grid, cfg), stepped_simulation(wedge_grid, cfg)
-            assert got.metrics() == want.metrics()
-            np.testing.assert_array_equal(got.heatmap, want.heatmap)
+            checked_simulation(wedge_grid, replace(desk, air_speed=mph))
+        # The lead-in's boundary, on a box whose front face every low particle
+        # hits: at 10 mph the inlet x after 20 steps, 0.745 m, is 0.055 m
+        # short of the face at 0.8 m. A radius of that gap puts the shared x
+        # exactly on origin_x - r, which is not near; the next larger radius
+        # puts it one ulp past, where the spheres touch the face on step 20,
+        # the last one. With the desk radius the lead-in is 20 steps, longer
+        # than max_steps 19.
+        box = voxelise(synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
+        x, d = 0.0, mph_to_mps(desk.air_speed) * desk.dt
+        for _ in range(20):
+            x += d
+        on_face = -(x - float(windtunnel.grid_origin(box, desk)[0]))
+        last = replace(desk, max_steps=20)
+        on = checked_simulation(box, replace(last, particle_radius=on_face))
+        past = checked_simulation(
+            box, replace(last, particle_radius=float(np.nextafter(on_face, 1.0))))
+        assert on.collision_count == 0 < past.collision_count
+        checked_simulation(box, replace(desk, max_steps=19))
 
 
 class TestReach:
