@@ -51,7 +51,7 @@ def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3) ->
 
 
 def reward(result: SimResult, baseline: SimResult, mode: ObjectiveMode,
-           weights: RewardWeights, scale: float = 1.0) -> float:
+           weights: RewardWeights) -> float:
     """Reward relative to the baseline; exactly 0 when the result equals it.
 
     Energy above baseline pays, drag and collisions below baseline pay (when
@@ -71,7 +71,7 @@ def reward(result: SimResult, baseline: SimResult, mode: ObjectiveMode,
     if baseline.heightmap_sum > 0:
         total -= weights.w_h * abs(result.heightmap_sum - baseline.heightmap_sum) \
             / baseline.heightmap_sum
-    return scale * total
+    return total
 
 
 def _split_runs(n: int, parts: int):
@@ -156,7 +156,6 @@ class EnvConfig:
     max_delta: int = setting(2, ge=1)               # voxels moved per unit action
     episode_length: int = setting(16, ge=1)
     baseline_seeds: int = setting(3, ge=1)
-    reward_scale: float = setting(1.0)
 
     def validate(self, prefix: str = "env") -> None:
         check_fields(self, prefix)
@@ -235,8 +234,7 @@ class WindTunnelEnv:
         self.grid = apply_height_delta(self.grid, deltas, self.mask)
         result = run_simulation(self.grid, self.config.tunnel)
         self._metrics = result.metrics()
-        value = reward(result, self.baseline, self.config.mode, self.config.weights,
-                       self.config.reward_scale)
+        value = reward(result, self.baseline, self.config.mode, self.config.weights)
         self._t += 1
         done = self._t >= self.config.episode_length
         return self.observe(), value, done, {"result": result}

@@ -338,6 +338,9 @@ def train(env, config: PpoConfig, checkpoint_dir=None) -> TrainResult:
                                   progress=step_i / config.max_training_steps,
                                   policy_opt=policy_opt, value_opt=value_opt,
                                   rng=upd_rng)
+                if not all(np.isfinite(p).all() for p in policy.params + value_net.params):
+                    raise TrainingError("non-finite policy or value parameters after the "
+                                        f"PPO update at training step {step_i}")
                 if diag["policy_loss"]:
                     losses = {"policy_loss": diag["policy_loss"][-1],
                               "value_loss": diag["value_loss"][-1],

@@ -56,9 +56,7 @@ class ParticleBurst:
     def __init__(self, position: np.ndarray, velocity: np.ndarray):
         self.position = np.asarray(position, dtype=np.float64)
         self.velocity = np.asarray(velocity, dtype=np.float64)
-        n = len(self.position)
-        self.alive = np.ones(n, dtype=bool)
-        self.exit_ke = np.zeros(n, dtype=np.float64)
+        self.alive = np.ones(len(self.position), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.position)
@@ -242,18 +240,14 @@ def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
 
 def _query_each(centers, radius, heights, vs) -> Contacts:
     """The contact query one sphere at a time, through the scalar core."""
-    m = len(centers)
-    radii = np.broadcast_to(radius, (m,))
     rows, voxels, axes, signs, pens = [], [], [], [], []
-    for j in range(m):
+    for j in range(len(centers)):
         cx, cy, cz = (float(v) for v in centers[j])
-        r = float(radii[j])
-        h = heights if heights.ndim == 2 else heights[j]
-        best = _best_overlap(cx, cy, cz, r, h, vs)
+        best = _best_overlap(cx, cy, cz, radius, heights, vs)
         if best is None:
             continue
         _, ix, iy, iz = best
-        axis, sign, pen = _face_normal(cx, cy, cz, ix, iy, iz, r, vs)
+        axis, sign, pen = _face_normal(cx, cy, cz, ix, iy, iz, radius, vs)
         rows.append(j)
         voxels.append((ix, iy, iz))
         axes.append(axis)
@@ -275,10 +269,9 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     its (d2, ix, iy, iz) tie-break, so both agree bit for bit.
     """
     m = len(centers)
-    r = np.broadcast_to(np.reshape(radius, (-1, 1)), (m, 1))
-    w, l = heights.shape[-2:]
-    lo = np.maximum(np.floor((centers - r) / vs).astype(np.int64), 0)
-    hi = np.floor((centers + r) / vs).astype(np.int64)
+    w, l = heights.shape
+    lo = np.maximum(np.floor((centers - radius) / vs).astype(np.int64), 0)
+    hi = np.floor((centers + radius) / vs).astype(np.int64)
     np.minimum(hi[:, :2], (w - 1, l - 1), out=hi[:, :2])
     k = max(int((hi - lo).max()) + 1, 0)   # one window length for all three axes
     if k == 0:
@@ -290,8 +283,6 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     ok = idx <= hi[:, None, :]
     ix, iy, iz = idx[:, :, 0], idx[:, :, 1], idx[:, :, 2]
     col = (np.minimum(ix, w - 1)[:, :, None], np.minimum(iy, l - 1)[:, None, :])
-    if heights.ndim == 3:
-        col = (np.arange(m)[:, None, None],) + col
     # Voxel iz of a candidate column is a candidate while iz < min(h, z_hi + 1).
     top = np.minimum(heights[col], hi[:, 2, None, None] + 1)
     top *= ok[:, :, 0, None] & ok[:, None, :, 1]
@@ -299,44 +290,40 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     d2[iz[:, None, None, :] >= top[..., None]] = np.inf
     d2 = d2.reshape(m, -1)
     best = d2.argmin(axis=1)
-    rows = np.flatnonzero(d2[np.arange(m), best] < (r * r)[:, 0])
+    rows = np.flatnonzero(d2[np.arange(m), best] < radius * radius)
     voxel = lo[rows] + np.stack(np.unravel_index(best[rows], (k, k, k)), axis=1)
     d = centers[rows] - (voxel + 0.5) * vs
-    pens = (r[rows] + 0.5 * vs) - np.abs(d)
+    pens = (radius + 0.5 * vs) - np.abs(d)
     axis = pens.argmin(axis=1)
     j = np.arange(len(rows))
     sign = np.where(d[j, axis] >= 0, 1.0, -1.0)
     return Contacts(rows, voxel, axis, sign, pens[j, axis])
 
 
-def contact_query(centers, radius, heights: np.ndarray, vs: float) -> Contacts:
+def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Contacts:
     """Deepest-penetration contact of each sphere against the occupied voxels.
 
     `centers` is (M, 3) in grid-local coordinates (grid corner at the
-    origin); `radius` is one radius or one per sphere; `heights` holds the
-    column heights, (W, L) for every sphere or (M, W, L) with a grid per
-    sphere. Candidates are ranked by (closest-point distance squared, x, y,
-    z), the closest point being the sphere-AABB query of Ericson, Real-Time
-    Collision Detection (2004), 5.2, so ties break to the lowest index. The
-    face normal is the axis of minimal penetration for the winning voxel,
-    signed toward the sphere center. Spheres that overlap nothing within
-    their radius get no row.
+    origin); every sphere has the one `radius` and meets the one (W, L) grid
+    of column heights `heights`. Candidates are ranked by (closest-point
+    distance squared, x, y, z), the closest point being the sphere-AABB query
+    of Ericson, Real-Time Collision Detection (2004), 5.2, so ties break to
+    the lowest index. The face normal is the axis of minimal penetration for
+    the winning voxel, signed toward the sphere center. Spheres that overlap
+    nothing within their radius get no row.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    radius = np.asarray(radius, dtype=np.float64)
     heights = np.asarray(heights)
     m = len(centers)
     if m <= SMALL_BATCH:
         return _query_each(centers, radius, heights, vs)
-    window = math.ceil(2.0 * float(radius.max()) / vs) + 2
+    window = math.ceil(2.0 * radius / vs) + 2
     size = max(1, MAX_CANDIDATES // window ** 3)
     if m <= size:
         return _query_batch(centers, radius, heights, vs)
     parts = []
     for start in range(0, m, size):
-        rows = slice(start, start + size)
-        part = _query_batch(centers[rows], radius[rows] if radius.ndim else radius,
-                            heights[rows] if heights.ndim == 3 else heights, vs)
+        part = _query_batch(centers[start:start + size], radius, heights, vs)
         part.particle += start
         parts.append(part)
     return Contacts(*(np.concatenate([getattr(p, name) for p in parts])
@@ -394,17 +381,18 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
 
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
-    restitution. One contact at most per particle per step; contacts come
-    back in particle-row order and tally into `heatmap`. Particles leaving the
-    domain are marked dead with their exit kinetic energy recorded. Dead
-    particles drift on but never collide or retire again. Mutates `burst` and
-    `heatmap`. `run_simulation` leaves out the inlet lead-in, the steps before
-    any particle can come near the grid, in which a step would only add the
+    restitution. The near particles take one `contact_query` with the one
+    particle radius and the one grid of heights. One contact at most per
+    particle per step; contacts come back in particle-row order and tally
+    into `heatmap`. Particles leaving the domain are marked dead. Dead
+    particles drift on but are never near, so they never collide again and
+    their velocity, from which `run_simulation` reads the exit energy, stays
+    as it was when they left. Mutates `burst` and `heatmap`.
+    `run_simulation` leaves out the inlet lead-in, the steps before any
+    particle can come near the grid, in which a step would only add the
     shared x drift to every position.
     """
     config = placed.config
-    if config.dt <= 0:
-        raise ValueError("dt must be positive")
     r = config.particle_radius
     vs = placed.voxel_size
     pos, vel, alive = burst.position, burst.velocity, burst.alive
@@ -417,12 +405,7 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
         contacts = Contacts.none()
     else:
         contacts = _bounce(burst, loc[near], near, placed, heatmap)
-    gone = (alive & ((pos < 0.0) | (pos > placed.domain)).any(axis=1)).nonzero()[0]
-    if gone.size:
-        v = vel[gone]
-        sp2 = np.einsum("ij,ij->i", v, v)
-        burst.exit_ke[gone] = 0.5 * config.particle_mass * sp2
-        alive[gone] = False
+    alive &= ~((pos < 0.0) | (pos > placed.domain)).any(axis=1)
     return contacts
 
 
@@ -436,8 +419,10 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
 
     drag_force: per-burst sum of per-impact drag (impact speed, sphere
     cross-section) averaged over bursts. kinetic_energy: mean per-particle
-    energy at domain exit or at max_steps. collision_count: total impacts
-    over all bursts normalised by burst_count * base_cycle_count.
+    energy at domain exit or at max_steps, read once after the last step from
+    the final velocities, which stay frozen from a particle's exit on.
+    collision_count: total impacts over all bursts normalised by
+    burst_count * base_cycle_count.
     Deterministic for a fixed config.seed: each burst draws from its own
     spawned substream, all bursts advance together in one ParticleBurst, and
     the sums are taken per burst, in time and particle order, then added in
@@ -475,11 +460,8 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
         if len(contacts):
             hit_rows.append(contacts.particle)
             hit_speeds.append(contacts.impact_speed)
-    live = np.nonzero(burst.alive)[0]
-    if live.size:
-        vel = burst.velocity[live]
-        sp2 = np.einsum("ij,ij->i", vel, vel)
-        burst.exit_ke[live] = 0.5 * config.particle_mass * sp2
+    vel = burst.velocity
+    ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", vel, vel)
     area = math.pi * config.particle_radius ** 2
     owner = np.concatenate(hit_rows) // n if hit_rows else np.zeros(0, dtype=np.intp)
     drag = drag_force(config.fluid_density, np.concatenate(hit_speeds or [np.zeros(0)]),
@@ -488,7 +470,7 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     ke_total = 0.0
     for k in range(b):
         drag_total += _running_sum(drag[owner == k])
-        ke_total += float(burst.exit_ke[k * n:(k + 1) * n].sum())
+        ke_total += float(ke[k * n:(k + 1) * n].sum())
     total_particles = n * b
     mean_ke = ke_total / total_particles if total_particles else 0.0
     count = collision_count_metric([heatmap.sum()], b, config.base_cycle_count)

@@ -17,6 +17,7 @@ from voxwind.ppo import PpoConfig, clipped_surrogate, compute_gae, train
 from voxwind.report import improvement_pct
 from voxwind.voxel import VoxelGrid, VoxelMask, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
+    SMALL_BATCH,
     TunnelConfig,
     collision_count_metric,
     contact_query,
@@ -24,12 +25,7 @@ from voxwind.windtunnel import (
     kinetic_energy,
 )
 
-from conftest import (
-    contacts_per_sphere,
-    exhaustive_contact,
-    random_contact_cases,
-    stacked_contact_cases,
-)
+from conftest import contacts_per_sphere, oracle_agrees, random_contact_batches
 from test_nn import max_rel_error, numeric_grads
 from test_ppo import gae_bruteforce
 
@@ -155,28 +151,28 @@ def test_criterion_4_gradient_check():
 
 
 def test_criterion_5_collision_oracle():
-    cases = list(random_contact_cases(1000, seed=7))
-    centers, radii, heights, vs = stacked_contact_cases(cases)
+    # 125 grids, each with one radius and 8 spheres: one query per grid takes
+    # the batched side, one query per sphere the scalar side
+    batches = list(random_contact_batches(125, 8, seed=7))
+    assert 8 > SMALL_BATCH
     sides = {
-        "one batch": contacts_per_sphere(contact_query(centers, radii, heights, vs),
-                                         len(cases)),
-        "per case": [contacts_per_sphere(contact_query(pos, radius, grid.column_heights,
-                                                       grid.voxel_size), 1)[0]
-                     for grid, pos, radius in cases],
+        "batched": [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
+                                                      grid.voxel_size), len(centers))
+                    for grid, centers, radius in batches],
+        "one at a time": [[contacts_per_sphere(contact_query(center, radius, grid.column_heights,
+                                                             grid.voxel_size), 1)[0]
+                           for center in centers]
+                          for grid, centers, radius in batches],
     }
     agreements = dict.fromkeys(sides, 0)
-    for k, (grid, pos, radius) in enumerate(cases):
-        expected = exhaustive_contact(pos, radius, grid)
-        for side, found in sides.items():
-            got = found[k]
-            if expected is None:
-                agreements[side] += got is None
-            else:
-                agreements[side] += (got is not None and got[0] == expected[0]
-                                     and np.array_equal(got[1], expected[1]))
-    ok = all(n == len(cases) == 1000 for n in agreements.values())
+    for side, found in sides.items():
+        for (grid, centers, radius), got in zip(batches, found):
+            agreements[side] += sum(oracle_agrees(one, grid, center, radius)
+                                    for center, one in zip(centers, got))
+    spheres = sum(len(centers) for _, centers, _ in batches)
+    ok = spheres == 1000 and all(n == spheres for n in agreements.values())
     assert report_line(5, "collision oracle", ok, ", ".join(
-        f"{side} {n}/{len(cases)} agree" for side, n in agreements.items()))
+        f"{side} {n}/{spheres} agree" for side, n in agreements.items()))
 
 
 def test_criterion_6_determinism(tmp_path):

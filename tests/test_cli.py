@@ -272,6 +272,30 @@ class TestTrainFailures:
         err = capsys.readouterr().err
         assert "step 1" in err and "non-finite" in err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_diverged_update_exits_4(self, tmp_path, capsys):
+        # a learning rate of 1e300 makes the one PPO update, on the last step,
+        # leave non-finite parameters, which no final checkpoint may record
+        doc = base_config()
+        doc["tunnel"].update(particle_count=4, burst_count=1, max_steps=40)
+        doc["ppo"] = {"batch_size": 8, "buffer_size": 8, "max_training_steps": 8,
+                      "time_horizon": 8, "epochs": 3, "learning_rate": 1e300,
+                      "learning_rate_final": 1e300, "hidden_layers": 1, "hidden_units": 8,
+                      "grad_clip": 0}
+        doc["env"].update(control_dims=[2, 2], pool_dims=[2, 2], episode_length=4)
+        doc["env"]["synth"].update(width=8, length=8, h_max=4)
+        out = tmp_path / "train"
+        code = main(["train", "--config", write_config(tmp_path / "run.json", doc),
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == ("train: non-finite policy or value parameters after the PPO "
+                       "update at training step 8\n")
+        assert (out / "checkpoint_init.json").is_file()
+        assert not (out / "checkpoint_final.json").exists()
+
 
 def set_key(doc, keys, value):
     for key in keys[:-1]:
@@ -298,6 +322,7 @@ class TestRunConfig:
         (("ppo", "hidden_layers"), 17),
         (("ppo", "hidden_units"), 10 ** 9),
         (("out_dir",), "runs"),
+        (("env", "reward_scale"), 1.0),
     ])
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_bad_value_exits_3_naming_field(self, tmp_path, capsys, command, keys, value):

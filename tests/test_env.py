@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from voxwind.env import (
     reward,
 )
 from voxwind.errors import ConfigError
+from voxwind.ppo import PpoConfig, train
 from voxwind.voxel import VoxelMask, synth_heightmap, voxelise
 from voxwind.windtunnel import SimResult
 
@@ -96,10 +99,15 @@ class TestReward:
         assert reward(res, base, ObjectiveMode.KE_DF_VCC, RewardWeights()) == 0.0
 
     def test_scale_multiplier(self):
-        base = fake_result()
-        res = fake_result(ke=5.5)
-        assert reward(res, base, ObjectiveMode.KE, RewardWeights(), scale=2.0) \
-            == pytest.approx(0.2)
+        # ppo.extrinsic_strength is the one reward multiplier: the trainer
+        # scales every env reward by it (no update runs in two steps)
+        ppo = PpoConfig(batch_size=4, buffer_size=4, max_training_steps=2, time_horizon=4,
+                        hidden_layers=1, hidden_units=8)
+        plain = [row["reward"] for row in train(make_env(), ppo).trace]
+        doubled = [row["reward"] for row in
+                   train(make_env(), replace(ppo, extrinsic_strength=2.0)).trace]
+        assert all(plain)
+        assert doubled == [2.0 * r for r in plain]
 
 
 class TestPooling:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,8 @@ from voxwind.windtunnel import (
 from conftest import (
     contacts_per_sphere,
     desk_tunnel,
-    exhaustive_contact,
-    random_contact_cases,
-    stacked_contact_cases,
+    oracle_agrees,
+    random_contact_batches,
     stepped_simulation,
 )
 
@@ -197,25 +197,25 @@ class TestSphereVoxelContact:
         assert contacts.impact_speed[0] == pytest.approx(5.0)
 
     def test_matches_exhaustive_oracle_sample(self, monkeypatch):
-        # as one batch (the vectorised query), in chunks of a few spheres, and
-        # per case (the scalar query)
-        cases = list(random_contact_cases(200, seed=42))
-        centers, radii, heights, vs = stacked_contact_cases(cases)
-        one_batch = contact_query(centers, radii, heights, vs)
-        monkeypatch.setattr(windtunnel, "MAX_CANDIDATES", 1000)
-        chunked = contact_query(centers, radii, heights, vs)
-        sides = (contacts_per_sphere(one_batch, len(cases)),
-                 contacts_per_sphere(chunked, len(cases)),
-                 [single_contact(pos, radius, grid) for grid, pos, radius in cases])
+        # 240 spheres, 12 per grid: as one batch (the vectorised query), in
+        # chunks (a window is at least 3 voxels, so 100 candidates make chunks
+        # of at most 3 spheres), and one sphere at a time (the scalar query)
+        batches = list(random_contact_batches(20, 12, seed=42))
+        assert 12 > SMALL_BATCH
+
+        def batched():
+            return [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
+                                                      grid.voxel_size), len(centers))
+                    for grid, centers, radius in batches]
+
+        sides = [batched()]
+        monkeypatch.setattr(windtunnel, "MAX_CANDIDATES", 100)
+        sides += [batched(), [[single_contact(center, radius, grid) for center in centers]
+                              for grid, centers, radius in batches]]
         for found in sides:
-            for (grid, pos, radius), got in zip(cases, found):
-                oracle = exhaustive_contact(pos, radius, grid)
-                if oracle is None:
-                    assert got is None
-                else:
-                    assert got is not None
-                    assert got[0] == oracle[0]
-                    np.testing.assert_array_equal(got[1], oracle[1])
+            for (grid, centers, radius), got in zip(batches, found):
+                for center, one in zip(centers, got):
+                    assert oracle_agrees(one, grid, center, radius)
 
 
 class TestStep:
@@ -245,13 +245,18 @@ class TestStep:
         np.testing.assert_allclose(burst.velocity[0], [0.0, 0.0, 0.0])
 
     def test_exit_records_ke(self):
+        # the exit energy is read from the velocity, which stays frozen after exit
         grid = VoxelGrid(2, 2, 2, 0.1, np.zeros((2, 2), dtype=int))
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
         burst = lone_burst([0.1, 0.1, 0.1], [2.0, 0.0, 0.0])
         hm = np.zeros((2, 2), dtype=np.int64)
-        step(burst, PlacedGrid(grid, cfg), hm)
+        placed = PlacedGrid(grid, cfg)
+        step(burst, placed, hm)
         assert not burst.alive[0]
-        assert burst.exit_ke[0] == pytest.approx(0.5 * cfg.particle_mass * 4.0)
+        step(burst, placed, hm)
+        assert not burst.alive[0]
+        v = burst.velocity[0]
+        assert 0.5 * cfg.particle_mass * (v @ v) == pytest.approx(0.5 * cfg.particle_mass * 4.0)
 
     def test_batch_matches_particles_stepped_alone(self):
         # Hits, near misses, separating contacts, exits and dead particles in
@@ -289,10 +294,11 @@ class TestStep:
             np.testing.assert_array_equal(burst.position[i], one.position[0])
             np.testing.assert_array_equal(burst.velocity[i], one.velocity[0])
             assert burst.alive[i] == one.alive[0]
-            assert burst.exit_ke[i] == one.exit_ke[0]
         assert contacts.particle.tolist() == rows
         np.testing.assert_array_equal(hm, alone_hm)
-        assert not burst.exit_ke[~was_alive].any()  # dead particles never retire again
+        # dead particles stay dead with the velocity their exit energy is read from
+        assert not burst.alive[~was_alive].any()
+        np.testing.assert_array_equal(burst.velocity[~was_alive], vel[~was_alive])
 
 
 class TestRunSimulation:
@@ -353,10 +359,22 @@ class TestRunSimulation:
 
 
 def checked_simulation(grid, cfg):
-    """`run_simulation`, asserted bit for bit equal to stepping every dt."""
-    got, want = run_simulation(grid, cfg), stepped_simulation(grid, cfg)
+    """`run_simulation`, asserted bit for bit equal to stepping every dt, in
+    its SimResult and in the final state of its burst, which shows the step
+    a contact came in."""
+    spawned = []
+
+    def spawn(*args):
+        spawned.append(spawn_burst(*args))
+        return spawned[-1]
+
+    with mock.patch.object(windtunnel, "spawn_burst", spawn):
+        got = run_simulation(grid, cfg)
+    want, burst = stepped_simulation(grid, cfg)
     assert got.metrics() == want.metrics()
     np.testing.assert_array_equal(got.heatmap, want.heatmap)
+    for name in ("position", "velocity", "alive"):
+        np.testing.assert_array_equal(getattr(spawned[0], name), getattr(burst, name))
     return got
 
 
@@ -379,9 +397,7 @@ class TestRunSimulationDrift:
                            domain_size=(w * vs + extra[0], l * vs + extra[1],
                                         h_max * vs + extra[2]),
                            seed=data.draw(st.integers(0, 99)))
-        got, want = run_simulation(grid, cfg), stepped_simulation(grid, cfg)
-        assert got.metrics() == want.metrics()
-        np.testing.assert_array_equal(got.heatmap, want.heatmap)
+        checked_simulation(grid, cfg)
 
     def test_desk_runs_equal_stepping_every_dt(self, wedge_grid):
         desk = desk_tunnel(particle_count=40)
