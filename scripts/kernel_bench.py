@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Per-call cost of the tunnel kernel, for one or two source trees in one process.
+
+Times, in microseconds per call:
+
+- `step` with no near rows: the desk burst (96 x 2 particles) held upstream
+  of the 16x16 wedge at 0.1 m, velocity zero, so every call is the fixed cost;
+- one batched contact query of 30 spheres around the wedge's surface;
+- the scalar and the batched query at 1, 4, 5, 6 and 8 spheres (for SMALL_BATCH);
+- one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9);
+- one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
+  where the fixed cost per simulation shows.
+
+Each tree is imported under its own package name, and the trees' samples
+interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
+object: per tree, the median of `--repeats` samples per case.
+
+    PYTHONPATH=src python3 scripts/kernel_bench.py --tree new=src --tree old=../old/src
+"""
+
+import argparse
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+
+def load_tree(name: str, src: str):
+    """voxwind from the `src` directory, imported as package `name`."""
+    pkg = Path(src).resolve() / "voxwind"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.windtunnel"), importlib.import_module(f"{name}.voxel")
+
+
+def cases(wt, vx):
+    """name -> (callable, calls per sample) for one tree."""
+    grid = vx.voxelise(vx.synth_heightmap("wedge", 16, 16, 1.0), 8, 0.1)
+    config = wt.TunnelConfig(air_speed=10.0, particle_count=96, burst_count=2,
+                             max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
+    small = wt.TunnelConfig(air_speed=10.0, particle_count=4, burst_count=1, max_steps=40,
+                            domain_size=(3.2, 1.8, 0.9), seed=7)
+    placed = wt.PlacedGrid(grid, config)
+    rng = np.random.default_rng(0)
+    upstream = np.column_stack([np.full(192, 0.5), rng.uniform(0, 1.8, 192),
+                                rng.uniform(0, 0.9, 192)])
+    burst = wt.ParticleBurst(upstream, np.zeros((192, 3)))
+    heatmap = np.zeros((16, 16), dtype=np.int64)
+    # centers over the footprint within a voxel of each column's top
+    top = grid.column_heights * 0.1
+    xy = rng.uniform(0.0, 1.6, size=(30, 2))
+    col = np.minimum((xy / 0.1).astype(int), 15)
+    centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
+    r, h, vs = config.particle_radius, grid.column_heights, 0.1
+    out = {
+        "step_empty_us": (lambda: wt.step(burst, placed, heatmap), 200),
+        "query_batch_30_us": (lambda: wt._query_batch(centers, r, h, vs), 100),
+        "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
+        "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
+    }
+    for m in (1, 4, 5, 6, 8):
+        c = centers[:m]
+        out[f"query_each_{m}_us"] = (lambda c=c: wt._query_each(c, r, h, vs), 100)
+        out[f"query_batch_{m}_us"] = (lambda c=c: wt._query_batch(c, r, h, vs), 100)
+    return out
+
+
+def sample(fn, calls: int, unit: float) -> float:
+    t0 = perf_counter()
+    for _ in range(calls):
+        fn()
+    return (perf_counter() - t0) / calls * unit
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
+                        help="a label and the src directory holding voxwind; repeatable")
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args()
+    trees = {}
+    for i, spec in enumerate(args.tree):
+        label, src = spec.split("=", 1)
+        trees[label] = cases(*load_tree(f"voxwind_tree{i}", src))
+    names = list(next(iter(trees.values())))
+    samples = {label: {name: [] for name in names} for label in trees}
+    for rep in range(args.repeats):
+        order = list(trees) if rep % 2 == 0 else list(reversed(list(trees)))
+        for name in names:
+            unit = 1e3 if name.endswith("_ms") else 1e6
+            for label in order:
+                fn, calls = trees[label][name]
+                samples[label][name].append(sample(fn, calls, unit))
+    print(json.dumps({label: {name: float(np.median(v)) for name, v in per.items()}
+                      for label, per in samples.items()}, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -29,7 +29,7 @@ class PpoConfig:
     epsilon: float = setting(0.2, gt=0.0, lt=1.0)      # clip range, decays linearly to epsilon_final
     epsilon_final: float = setting(0.1, gt=0.0, lt=1.0)
     lam: float = setting(0.95, ge=0.0, le=1.0)
-    epochs: int = setting(5, ge=0)
+    epochs: int = setting(5, ge=0, le=1_000)
     max_training_steps: int = setting(5000, ge=0)      # environment steps
     time_horizon: int = setting(64, ge=1)
     gamma: float = setting(0.99, ge=0.0, le=1.0)
@@ -334,10 +334,13 @@ def train(env, config: PpoConfig, checkpoint_dir=None) -> TrainResult:
                 buffer.finish_segment(bootstrap, config.gamma, config.lam)
                 seg_len = 0
             if buffer.full:
-                diag = ppo_update(buffer, policy, value_net, config,
-                                  progress=step_i / config.max_training_steps,
-                                  policy_opt=policy_opt, value_opt=value_opt,
-                                  rng=upd_rng)
+                # a diverging update overflows on the way; the check below
+                # reports it once, in place of numpy's warnings
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    diag = ppo_update(buffer, policy, value_net, config,
+                                      progress=step_i / config.max_training_steps,
+                                      policy_opt=policy_opt, value_opt=value_opt,
+                                      rng=upd_rng)
                 if not all(np.isfinite(p).all() for p in policy.params + value_net.params):
                     raise TrainingError("non-finite policy or value parameters after the "
                                         f"PPO update at training step {step_i}")

@@ -9,6 +9,7 @@ count, and the grid's height sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ class TunnelConfig:
     burst_count: int = setting(2, ge=1, le=100)              # simulation runs per iteration
     base_cycle_count: float = setting(10.0, ge=1.0)          # collision-count normaliser
     dt: float = setting(1.0 / 120.0, gt=0.0)                 # seconds
-    max_steps: int = setting(240, ge=1)                      # integration steps per burst
+    max_steps: int = setting(240, ge=1, le=100_000)          # integration steps per burst
     fluid_density: float = setting(1.225, gt=0.0)            # kg/m^3
     particle_mass: float = setting(0.01, gt=0.0)             # kg
     particle_radius: float = setting(0.05, gt=0.0)           # m
@@ -62,7 +63,7 @@ class ParticleBurst:
         return len(self.position)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Contacts:
     """Sphere-voxel contacts, one row per contact, in increasing sphere row."""
 
@@ -76,14 +77,16 @@ class Contacts:
     def __len__(self) -> int:
         return len(self.particle)
 
-    @classmethod
-    def none(cls) -> "Contacts":
-        return cls(np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.int64),
-                   np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0))
 
-    def take(self, rows: np.ndarray) -> "Contacts":
-        return Contacts(self.particle[rows], self.voxel[rows], self.axis[rows],
-                        self.sign[rows], self.penetration[rows])
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The one empty contact set: every query and step without contacts returns it.
+NO_CONTACTS = Contacts(*(_read_only(a) for a in (
+    np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp),
+    np.zeros(0), np.zeros(0), np.zeros(0))))
 
 
 @dataclass
@@ -253,10 +256,19 @@ def _query_each(centers, radius, heights, vs) -> Contacts:
         axes.append(axis)
         signs.append(sign)
         pens.append(pen)
+    if not rows:
+        return NO_CONTACTS
     return Contacts(np.array(rows, dtype=np.intp),
                     np.array(voxels, dtype=np.int64).reshape(-1, 3),
                     np.array(axes, dtype=np.intp), np.array(signs, dtype=np.float64),
                     np.array(pens, dtype=np.float64))
+
+
+@functools.lru_cache(maxsize=8)
+def _window_offsets(k: int) -> np.ndarray:
+    """Read-only (k**3, 3) table of the (ix, iy, iz) offsets in a k-voxel
+    window, in the flat (ix, iy, iz) order of `_query_batch`'s candidates."""
+    return _read_only(np.indices((k, k, k)).reshape(3, -1).T.copy())
 
 
 def _query_batch(centers, radius, heights, vs) -> Contacts:
@@ -266,7 +278,9 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     core scans, laid out in (ix, iy, iz) order; per axis there are at most
     ceil(2 * radius / vs) + 2 of them. Distances use the scalar core's float
     expressions, and a first-occurrence argmin over the candidates repeats
-    its (d2, ix, iy, iz) tie-break, so both agree bit for bit.
+    its (d2, ix, iy, iz) tie-break, so both agree bit for bit. The argmin runs
+    only over the spheres whose least distance is within the radius; a batch
+    with none of those returns at once.
     """
     m = len(centers)
     w, l = heights.shape
@@ -275,7 +289,7 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     np.minimum(hi[:, :2], (w - 1, l - 1), out=hi[:, :2])
     k = max(int((hi - lo).max()) + 1, 0)   # one window length for all three axes
     if k == 0:
-        return Contacts.none()
+        return NO_CONTACTS
     idx = lo[:, None, :] + np.arange(k)[:, None]            # (m, k, axis)
     b0 = idx * vs
     c = centers[:, None, :]
@@ -289,15 +303,15 @@ def _query_batch(centers, radius, heights, vs) -> Contacts:
     d2 = (dd[:, :, None, 0] + dd[:, None, :, 1])[..., None] + dd[:, None, None, :, 2]
     d2[iz[:, None, None, :] >= top[..., None]] = np.inf
     d2 = d2.reshape(m, -1)
-    best = d2.argmin(axis=1)
-    rows = np.flatnonzero(d2[np.arange(m), best] < radius * radius)
-    voxel = lo[rows] + np.stack(np.unravel_index(best[rows], (k, k, k)), axis=1)
+    rows = np.flatnonzero(d2.min(axis=1) < radius * radius)
+    if rows.size == 0:
+        return NO_CONTACTS
+    voxel = lo[rows] + _window_offsets(k)[d2[rows].argmin(axis=1)]
     d = centers[rows] - (voxel + 0.5) * vs
     pens = (radius + 0.5 * vs) - np.abs(d)
     axis = pens.argmin(axis=1)
-    j = np.arange(len(rows))
-    sign = np.where(d[j, axis] >= 0, 1.0, -1.0)
-    return Contacts(rows, voxel, axis, sign, pens[j, axis])
+    sign = np.where(d[np.arange(len(rows)), axis] >= 0, 1.0, -1.0)
+    return Contacts(rows, voxel, axis, sign, pens.min(axis=1))
 
 
 def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Contacts:
@@ -321,18 +335,31 @@ def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Con
     size = max(1, MAX_CANDIDATES // window ** 3)
     if m <= size:
         return _query_batch(centers, radius, heights, vs)
-    parts = []
-    for start in range(0, m, size):
-        part = _query_batch(centers[start:start + size], radius, heights, vs)
-        part.particle += start
-        parts.append(part)
-    return Contacts(*(np.concatenate([getattr(p, name) for p in parts])
-                      for name in ("particle", "voxel", "axis", "sign", "penetration")))
+    parts = [_query_batch(centers[start:start + size], radius, heights, vs)
+             for start in range(0, m, size)]
+    particle = np.concatenate([p.particle + start for p, start in zip(parts, range(0, m, size))])
+    return Contacts(particle, *(np.concatenate([getattr(p, name) for p in parts])
+                                for name in ("voxel", "axis", "sign", "penetration")))
 
 
 class PlacedGrid:
     """A grid placed in the tunnel: the constants `step` tests against,
-    computed once per simulation."""
+    computed once per simulation.
+
+    `reach` is the near test's table, indexed by a sphere center's column
+    cell (floor(loc_xy / vs), clamped) shifted by `pad`. Over the footprint it
+    holds the height below which a center can touch a voxel: r above the
+    tallest column within ceil(r / vs) columns (`neighborhood_reach`). Around
+    it lie ceil(r / vs) rings that repeat the edge values, then one ring of
+    -inf that every farther cell clamps onto. A center in ring j beside the
+    footprint is at least (j - 1) * vs from it, so it can touch only the
+    columns within ceil(r / vs) - j of the edge, whose reach the edge value
+    already covers; a center farther out is at least r from every column,
+    and a contact needs less.
+    The table therefore admits every row that can touch a voxel, and maybe
+    some that cannot, which the contact query gives no contact. (The argument
+    is made in exact arithmetic, as `neighborhood_reach`'s window is.)
+    """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
         vs = grid.voxel_size
@@ -341,12 +368,15 @@ class PlacedGrid:
         self.heights = grid.column_heights
         self.voxel_size = vs
         self.origin = grid_origin(grid, config)
-        # A sphere whose center lies below this height over its column can
-        # touch a voxel; outside the footprint grown by r it touches none.
-        self.reach_top = neighborhood_reach(grid, r) * vs + r
-        self.near_hi = np.array([grid.width * vs + r, grid.length * vs + r])
-        self.col_max = np.array([grid.width - 1, grid.length - 1])
         self.domain = np.array(config.domain_size)
+        self.pad = math.ceil(r / vs) + 1
+        # the footprint column each table cell repeats; the outer ring turns -inf
+        x, y = (np.minimum(np.maximum(np.arange(-self.pad, n + self.pad), 0), n - 1)
+                for n in (grid.width, grid.length))
+        self.reach = (neighborhood_reach(grid, r) * vs + r)[x[:, None], y]
+        self.reach[[0, -1]] = -np.inf
+        self.reach[:, [0, -1]] = -np.inf
+        self.cell_max = np.array(self.reach.shape) - 1
 
 
 def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
@@ -357,23 +387,21 @@ def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
     contacts = contact_query(centers, config.particle_radius, placed.heights,
                              placed.voxel_size)
     if not len(contacts):
-        return Contacts.none()
+        return NO_CONTACTS
     i = rows[contacts.particle]
-    axis, sign = contacts.axis, contacts.sign
+    voxel, axis, sign, pen = contacts.voxel, contacts.axis, contacts.sign, contacts.penetration
     v = burst.velocity[i]
     vn = sign * v[np.arange(len(i)), axis]
     hit = np.flatnonzero(vn < 0.0)  # separating contacts get no impulse and no row
     if hit.size == 0:
-        return Contacts.none()
+        return NO_CONTACTS
     if hit.size < len(i):
-        contacts = contacts.take(hit)
-        i, axis, sign, v, vn = i[hit], axis[hit], sign[hit], v[hit], vn[hit]
+        i, voxel, axis, sign, pen, v, vn = (a[hit] for a in (i, voxel, axis, sign, pen, v, vn))
     burst.velocity[i, axis] -= (1.0 + config.restitution) * vn * sign
-    burst.position[i, axis] += sign * contacts.penetration  # pop out of the face
-    np.add.at(heatmap, (contacts.voxel[:, 0], contacts.voxel[:, 1]), 1)
-    contacts.particle = i
-    contacts.impact_speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
-    return contacts
+    burst.position[i, axis] += sign * pen  # pop out of the face
+    np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
+    speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    return Contacts(i, voxel, axis, sign, pen, speed)
 
 
 def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Contacts:
@@ -381,31 +409,31 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
 
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
-    restitution. The near particles take one `contact_query` with the one
-    particle radius and the one grid of heights. One contact at most per
-    particle per step; contacts come back in particle-row order and tally
-    into `heatmap`. Particles leaving the domain are marked dead. Dead
-    particles drift on but are never near, so they never collide again and
-    their velocity, from which `run_simulation` reads the exit energy, stays
-    as it was when they left. Mutates `burst` and `heatmap`.
+    restitution. A live particle is near when its height is below the
+    `placed.reach` entry of its column cell, one table lookup per row; the
+    table admits every row that can touch a voxel (see `PlacedGrid`). The
+    near particles take one `contact_query` with the one particle radius and
+    the one grid of heights. One contact at most per particle per step;
+    contacts come back in particle-row order and tally into `heatmap`.
+    Particles leaving the domain are marked dead. Dead particles drift on but
+    are never near, so they never collide again and their velocity, from
+    which `run_simulation` reads the exit energy, stays as it was when they
+    left. Mutates `burst` and `heatmap`; a step without contacts returns the
+    shared `NO_CONTACTS`.
     `run_simulation` leaves out the inlet lead-in, the steps before any
     particle can come near the grid, in which a step would only add the
     shared x drift to every position.
     """
-    config = placed.config
-    r = config.particle_radius
-    vs = placed.voxel_size
     pos, vel, alive = burst.position, burst.velocity, burst.alive
-    pos += vel * config.dt
+    pos += vel * placed.config.dt
     loc = pos - placed.origin
-    col = np.minimum(np.maximum((loc[:, :2] // vs).astype(np.intp), 0), placed.col_max)
-    near = (alive & (loc > -r).all(axis=1) & (loc[:, :2] < placed.near_hi).all(axis=1)
-            & (loc[:, 2] < placed.reach_top[col[:, 0], col[:, 1]])).nonzero()[0]
-    if near.size == 0:
-        contacts = Contacts.none()
-    else:
-        contacts = _bounce(burst, loc[near], near, placed, heatmap)
-    alive &= ~((pos < 0.0) | (pos > placed.domain)).any(axis=1)
+    cell = np.floor(loc[:, :2] / placed.voxel_size).astype(np.intp)
+    cell += placed.pad
+    np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
+    near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
+    contacts = _bounce(burst, loc[near], near, placed, heatmap) if near.size else NO_CONTACTS
+    inside = (pos >= 0.0) & (pos <= placed.domain)
+    alive &= inside[:, 0] & inside[:, 1] & inside[:, 2]  # faster than .all(axis=1)
     return contacts
 
 
@@ -429,9 +457,11 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     burst order. Every particle spawns at x = 0 moving at (v, 0, 0), so until
     the first can come near the grid they share one x, and each step only
     adds v * dt to it. That inlet lead-in runs as a scalar loop making the
-    same float additions and the same `loc > -r` test as `step`; after it,
-    `step` runs on every dt, so every output is the one that calling `step`
-    on every dt gives.
+    same float additions as `step` while the shared x stays at least r short
+    of the grid's front face: there every closest-point distance is at least
+    r, so the contact query's strict `d2 < r * r` finds no contact and a step
+    would only drift. After it `step` runs on every dt, so every output is
+    the one that calling `step` on every dt gives.
     """
     config.validate()
     vs = grid.voxel_size

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -278,23 +281,45 @@ class TestTrainFailures:
     def test_diverged_update_exits_4(self, tmp_path, capsys):
         # a learning rate of 1e300 makes the one PPO update, on the last step,
         # leave non-finite parameters, which no final checkpoint may record
-        doc = base_config()
-        doc["tunnel"].update(particle_count=4, burst_count=1, max_steps=40)
-        doc["ppo"] = {"batch_size": 8, "buffer_size": 8, "max_training_steps": 8,
-                      "time_horizon": 8, "epochs": 3, "learning_rate": 1e300,
-                      "learning_rate_final": 1e300, "hidden_layers": 1, "hidden_units": 8,
-                      "grad_clip": 0}
-        doc["env"].update(control_dims=[2, 2], pool_dims=[2, 2], episode_length=4)
-        doc["env"]["synth"].update(width=8, length=8, h_max=4)
         out = tmp_path / "train"
-        code = main(["train", "--config", write_config(tmp_path / "run.json", doc),
-                     "--out", str(out)])
+        code = main(["train", "--config", diverged_config(tmp_path), "--out", str(out)])
         assert code == 4
         err = capsys.readouterr().err
-        assert err == ("train: non-finite policy or value parameters after the PPO "
-                       "update at training step 8\n")
+        assert err == DIVERGED_MESSAGE
         assert (out / "checkpoint_init.json").is_file()
         assert not (out / "checkpoint_final.json").exists()
+
+    def test_diverged_update_stderr_is_the_message_alone(self, tmp_path):
+        # pytest captures numpy's RuntimeWarnings in process, so only a fresh
+        # interpreter shows whether the update prints any before the message
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "voxwind", "train", "--config", diverged_config(tmp_path),
+             "--out", str(tmp_path / "train")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 4
+        assert proc.stderr == DIVERGED_MESSAGE
+
+
+DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "
+                    "update at training step 8\n")
+
+
+def diverged_config(tmp_path):
+    """A train config whose one PPO update, at step 8, diverges: lr 1e300 and
+    no gradient clipping."""
+    doc = base_config()
+    doc["tunnel"].update(particle_count=4, burst_count=1, max_steps=40)
+    doc["ppo"] = {"batch_size": 8, "buffer_size": 8, "max_training_steps": 8,
+                  "time_horizon": 8, "epochs": 3, "learning_rate": 1e300,
+                  "learning_rate_final": 1e300, "hidden_layers": 1, "hidden_units": 8,
+                  "grad_clip": 0}
+    doc["env"].update(control_dims=[2, 2], pool_dims=[2, 2], episode_length=4)
+    doc["env"]["synth"].update(width=8, length=8, h_max=4)
+    return write_config(tmp_path / "run.json", doc)
 
 
 def set_key(doc, keys, value):
@@ -323,6 +348,8 @@ class TestRunConfig:
         (("ppo", "hidden_units"), 10 ** 9),
         (("out_dir",), "runs"),
         (("env", "reward_scale"), 1.0),
+        (("tunnel", "max_steps"), 100_001),
+        (("ppo", "epochs"), 1_001),
     ])
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_bad_value_exits_3_naming_field(self, tmp_path, capsys, command, keys, value):

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 from unittest import mock
@@ -225,7 +226,8 @@ class TestStep:
         burst = lone_burst([0.5, 0.5, 0.5], [1.0, 0.0, 0.0])
         hm = np.zeros((4, 4), dtype=np.int64)
         contacts = step(burst, PlacedGrid(grid, cfg), hm)
-        assert len(contacts) == 0
+        assert contacts is windtunnel.NO_CONTACTS
+        assert not contacts.particle.flags.writeable
         np.testing.assert_allclose(burst.position[0],
                                    [0.5 + cfg.dt, 0.5, 0.5])
         assert hm.sum() == 0
@@ -299,6 +301,118 @@ class TestStep:
         # dead particles stay dead with the velocity their exit energy is read from
         assert not burst.alive[~was_alive].any()
         np.testing.assert_array_equal(burst.velocity[~was_alive], vel[~was_alive])
+
+
+def step_querying_every_live_row(burst, placed, heatmap):
+    """`step` with a near test that admits every live row, as a reference."""
+    everything = copy.copy(placed)
+    everything.reach = np.full_like(placed.reach, np.inf)
+    return step(burst, everything, heatmap)
+
+
+def assert_same_contacts(got, want):
+    for name in ("particle", "voxel", "axis", "sign", "penetration", "impact_speed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestNearTable:
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0, 1.5, 2.5])
+    def test_step_equals_querying_every_live_row(self, ratio):
+        # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the replicated
+        # rings just outside the footprint, on both sides of every domain face
+        # and, dead, beside the grid; the reach table may leave a row out only
+        # if the query would give it no contact.
+        rng = np.random.default_rng(int(ratio * 10))
+        ring_contacts = 0
+        for _ in range(30):
+            vs = float(rng.choice([0.05, 0.1, 0.2]))
+            r = ratio * vs
+            k = math.ceil(r / vs)
+            w, l, h_max = (int(v) for v in rng.integers(1, 7, size=3))
+            grid = VoxelGrid(w, l, h_max, vs, rng.integers(0, h_max + 1, size=(w, l)))
+            extent = np.array([w, l, h_max]) * vs
+            domain = extent + rng.uniform(0.0, 2 * (k + 1) * vs, size=3)
+            cfg = TunnelConfig(particle_radius=r, domain_size=tuple(domain), dt=0.01,
+                               restitution=float(rng.uniform(0.0, 1.0)))
+            placed = PlacedGrid(grid, cfg)
+            n = 300
+            # over the footprint grown by k + 1 cells, from below z = 0 to above the top
+            loc = rng.uniform(-(k + 1) * vs, (np.array([w, l, h_max]) + k + 1) * vs,
+                              size=(n, 3))
+            loc[:, 2] = rng.uniform(-r, extent[2] + 2 * r, size=n)
+            pos = placed.origin + loc
+            faces = rng.integers(0, 3, size=n // 3)
+            far = rng.integers(0, 2, size=n // 3).astype(bool)
+            rows = np.arange(n // 3)
+            pos[rows, faces] = np.where(far, domain[faces], 0.0) + rng.uniform(-r, r, n // 3)
+            vel = rng.normal(0.0, 1.5 * vs / cfg.dt / 3, size=(n, 3))
+            burst = ParticleBurst(pos, vel)
+            burst.alive[rng.uniform(size=n) < 0.2] = False
+            ref = ParticleBurst(pos.copy(), vel.copy())
+            ref.alive[:] = burst.alive
+            hm, ref_hm = np.zeros((w, l), dtype=np.int64), np.zeros((w, l), dtype=np.int64)
+            for _ in range(3):
+                before = (burst.position + burst.velocity * cfg.dt - placed.origin)[:, :2]
+                contacts = step(burst, placed, hm)
+                assert_same_contacts(contacts, step_querying_every_live_row(ref, placed, ref_hm))
+                for name in ("position", "velocity", "alive"):
+                    np.testing.assert_array_equal(getattr(burst, name), getattr(ref, name))
+                np.testing.assert_array_equal(hm, ref_hm)
+                cell = np.floor(before[contacts.particle] / vs)
+                outer = (cell == -k) | (cell == np.array([w, l]) - 1 + k)
+                ring_contacts += int(outer.any(axis=1).sum())
+        # rows in the outermost replicated ring made contacts, so a table one
+        # ring short fails this test
+        assert ring_contacts > 0
+
+
+class TestStrictRadius:
+    # vs = 0.5 and r = 0.25 are binary fractions, so a sphere exactly r from
+    # a voxel face has closest-point distance squared exactly r * r
+    VS, R = 0.5, 0.25
+    GRID = VoxelGrid(3, 3, 2, 0.5, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]]))
+
+    # (center exactly r from voxel (1, 1, 0), the direction one ulp closer,
+    # axis, sign). Beside a low face the voxel is in the sphere's window, so
+    # only the strict `<` keeps it out; above the top face the window, which
+    # starts at floor((c - r) / vs), already does.
+    CASES = [((0.25, 0.75, 0.25), (1.0, 0.75, 0.25), 0, -1.0),   # beside its -x face
+             ((0.75, 0.25, 0.25), (0.75, 1.0, 0.25), 1, -1.0),   # beside its -y face
+             ((0.75, 0.75, 0.75), (0.75, 0.75, 0.0), 2, 1.0)]    # above its top face
+
+    @pytest.mark.parametrize("query", ["_query_each", "_query_batch"])
+    @pytest.mark.parametrize("center, toward, axis, sign", CASES)
+    def test_query_is_strict(self, query, center, toward, axis, sign):
+        fn = getattr(windtunnel, query)
+        at_r = np.array([center])
+        assert len(fn(at_r, self.R, self.GRID.column_heights, self.VS)) == 0
+        inside = np.nextafter(at_r, [toward])
+        assert np.count_nonzero(inside != at_r) == 1
+        c = fn(inside, self.R, self.GRID.column_heights, self.VS)
+        assert len(c) == 1
+        assert (tuple(c.voxel[0]), c.axis[0], c.sign[0]) == ((1, 1, 0), axis, sign)
+
+    @pytest.mark.parametrize("center, toward, axis, sign", CASES)
+    def test_step_is_strict(self, center, toward, axis, sign):
+        cfg = TunnelConfig(particle_radius=self.R, domain_size=(1.5, 1.5, 1.5), dt=0.25)
+        placed = PlacedGrid(self.GRID, cfg)
+        assert not placed.origin.any()
+        velocity = np.zeros(3)
+        velocity[axis] = -sign     # into the face, one dt from the center
+        for target, hits in ((np.array(center), 0),
+                             (np.nextafter(center, toward), 1)):
+            burst = lone_burst(target - velocity * cfg.dt, velocity)
+            hm = np.zeros((3, 3), dtype=np.int64)
+            contacts = step(burst, placed, hm)
+            if hits:
+                assert burst.position[0, axis] == target[axis] + sign * contacts.penetration[0]
+            else:
+                np.testing.assert_array_equal(burst.position[0], target)
+            assert len(contacts) == hits == hm[1, 1]
 
 
 class TestRunSimulation:
