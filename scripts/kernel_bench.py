@@ -9,7 +9,8 @@ Times, in microseconds per call:
 - the scalar and the batched query at 1, 4, 5, 6 and 8 spheres (for SMALL_BATCH);
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9);
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
-  where the fixed cost per simulation shows.
+  where the fixed cost per simulation shows;
+- building the desk `PlacedGrid`, the near test's table included.
 
 Each tree is imported under its own package name, and the trees' samples
 interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
@@ -64,6 +65,7 @@ def cases(wt, vx):
         "query_batch_30_us": (lambda: wt._query_batch(centers, r, h, vs), 100),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
+        "placed_grid_us": (lambda: wt.PlacedGrid(grid, config), 200),
     }
     for m in (1, 4, 5, 6, 8):
         c = centers[:m]

@@ -136,7 +136,7 @@ def cmd_voxelize(args) -> int:
     try:
         hm = load_heightmap(data)
     except PgmParseError as exc:
-        print(f"voxelize: {exc}", file=sys.stderr)
+        print(f"voxelize: cannot parse {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
         grid = voxelise(hm, args.h_max, args.voxel_size)

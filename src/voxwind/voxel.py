@@ -172,8 +172,10 @@ def load_heightmap(data: bytes) -> HeightMap:
         dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
         pixels = np.frombuffer(payload[:need], dtype=dtype).astype(np.float64)
     else:
-        pixels = np.empty(count, dtype=np.float64)
-        for i in range(count):
+        # built from the pixels actually read, so a header claiming more than
+        # the file holds fails at its end rather than allocating the claim
+        pixels = []
+        for _ in range(count):
             tok, toff, pos = _next_token(data, pos)
             if not tok.isdigit():
                 raise PgmParseError(f"non-numeric pixel {tok!r} at byte {toff}")
@@ -182,7 +184,8 @@ def load_heightmap(data: bytes) -> HeightMap:
                 raise PgmParseError(
                     f"pixel value {v} exceeds maxval {maxval} at byte {toff}"
                 )
-            pixels[i] = v
+            pixels.append(v)
+        pixels = np.array(pixels, dtype=np.float64)
     values = (pixels / maxval).reshape(height, width).T
     return HeightMap(width=width, length=height, values=values)
 
@@ -305,7 +308,7 @@ def grid_from_csv(text: str) -> VoxelGrid:
     rows = lines[2:]
     if len(rows) != width:
         raise ValueError(f"grid csv: expected {width} height rows, got {len(rows)}")
-    heights = np.empty((width, length), dtype=np.int64)
+    heights = []   # the rows read, not the header's claim, size the array
     for x, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != length:
@@ -313,10 +316,10 @@ def grid_from_csv(text: str) -> VoxelGrid:
                 f"grid csv: row {x} has {len(cells)} cells, expected {length}"
             )
         try:
-            heights[x] = [int(c) for c in cells]
+            heights.append([int(c) for c in cells])
         except ValueError as exc:
             raise ValueError(f"grid csv: row {x}: {exc}") from exc
-    return VoxelGrid(width, length, h_max, voxel_size, heights)
+    return VoxelGrid(width, length, h_max, voxel_size, np.array(heights, dtype=np.int64))
 
 
 def mask_to_csv(mask: VoxelMask) -> str:
@@ -339,7 +342,7 @@ def mask_from_csv(text: str) -> VoxelMask:
     rows = lines[2:]
     if len(rows) != width:
         raise ValueError(f"mask csv: expected {width} rows, got {len(rows)}")
-    frozen = np.empty((width, length), dtype=bool)
+    frozen = []   # the rows read, not the header's claim, size the array
     for x, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != length:
@@ -347,5 +350,5 @@ def mask_from_csv(text: str) -> VoxelMask:
         for y, cell in enumerate(cells):
             if cell not in ("0", "1"):
                 raise ValueError(f"mask csv: row {x} column {y}: cell {cell!r} is not 0 or 1")
-        frozen[x] = [c == "1" for c in cells]
-    return VoxelMask(frozen)
+        frozen.append([c == "1" for c in cells])
+    return VoxelMask(np.array(frozen, dtype=bool).reshape(width, length))

@@ -146,17 +146,29 @@ def grid_origin(grid: VoxelGrid, config: TunnelConfig) -> np.ndarray:
 
 
 def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
-    """Per-column max height over the window a sphere of `radius` can touch."""
-    k = max(1, int(math.ceil(radius / grid.voxel_size)))
+    """The near test's table, one cell per column over the grid grown by
+    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1.
+
+    A cell holds `radius` above the tallest column within k columns of it,
+    or -inf where that window holds no voxel, as the outer ring's never does.
+    The argument for it is in `PlacedGrid`; it holds in exact arithmetic.
+    Built as a separable window max over the zero-padded heights.
+    """
+    vs = grid.voxel_size
+    k = math.ceil(radius / vs)
     h = grid.column_heights
     w, l = h.shape
-    padded = np.zeros((w + 2 * k, l + 2 * k), dtype=np.int64)
-    padded[k:k + w, k:k + l] = h
-    out = np.zeros((w, l), dtype=np.int64)
-    for sx in range(2 * k + 1):
-        for sy in range(2 * k + 1):
-            np.maximum(out, padded[sx:sx + w, sy:sy + l], out=out)
-    return out
+    m = 2 * k + 1   # the window's width, and the zero margin on each side
+    z = np.zeros((w + 2 * m, l + 2 * m), dtype=np.int64)
+    z[m:m + w, m:m + l] = h
+    tw, tl = w + m + 1, l + m + 1   # the grid grown by k + 1 columns a side
+    along_x = z[:tw].copy()
+    for s in range(1, m):
+        np.maximum(along_x, z[s:s + tw], out=along_x)
+    top = along_x[:, :tl].copy()
+    for s in range(1, m):
+        np.maximum(top, along_x[:, s:s + tl], out=top)
+    return np.where(top > 0, top * vs + radius, -np.inf)
 
 
 def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
@@ -346,36 +358,23 @@ class PlacedGrid:
     """A grid placed in the tunnel: the constants `step` tests against,
     computed once per simulation.
 
-    `reach` is the near test's table, indexed by a sphere center's column
-    cell (floor(loc_xy / vs), clamped) shifted by `pad`. Over the footprint it
-    holds the height below which a center can touch a voxel: r above the
-    tallest column within ceil(r / vs) columns (`neighborhood_reach`). Around
-    it lie ceil(r / vs) rings that repeat the edge values, then one ring of
-    -inf that every farther cell clamps onto. A center in ring j beside the
-    footprint is at least (j - 1) * vs from it, so it can touch only the
-    columns within ceil(r / vs) - j of the edge, whose reach the edge value
-    already covers; a center farther out is at least r from every column,
-    and a contact needs less.
-    The table therefore admits every row that can touch a voxel, and maybe
-    some that cannot, which the contact query gives no contact. (The argument
-    is made in exact arithmetic, as `neighborhood_reach`'s window is.)
+    `reach` is the near test's table (`neighborhood_reach`), indexed by a
+    center's column cell floor(loc_xy / vs) shifted by `pad` and clamped. A
+    center can touch only the columns within ceil(r / vs) of its own, so at
+    or above its cell's entry it is at least r from every voxel and the
+    strict contact test finds none; every farther cell clamps onto the -inf
+    outer ring. The table therefore admits every row that can touch a voxel,
+    and maybe some that cannot. (The argument holds in exact arithmetic.)
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
-        vs = grid.voxel_size
-        r = config.particle_radius
         self.config = config
         self.heights = grid.column_heights
-        self.voxel_size = vs
+        self.voxel_size = grid.voxel_size
         self.origin = grid_origin(grid, config)
         self.domain = np.array(config.domain_size)
-        self.pad = math.ceil(r / vs) + 1
-        # the footprint column each table cell repeats; the outer ring turns -inf
-        x, y = (np.minimum(np.maximum(np.arange(-self.pad, n + self.pad), 0), n - 1)
-                for n in (grid.width, grid.length))
-        self.reach = (neighborhood_reach(grid, r) * vs + r)[x[:, None], y]
-        self.reach[[0, -1]] = -np.inf
-        self.reach[:, [0, -1]] = -np.inf
+        self.reach = neighborhood_reach(grid, config.particle_radius)
+        self.pad = (self.reach.shape[0] - grid.width) // 2
         self.cell_max = np.array(self.reach.shape) - 1
 
 

@@ -304,6 +304,54 @@ class TestTrainFailures:
         assert proc.stderr == DIVERGED_MESSAGE
 
 
+class TestOversizedHeaders:
+    # Each file's header claims far more cells than the file holds. Parsing
+    # must size its arrays from what it reads, so the run fails on the
+    # missing cells; the child's address space is capped, so a parser that
+    # allocated the header's claim would die with a MemoryError on any machine.
+    LIMIT = 2 << 30
+
+    def run_capped(self, tmp_path, *args):
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = ("import resource, sys\n"
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({self.LIMIT}, {self.LIMIT}))\n"
+                 "from voxwind.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        return subprocess.run([sys.executable, "-c", child, *args], capture_output=True,
+                              text=True, env=env, timeout=300, cwd=tmp_path)
+
+    def assert_one_line(self, proc, code, *names):
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert all(name in proc.stderr for name in names), proc.stderr
+
+    def test_simulate_grid(self, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("width,length,h_max,voxel_size\n1,1000000000000,1,0.1\n1\n")
+        config = write_config(tmp_path / "run.json", base_config())
+        proc = self.run_capped(tmp_path, "simulate", "--grid", str(grid), "--config", config,
+                               "--out", "sim")
+        self.assert_one_line(proc, 2, str(grid), "row 0 has 1 cells, expected 1000000000000")
+
+    def test_voxelize_ascii_pgm(self, tmp_path):
+        pgm = tmp_path / "map.pgm"
+        pgm.write_bytes(b"P2\n100000 100000\n255\n0\n")
+        proc = self.run_capped(tmp_path, "voxelize", "--input", str(pgm), "--h-max", "8",
+                               "--voxel-size", "0.1", "--out", "g.csv")
+        self.assert_one_line(proc, 2, str(pgm), "end of input")
+
+    def test_train_mask(self, tmp_path):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("width,length\n1,1000000000000\n0\n")
+        doc = base_config()
+        doc["env"]["mask_csv"] = str(mask)
+        proc = self.run_capped(tmp_path, "train", "--config",
+                               write_config(tmp_path / "run.json", doc), "--out", "train")
+        self.assert_one_line(proc, 3, "env.mask_csv", "row 0 has 1 cells, expected 1000000000000")
+
+
 DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "
                     "update at training step 8\n")
 

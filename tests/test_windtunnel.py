@@ -322,10 +322,10 @@ def assert_same_contacts(got, want):
 class TestNearTable:
     @pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0, 1.5, 2.5])
     def test_step_equals_querying_every_live_row(self, ratio):
-        # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the replicated
-        # rings just outside the footprint, on both sides of every domain face
-        # and, dead, beside the grid; the reach table may leave a row out only
-        # if the query would give it no contact.
+        # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the k + 1 rings
+        # of table cells just outside the footprint, on both sides of every
+        # domain face and, dead, beside the grid; the reach table may leave a
+        # row out only if the query would give it no contact.
         rng = np.random.default_rng(int(ratio * 10))
         ring_contacts = 0
         for _ in range(30):
@@ -365,8 +365,9 @@ class TestNearTable:
                 cell = np.floor(before[contacts.particle] / vs)
                 outer = (cell == -k) | (cell == np.array([w, l]) - 1 + k)
                 ring_contacts += int(outer.any(axis=1).sum())
-        # rows in the outermost replicated ring made contacts, so a table one
-        # ring short fails this test
+        # rows k columns off the footprint, in the outermost ring whose
+        # window reaches it, made contacts, so a table one ring short fails
+        # this test
         assert ring_contacts > 0
 
 
@@ -537,12 +538,51 @@ class TestRunSimulationDrift:
         checked_simulation(box, replace(desk, max_steps=19))
 
 
+def edge_ring_reach(grid, r):
+    """The reach table as it was once built: r above the tallest column within
+    k = ceil(r / vs) columns over the footprint (r where all are empty), the
+    edge entries repeated over k rings, then one ring of -inf."""
+    k = math.ceil(r / grid.voxel_size)
+    h = grid.column_heights
+    w, l = h.shape
+    top = np.array([[h[max(x - k, 0):x + k + 1, max(y - k, 0):y + k + 1].max()
+                     for y in range(l)] for x in range(w)])
+    x, y = (np.clip(np.arange(-k - 1, n + k + 1), 0, n - 1) for n in (w, l))
+    table = (top * grid.voxel_size + r)[x[:, None], y]
+    table[[0, -1]] = table[:, [0, -1]] = -np.inf
+    return table
+
+
 class TestReach:
     def test_reach_covers_neighbors(self):
+        # k = 1, so cell c is column c - 2 and sees columns c - 3 .. c - 1
         grid = VoxelGrid(3, 3, 8, 0.1, np.array([[0, 0, 0], [0, 8, 0], [0, 0, 0]]))
         reach = neighborhood_reach(grid, 0.05)
-        assert reach[0, 0] == 8  # adjacent to the tall column
-        assert reach[2, 2] == 8
+        assert reach.shape == (7, 7)
+        assert reach[2, 2] == reach[4, 4] == 8 * 0.1 + 0.05  # adjacent to the tall column
+        assert reach[1, 3] == reach[0, 0] == -np.inf         # two columns away, or more
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_brute_force_window(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            w, l = (int(v) for v in rng.integers(1, 9, size=2))
+            vs = float(rng.choice([0.05, 0.1, 0.2]))
+            r = vs * (k - 1 + float(rng.uniform(0.01, 0.99)))
+            assert math.ceil(r / vs) == k
+            h = rng.integers(0, 6, size=(w, l))
+            h[rng.uniform(size=(w, l)) < 0.4] = 0
+            grid = VoxelGrid(w, l, 5, vs, h)
+            reach = neighborhood_reach(grid, r)
+            pad = k + 1
+            want = np.full((w + 2 * pad, l + 2 * pad), -np.inf)
+            for cx, cy in np.ndindex(want.shape):
+                x, y = cx - pad, cy - pad
+                window = h[max(x - k, 0):max(x + k + 1, 0), max(y - k, 0):max(y + k + 1, 0)]
+                if window.size and window.max() > 0:
+                    want[cx, cy] = r + vs * window.max()
+            np.testing.assert_array_equal(reach, want)
+            assert (reach <= edge_ring_reach(grid, r)).all()
 
 
 class TestExports:
