@@ -10,11 +10,15 @@ Times, in microseconds per call:
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9);
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
+- one desk simulation of a single burst of 1, 4, 5 and 16 particles, on both
+  sides of SMALL_BATCH, where `run_simulation` switches from stepping rows in
+  Python floats to the numpy `step`;
 - building the desk `PlacedGrid`, the near test's table included.
 
 Each tree is imported under its own package name, and the trees' samples
 interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
-object: per tree, the median of `--repeats` samples per case.
+object: per tree and case, the median of `--repeats` samples and its lower
+and upper quartiles.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py --tree new=src --tree old=../old/src
 """
@@ -48,6 +52,9 @@ def cases(wt, vx):
                              max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
     small = wt.TunnelConfig(air_speed=10.0, particle_count=4, burst_count=1, max_steps=40,
                             domain_size=(3.2, 1.8, 0.9), seed=7)
+    burst_of = {m: wt.TunnelConfig(air_speed=10.0, particle_count=m, burst_count=1,
+                                   max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
+                for m in (1, 4, 5, 16)}
     placed = wt.PlacedGrid(grid, config)
     rng = np.random.default_rng(0)
     upstream = np.column_stack([np.full(192, 0.5), rng.uniform(0, 1.8, 192),
@@ -67,6 +74,8 @@ def cases(wt, vx):
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
         "placed_grid_us": (lambda: wt.PlacedGrid(grid, config), 200),
     }
+    for m, cfg in burst_of.items():
+        out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
     for m in (1, 4, 5, 6, 8):
         c = centers[:m]
         out[f"query_each_{m}_us"] = (lambda c=c: wt._query_each(c, r, h, vs), 100)
@@ -86,7 +95,7 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
                         help="a label and the src directory holding voxwind; repeatable")
-    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--repeats", type=int, default=41)
     args = parser.parse_args()
     trees = {}
     for i, spec in enumerate(args.tree):
@@ -101,7 +110,9 @@ def main():
             for label in order:
                 fn, calls = trees[label][name]
                 samples[label][name].append(sample(fn, calls, unit))
-    print(json.dumps({label: {name: float(np.median(v)) for name, v in per.items()}
+    print(json.dumps({label: {name: dict(zip(("q1", "median", "q3"),
+                                             np.percentile(v, [25, 50, 75]).tolist()))
+                              for name, v in per.items()}
                       for label, per in samples.items()}, indent=1))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .schema import check_fields, setting
 from .voxel import VoxelGrid, VoxelMask, apply_height_delta
-from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, run_simulation
+from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, check_fits, run_simulation
 
 
 class ObjectiveMode(Enum):
@@ -166,6 +166,8 @@ class EnvConfig:
                 raise ConfigError(f"{prefix}.{name}: {tuple(dims)} exceeds grid {shape}")
         if self.mask is not None and self.mask.frozen.shape != shape:
             raise ConfigError(f"{prefix}.mask: shape {self.mask.frozen.shape} is not {shape}")
+        self.tunnel.validate()
+        check_fits(self.grid, self.tunnel)
 
 
 class WindTunnelEnv:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .schema import check_fields, setting
 from .voxel import VoxelGrid, heightmap_sum, round_half_away, write_pgm
 
@@ -187,12 +188,14 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
     return ParticleBurst(pos, vel)
 
 
-# Batches of up to this many spheres take the scalar contact query: below it
-# the per-call cost of the batched numpy query outweighs its per-sphere saving.
+# Batches of up to this many spheres take the scalar contact query, and bursts
+# of up to this many rows take the scalar step loop: below it the per-call
+# cost of numpy outweighs its per-sphere saving.
 SMALL_BATCH = 4
 
 # Most candidate voxels one batched query evaluates at once; larger batches
 # go in chunks, which bounds its temporaries when a sphere spans many voxels.
+# `check_fits` rejects a radius whose one sphere's window exceeds it.
 MAX_CANDIDATES = 1 << 16
 
 
@@ -436,9 +439,86 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     return contacts
 
 
+def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
+    """`step` on every dt, at most `steps` times and while a particle is
+    alive, one burst row at a time in Python floats; the burst's final state
+    is written back. Returns the contacts' burst rows and impact speeds, in
+    step order and then row order.
+
+    For bursts of at most SMALL_BATCH rows, where `step` would hand every
+    near set to the scalar query: each row makes the float operations of
+    `step`, `_bounce` and `_query_each`, in their order, and rows do not
+    interact within a step, so every output is bit for bit `step`'s. A
+    column cell outside `placed.reach` clamps onto its -inf outer ring, so
+    such a row, like a NaN or infinite one, is not near.
+    """
+    config = placed.config
+    dt, r, vs, heights = config.dt, config.particle_radius, placed.voxel_size, placed.heights
+    bounce = 1.0 + config.restitution
+    ox, oy, oz = placed.origin.tolist()
+    dx, dy, dz = placed.domain.tolist()
+    reach, pad = placed.reach.tolist(), placed.pad
+    # -pad <= floor(l / vs) < end_x (end_y) is a cell of the table
+    end_x, end_y = (int(c) + 1 - pad for c in placed.cell_max)
+    pos, vel, alive = burst.position.tolist(), burst.velocity.tolist(), burst.alive.tolist()
+    rows, speeds = [], []
+    live = alive.count(True)
+    for _ in range(steps):
+        if not live:
+            break
+        for j, p in enumerate(pos):
+            v = vel[j]
+            p[0] += v[0] * dt
+            p[1] += v[1] * dt
+            p[2] += v[2] * dt
+            if not alive[j]:
+                continue
+            lx, ly, lz = p[0] - ox, p[1] - oy, p[2] - oz
+            qx, qy = lx / vs, ly / vs
+            if (-pad <= qx < end_x and -pad <= qy < end_y
+                    and lz < reach[math.floor(qx) + pad][math.floor(qy) + pad]):
+                best = _best_overlap(lx, ly, lz, r, heights, vs)
+                if best is not None:
+                    _, ix, iy, iz = best
+                    axis, sign, pen = _face_normal(lx, ly, lz, ix, iy, iz, r, vs)
+                    vn = sign * v[axis]
+                    if vn < 0.0:
+                        speeds.append(math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
+                        v[axis] -= bounce * vn * sign
+                        p[axis] += sign * pen
+                        heatmap[ix, iy] += 1
+                        rows.append(j)
+            if not (0.0 <= p[0] <= dx and 0.0 <= p[1] <= dy and 0.0 <= p[2] <= dz):
+                alive[j] = False
+                live -= 1
+    if pos:
+        burst.position[:], burst.velocity[:], burst.alive[:] = pos, vel, alive
+    return rows, speeds
+
+
 def _running_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, the order a Python `+=` loop adds in."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:
+    """Raise ConfigError unless the grid fits inside the tunnel's domain and
+    one sphere's contact window, (ceil(2r / vs) + 2)^3 voxels, stays within
+    MAX_CANDIDATES; that also keeps k = ceil(r / vs) of the near test's table
+    within 19."""
+    vs, r = grid.voxel_size, config.particle_radius
+    dx, dy, dz = config.domain_size
+    if (grid.width * vs > dx + 1e-9 or grid.length * vs > dy + 1e-9
+            or grid.h_max * vs > dz + 1e-9):
+        raise ConfigError(
+            f"tunnel.domain_size: grid extent ({grid.width * vs}, {grid.length * vs}, "
+            f"{grid.h_max * vs}) does not fit inside domain {config.domain_size}")
+    span = 2.0 * r / vs
+    if not span < math.inf or (math.ceil(span) + 2) ** 3 > MAX_CANDIDATES:
+        raise ConfigError(
+            f"tunnel.particle_radius: a sphere of radius {r!r} m spans {span:.3g} voxels of "
+            f"{vs!r} m; its contact window of (ceil(2r / vs) + 2)^3 voxels may hold at "
+            f"most {MAX_CANDIDATES}")
 
 
 def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
@@ -460,17 +540,12 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     of the grid's front face: there every closest-point distance is at least
     r, so the contact query's strict `d2 < r * r` finds no contact and a step
     would only drift. After it `step` runs on every dt, so every output is
-    the one that calling `step` on every dt gives.
+    the one that calling `step` on every dt gives; a burst of at most
+    SMALL_BATCH rows takes those steps through `_step_each`, which gives the
+    same outputs.
     """
     config.validate()
-    vs = grid.voxel_size
-    dx, dy, dz = config.domain_size
-    if (grid.width * vs > dx + 1e-9 or grid.length * vs > dy + 1e-9
-            or grid.h_max * vs > dz + 1e-9):
-        raise ValueError(
-            f"grid extent ({grid.width * vs}, {grid.length * vs}, {grid.h_max * vs}) "
-            f"does not fit inside domain {config.domain_size}"
-        )
+    check_fits(grid, config)
     placed = PlacedGrid(grid, config)
     b, n = config.burst_count, config.particle_count
     seeds = np.random.SeedSequence(config.seed).spawn(b)
@@ -483,12 +558,18 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
         x += d
         t += 1
     burst.position[:, 0] = x
-    while t < config.max_steps and burst.alive.any():
-        contacts = step(burst, placed, heatmap)
-        t += 1
-        if len(contacts):
-            hit_rows.append(contacts.particle)
-            hit_speeds.append(contacts.impact_speed)
+    if len(burst) <= SMALL_BATCH:
+        rows, speeds = _step_each(burst, placed, heatmap, config.max_steps - t)
+        if rows:
+            hit_rows.append(np.array(rows, dtype=np.intp))
+            hit_speeds.append(np.array(speeds))
+    else:
+        while t < config.max_steps and burst.alive.any():
+            contacts = step(burst, placed, heatmap)
+            t += 1
+            if len(contacts):
+                hit_rows.append(contacts.particle)
+                hit_speeds.append(contacts.impact_speed)
     vel = burst.velocity
     ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", vel, vel)
     area = math.pi * config.particle_radius ** 2

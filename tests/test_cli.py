@@ -304,11 +304,10 @@ class TestTrainFailures:
         assert proc.stderr == DIVERGED_MESSAGE
 
 
-class TestOversizedHeaders:
-    # Each file's header claims far more cells than the file holds. Parsing
-    # must size its arrays from what it reads, so the run fails on the
-    # missing cells; the child's address space is capped, so a parser that
-    # allocated the header's claim would die with a MemoryError on any machine.
+class CappedRun:
+    """Runs the CLI in a child whose address space is capped, so an input
+    that makes the program allocate far more than it needs dies with a
+    MemoryError on any machine."""
     LIMIT = 2 << 30
 
     def run_capped(self, tmp_path, *args):
@@ -326,6 +325,12 @@ class TestOversizedHeaders:
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert all(name in proc.stderr for name in names), proc.stderr
+
+
+class TestOversizedHeaders(CappedRun):
+    # Each file's header claims far more cells than the file holds. Parsing
+    # must size its arrays from what it reads, so the run fails on the
+    # missing cells.
 
     def test_simulate_grid(self, tmp_path):
         grid = tmp_path / "grid.csv"
@@ -350,6 +355,34 @@ class TestOversizedHeaders:
         proc = self.run_capped(tmp_path, "train", "--config",
                                write_config(tmp_path / "run.json", doc), "--out", "train")
         self.assert_one_line(proc, 3, "env.mask_csv", "row 0 has 1 cells, expected 1000000000000")
+
+
+class TestGridAgainstTunnel(CappedRun):
+    # A design the tunnel cannot hold fails before any simulation allocates:
+    # a grid wider than the domain, or voxels so small that one sphere's
+    # contact window (and the near test's table) would take gigabytes.
+    @pytest.mark.parametrize("voxel_size", ["1e-5", "1e-300"])
+    def test_simulate_tiny_voxels(self, tmp_path, voxel_size):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"width,length,h_max,voxel_size\n1,1,1,{voxel_size}\n1\n")
+        config = write_config(tmp_path / "run.json", base_config())
+        proc = self.run_capped(tmp_path, "simulate", "--grid", str(grid), "--config", config,
+                               "--out", "sim")
+        self.assert_one_line(proc, 3, "simulate: tunnel.particle_radius: ",
+                             f"voxels of {float(voxel_size)!r} m")
+        assert not (tmp_path / "sim" / "simresult.csv").exists()
+
+    @pytest.mark.parametrize("setting, field", [
+        (("tunnel", "domain_size", [1.0, 1.8, 0.9]), "tunnel.domain_size"),
+        (("env", "synth", "voxel_size", 1e-300), "tunnel.particle_radius"),
+    ])
+    def test_train_design_does_not_fit(self, tmp_path, setting, field):
+        doc = base_config()
+        set_key(doc, setting[:-1], setting[-1])
+        proc = self.run_capped(tmp_path, "train", "--config",
+                               write_config(tmp_path / "run.json", doc), "--out", "train")
+        self.assert_one_line(proc, 3, f"train: {field}: ")
+        assert not (tmp_path / "train").exists()
 
 
 DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "

@@ -465,8 +465,23 @@ class TestRunSimulation:
 
     def test_grid_too_large_for_domain(self, wedge_grid):
         cfg = desk_tunnel(domain=(1.0, 1.8, 0.9))  # x span 1.6 > 1.0
-        with pytest.raises(ValueError, match="domain"):
+        with pytest.raises(ConfigError, match="^tunnel.domain_size: .*domain"):
             run_simulation(wedge_grid, cfg)
+
+    def test_radius_window_bound(self):
+        # 2r / vs = 38 exactly: a window of 40^3 = 64000 voxels fits in
+        # MAX_CANDIDATES, the next radius up needs 41^3 = 68921
+        vs = 0.125
+        grid = VoxelGrid(2, 2, 2, vs, np.array([[1, 0], [2, 1]]))
+        cfg = TunnelConfig(particle_radius=19 * vs, particle_count=3, max_steps=30,
+                           domain_size=(2.0, 1.0, 1.0))
+        assert (math.ceil(2 * cfg.particle_radius / vs) + 2) ** 3 <= windtunnel.MAX_CANDIDATES
+        windtunnel.check_fits(grid, cfg)
+        run_simulation(grid, cfg)
+        wider = replace(cfg, particle_radius=float(np.nextafter(19 * vs, 20 * vs)))
+        with mock.patch.object(windtunnel, "PlacedGrid", side_effect=AssertionError):
+            with pytest.raises(ConfigError, match="^tunnel.particle_radius: .* 0.125 m"):
+                run_simulation(grid, wider)
 
     def test_heatmap_dims_match_grid(self, wedge_grid):
         res = run_simulation(wedge_grid, desk_tunnel())
@@ -497,7 +512,7 @@ class TestRunSimulationDrift:
     @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
            vs=st.sampled_from([0.05, 0.1, 0.2]), dt=st.sampled_from([1 / 500, 1 / 120, 1 / 30]),
            restitution=st.sampled_from([0.0, 1.0]), bursts=st.integers(1, 3),
-           particles=st.sampled_from([0, 1, 4, 24]))
+           particles=st.sampled_from([0, 1, 2, 3, 4, 5, 24]))
     @settings(max_examples=60, deadline=None)
     def test_equals_stepping_every_dt(self, data, mph, ratio, vs, dt, restitution, bursts,
                                       particles):
@@ -536,6 +551,30 @@ class TestRunSimulationDrift:
             box, replace(last, particle_radius=float(np.nextafter(on_face, 1.0))))
         assert on.collision_count == 0 < past.collision_count
         checked_simulation(box, replace(desk, max_steps=19))
+
+
+class TestStepEach:
+    """Bursts of at most SMALL_BATCH rows step one row at a time in Python
+    floats; larger ones take the numpy `step`."""
+
+    def test_learner_tunnel_equals_stepping_every_dt(self, wedge_grid):
+        # the 4-particle, 1-burst tunnel of a learner-sized training run
+        learner = desk_tunnel(particle_count=4, burst_count=1, max_steps=40)
+        for mph in (10.0, 60.0, 120.0):
+            impacts = sum(
+                checked_simulation(wedge_grid, replace(learner, air_speed=mph, seed=seed))
+                .heatmap.sum() for seed in range(16))
+            assert impacts > 0, mph
+
+    def test_selected_by_burst_rows(self, wedge_grid):
+        def no_step(*args):
+            raise AssertionError("numpy step called")
+
+        cfg = desk_tunnel(particle_count=SMALL_BATCH, burst_count=1)
+        with mock.patch.object(windtunnel, "step", no_step):
+            assert run_simulation(wedge_grid, cfg).collision_count > 0
+            with pytest.raises(AssertionError, match="numpy step"):
+                run_simulation(wedge_grid, replace(cfg, particle_count=SMALL_BATCH + 1))
 
 
 def edge_ring_reach(grid, r):
