@@ -6,7 +6,6 @@ Times, in microseconds per call:
 - `step` with no near rows: the desk burst (96 x 2 particles) held upstream
   of the 16x16 wedge at 0.1 m, velocity zero, so every call is the fixed cost;
 - one batched contact query of 30 spheres around the wedge's surface;
-- the scalar and the batched query at 1, 4, 5, 6 and 8 spheres (for SMALL_BATCH);
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9);
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
@@ -76,10 +75,6 @@ def cases(wt, vx):
     }
     for m, cfg in burst_of.items():
         out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
-    for m in (1, 4, 5, 6, 8):
-        c = centers[:m]
-        out[f"query_each_{m}_us"] = (lambda c=c: wt._query_each(c, r, h, vs), 100)
-        out[f"query_batch_{m}_us"] = (lambda c=c: wt._query_batch(c, r, h, vs), 100)
     return out
 
 

@@ -160,13 +160,13 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"simulate: cannot load grid {args.grid}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         result = run_simulation(grid, run.tunnel)
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "simresult.csv").write_text(simresult_to_csv(result))
     (out / "heatmap.csv").write_text(heatmap_to_csv(result.heatmap))
     (out / "heatmap.pgm").write_bytes(heatmap_to_pgm(result.heatmap))

@@ -70,8 +70,8 @@ class VoxelGrid:
             raise ValueError("grid dimensions must be at least 1x1")
         if self.h_max < 1:
             raise ValueError("h_max must be at least 1")
-        if self.voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
+        if not 0.0 < self.voxel_size < np.inf:
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size!r}")
         if self.column_heights.shape != (self.width, self.length):
             raise ValueError(
                 f"column_heights shape {self.column_heights.shape} does not "
@@ -246,7 +246,7 @@ def synth_heightmap(shape: str, width: int, length: int, amplitude: float = 1.0)
 
 def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
     """Convert normalized elevations to integer column heights: round(v * h_max).
-    VoxelGrid rejects h_max < 1 and voxel_size <= 0."""
+    VoxelGrid rejects h_max < 1 and a voxel_size that is not finite and positive."""
     heights = round_half_away(hm.values * h_max)
     return VoxelGrid(hm.width, hm.length, int(h_max), float(voxel_size), heights)
 

@@ -188,9 +188,9 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
     return ParticleBurst(pos, vel)
 
 
-# Batches of up to this many spheres take the scalar contact query, and bursts
-# of up to this many rows take the scalar step loop: below it the per-call
-# cost of numpy outweighs its per-sphere saving.
+# Bursts of up to this many rows step one row at a time in Python floats
+# (`_step_each`): below it the per-call cost of numpy outweighs its per-row
+# saving.
 SMALL_BATCH = 4
 
 # Most candidate voxels one batched query evaluates at once; larger batches
@@ -201,8 +201,9 @@ MAX_CANDIDATES = 1 << 16
 
 def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: np.ndarray,
                   vs: float):
-    """Scalar core of the contact query: the minimal (closest-point distance
-    squared, x, y, z) tuple over the candidate voxels, or None.
+    """Scalar core of the contact query, one sphere in Python floats, as
+    `_step_each` takes it: the minimal (closest-point distance squared,
+    x, y, z) tuple over the candidate voxels, or None.
 
     Only voxels whose axis slabs overlap the sphere are scanned; the
     lexicographic key breaks distance ties toward the lowest index.
@@ -254,29 +255,6 @@ def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
     axis = min(range(3), key=lambda k: pens[k])
     sign = 1.0 if (dx, dy, dz)[axis] >= 0 else -1.0
     return axis, sign, pens[axis]
-
-
-def _query_each(centers, radius, heights, vs) -> Contacts:
-    """The contact query one sphere at a time, through the scalar core."""
-    rows, voxels, axes, signs, pens = [], [], [], [], []
-    for j in range(len(centers)):
-        cx, cy, cz = (float(v) for v in centers[j])
-        best = _best_overlap(cx, cy, cz, radius, heights, vs)
-        if best is None:
-            continue
-        _, ix, iy, iz = best
-        axis, sign, pen = _face_normal(cx, cy, cz, ix, iy, iz, radius, vs)
-        rows.append(j)
-        voxels.append((ix, iy, iz))
-        axes.append(axis)
-        signs.append(sign)
-        pens.append(pen)
-    if not rows:
-        return NO_CONTACTS
-    return Contacts(np.array(rows, dtype=np.intp),
-                    np.array(voxels, dtype=np.int64).reshape(-1, 3),
-                    np.array(axes, dtype=np.intp), np.array(signs, dtype=np.float64),
-                    np.array(pens, dtype=np.float64))
 
 
 @functools.lru_cache(maxsize=8)
@@ -339,13 +317,12 @@ def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Con
     of Ericson, Real-Time Collision Detection (2004), 5.2, so ties break to
     the lowest index. The face normal is the axis of minimal penetration for
     the winning voxel, signed toward the sphere center. Spheres that overlap
-    nothing within their radius get no row.
+    nothing within their radius get no row. Every batch takes `_query_batch`,
+    in chunks of at most MAX_CANDIDATES candidate voxels.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     heights = np.asarray(heights)
     m = len(centers)
-    if m <= SMALL_BATCH:
-        return _query_each(centers, radius, heights, vs)
     window = math.ceil(2.0 * radius / vs) + 2
     size = max(1, MAX_CANDIDATES // window ** 3)
     if m <= size:
@@ -445,9 +422,10 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     is written back. Returns the contacts' burst rows and impact speeds, in
     step order and then row order.
 
-    For bursts of at most SMALL_BATCH rows, where `step` would hand every
-    near set to the scalar query: each row makes the float operations of
-    `step`, `_bounce` and `_query_each`, in their order, and rows do not
+    For bursts of at most SMALL_BATCH rows. Each row makes the float
+    operations of `step` and `_bounce`, in their order, and takes its contact
+    from the scalar core (`_best_overlap`, `_face_normal`), which
+    `_query_batch`, the query `step` takes, matches bit for bit. Rows do not
     interact within a step, so every output is bit for bit `step`'s. A
     column cell outside `placed.reach` clamps onto its -inf outer ring, so
     such a row, like a NaN or infinite one, is not near.
@@ -540,9 +518,10 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     of the grid's front face: there every closest-point distance is at least
     r, so the contact query's strict `d2 < r * r` finds no contact and a step
     would only drift. After it `step` runs on every dt, so every output is
-    the one that calling `step` on every dt gives; a burst of at most
-    SMALL_BATCH rows takes those steps through `_step_each`, which gives the
-    same outputs.
+    the one that calling `step` on every dt gives. SMALL_BATCH makes the one
+    choice of stepper: a burst of at most that many rows takes those steps
+    through `_step_each`, which gives the same outputs, and a larger one
+    takes `step`.
     """
     config.validate()
     check_fits(grid, config)

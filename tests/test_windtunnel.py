@@ -37,6 +37,7 @@ from conftest import (
     desk_tunnel,
     oracle_agrees,
     random_contact_batches,
+    scalar_contact,
     stepped_simulation,
 )
 
@@ -189,7 +190,6 @@ class TestSphereVoxelContact:
         centers = [[1.0, 1.0, 1.0], [0.05, 0.05, 0.05], [0.1, 0.1, 0.5],
                    [0.15, 0.15, 0.22], [2.0, 0.0, 0.0], [0.05, 0.15, 0.1]]
         c = contact_query(centers, 0.03, grid.column_heights, grid.voxel_size)
-        assert len(centers) > SMALL_BATCH
         assert c.particle.tolist() == [1, 3, 5]
 
     def test_impact_speed_is_velocity_norm(self):
@@ -200,9 +200,9 @@ class TestSphereVoxelContact:
     def test_matches_exhaustive_oracle_sample(self, monkeypatch):
         # 240 spheres, 12 per grid: as one batch (the vectorised query), in
         # chunks (a window is at least 3 voxels, so 100 candidates make chunks
-        # of at most 3 spheres), and one sphere at a time (the scalar query)
+        # of at most 3 spheres), and one sphere at a time through the scalar
+        # core that `_step_each` takes
         batches = list(random_contact_batches(20, 12, seed=42))
-        assert 12 > SMALL_BATCH
 
         def batched():
             return [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
@@ -211,7 +211,7 @@ class TestSphereVoxelContact:
 
         sides = [batched()]
         monkeypatch.setattr(windtunnel, "MAX_CANDIDATES", 100)
-        sides += [batched(), [[single_contact(center, radius, grid) for center in centers]
+        sides += [batched(), [[scalar_contact(center, radius, grid) for center in centers]
                               for grid, centers, radius in batches]]
         for found in sides:
             for (grid, centers, radius), got in zip(batches, found):
@@ -281,7 +281,6 @@ class TestStep:
         drifted = pos + vel * cfg.dt - placed.origin
         touching = contact_query(drifted, cfg.particle_radius, grid.column_heights,
                                  grid.voxel_size).particle
-        assert len(contacts) > SMALL_BATCH
         assert was_alive[touching].sum() > len(contacts)  # separating contacts
         assert len(touching) < n                          # misses
         assert (was_alive & ~burst.alive).any()           # exits
@@ -385,7 +384,7 @@ class TestStrictRadius:
              ((0.75, 0.25, 0.25), (0.75, 1.0, 0.25), 1, -1.0),   # beside its -y face
              ((0.75, 0.75, 0.75), (0.75, 0.75, 0.0), 2, 1.0)]    # above its top face
 
-    @pytest.mark.parametrize("query", ["_query_each", "_query_batch"])
+    @pytest.mark.parametrize("query", ["contact_query", "_query_batch"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_query_is_strict(self, query, center, toward, axis, sign):
         fn = getattr(windtunnel, query)
@@ -397,23 +396,31 @@ class TestStrictRadius:
         assert len(c) == 1
         assert (tuple(c.voxel[0]), c.axis[0], c.sign[0]) == ((1, 1, 0), axis, sign)
 
+    # the numpy step, and the row-at-a-time step of bursts of at most
+    # SMALL_BATCH rows, which takes the scalar core
+    @pytest.mark.parametrize("stepper", ["step", "_step_each"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
-    def test_step_is_strict(self, center, toward, axis, sign):
+    def test_step_is_strict(self, center, toward, axis, sign, stepper):
         cfg = TunnelConfig(particle_radius=self.R, domain_size=(1.5, 1.5, 1.5), dt=0.25)
         placed = PlacedGrid(self.GRID, cfg)
         assert not placed.origin.any()
         velocity = np.zeros(3)
         velocity[axis] = -sign     # into the face, one dt from the center
+        voxel_center = np.array([0.75, 0.75, 0.25])   # of voxel (1, 1, 0)
         for target, hits in ((np.array(center), 0),
                              (np.nextafter(center, toward), 1)):
             burst = lone_burst(target - velocity * cfg.dt, velocity)
             hm = np.zeros((3, 3), dtype=np.int64)
-            contacts = step(burst, placed, hm)
+            if stepper == "step":
+                found = len(step(burst, placed, hm))
+            else:
+                found = len(windtunnel._step_each(burst, placed, hm, 1)[0])
             if hits:
-                assert burst.position[0, axis] == target[axis] + sign * contacts.penetration[0]
+                pen = (self.R + 0.5 * self.VS) - abs(target[axis] - voxel_center[axis])
+                assert burst.position[0, axis] == target[axis] + sign * pen
             else:
                 np.testing.assert_array_equal(burst.position[0], target)
-            assert len(contacts) == hits == hm[1, 1]
+            assert found == hits == hm[1, 1]
 
 
 class TestRunSimulation:
