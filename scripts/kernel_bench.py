@@ -5,8 +5,14 @@ Times, in microseconds per call:
 
 - `step` with no near rows: the desk burst (96 x 2 particles) held upstream
   of the 16x16 wedge at 0.1 m, velocity zero, so every call is the fixed cost;
-- one batched contact query of 30 spheres around the wedge's surface;
-- one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9);
+- one contact query of 30 spheres around the wedge's surface, and, in
+  turn, of the first 1, 2, 3 and 4 of them: 42% of the queries of
+  desk-scale training hold at most 4 spheres;
+- one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
+  the wedge and on an agent-reshaped wedge: eight uniform random actions
+  applied as `WindTunnelEnv.act` applies them, from a fixed seed. Such
+  designs keep particles near the surface until `max_steps`, with about 2.4
+  times the wedge's contact queries, as the designs of desk-scale training do;
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
 - one desk simulation of a single burst of 1, 4, 5 and 16 particles, on both
@@ -23,30 +29,31 @@ and upper quartiles.
 """
 
 import argparse
-import importlib
-import importlib.util
+import itertools
 import json
-import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-
-def load_tree(name: str, src: str):
-    """voxwind from the `src` directory, imported as package `name`."""
-    pkg = Path(src).resolve() / "voxwind"
-    spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.windtunnel"), importlib.import_module(f"{name}.voxel")
+from trees import parse_trees
 
 
-def cases(wt, vx):
+def agent_design(tree, grid, seed=4, actions=8):
+    """`grid` after `actions` uniform random 4 x 4 actions, upsampled and
+    scaled by a max_delta of 2 voxels as `WindTunnelEnv.act` applies them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(actions):
+        a = rng.uniform(-1.0, 1.0, size=(4, 4))
+        deltas = tree.env.bilinear_upsample(a, (grid.width, grid.length)) * 2
+        grid = tree.voxel.apply_height_delta(grid, deltas)
+    return grid
+
+
+def cases(tree):
     """name -> (callable, calls per sample) for one tree."""
+    wt, vx = tree.windtunnel, tree.voxel
     grid = vx.voxelise(vx.synth_heightmap("wedge", 16, 16, 1.0), 8, 0.1)
+    reshaped = agent_design(tree, grid)
     config = wt.TunnelConfig(air_speed=10.0, particle_count=96, burst_count=2,
                              max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
     small = wt.TunnelConfig(air_speed=10.0, particle_count=4, burst_count=1, max_steps=40,
@@ -66,10 +73,13 @@ def cases(wt, vx):
     col = np.minimum((xy / 0.1).astype(int), 15)
     centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
     r, h, vs = config.particle_radius, grid.column_heights, 0.1
+    few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
     out = {
         "step_empty_us": (lambda: wt.step(burst, placed, heatmap), 200),
-        "query_batch_30_us": (lambda: wt._query_batch(centers, r, h, vs), 100),
+        "query_30_us": (lambda: wt.contact_query(centers, r, h, vs), 100),
+        "query_1_to_4_us": (lambda: wt.contact_query(next(few), r, h, vs), 100),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
+        "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
         "placed_grid_us": (lambda: wt.PlacedGrid(grid, config), 200),
     }
@@ -92,10 +102,7 @@ def main():
                         help="a label and the src directory holding voxwind; repeatable")
     parser.add_argument("--repeats", type=int, default=41)
     args = parser.parse_args()
-    trees = {}
-    for i, spec in enumerate(args.tree):
-        label, src = spec.split("=", 1)
-        trees[label] = cases(*load_tree(f"voxwind_tree{i}", src))
+    trees = {label: cases(tree) for label, tree in parse_trees(args.tree).items()}
     names = list(next(iter(trees.values())))
     samples = {label: {name: [] for name in names} for label in trees}
     for rep in range(args.repeats):

@@ -1,8 +1,9 @@
 """Command-line pipeline: voxelize, simulate, train, report.
 
-Exit codes: 2 file parse failure, 3 config validation failure, 4 training
-failure, 5 report inputs missing. The effective run config (defaults
-resolved) is echoed as config_echo.json beside every output set.
+Exit codes: 2 file parse failure or an --out that cannot be a directory, 3
+config validation failure, 4 training failure, 5 report inputs missing. The
+effective run config (defaults resolved) is echoed as config_echo.json beside
+every output set.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def _build_env(run: RunConfig) -> WindTunnelEnv:
     return WindTunnelEnv(EnvConfig(grid=grid, tunnel=run.tunnel, mask=mask, **settings))
 
 
+def _out_dir_blocked(out: Path) -> str | None:
+    """Why `out` cannot be made an output directory, or None when it can:
+    the nearest of it and its parents that exists must be a directory."""
+    for path in (out, *out.parents):
+        if path.exists():
+            return None if path.is_dir() else f"--out {out}: {path} exists and is not a directory"
+    return None
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -160,12 +170,16 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"simulate: cannot load grid {args.grid}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    out = Path(args.out)
+    blocked = _out_dir_blocked(out)
+    if blocked:
+        print(f"simulate: {blocked}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         result = run_simulation(grid, run.tunnel)
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "simresult.csv").write_text(simresult_to_csv(result))
     (out / "heatmap.csv").write_text(heatmap_to_csv(result.heatmap))
@@ -184,6 +198,10 @@ def cmd_train(args) -> int:
         print(f"train: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
+    blocked = _out_dir_blocked(out)
+    if blocked:
+        print(f"train: {blocked}", file=sys.stderr)
+        return EXIT_PARSE
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(config_echo_json(run))
     try:

@@ -146,9 +146,19 @@ def grid_origin(grid: VoxelGrid, config: TunnelConfig) -> np.ndarray:
     return np.array([ox, oy, 0.0])
 
 
-def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
+def _zero_padded(heights: np.ndarray, margin: int) -> np.ndarray:
+    """The (W, L) column heights with `margin` zero columns on every side."""
+    w, l = heights.shape
+    z = np.zeros((w + 2 * margin, l + 2 * margin), dtype=np.int64)
+    z[margin:margin + w, margin:margin + l] = heights
+    return z
+
+
+def neighborhood_reach(grid: VoxelGrid, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The near test's table, one cell per column over the grid grown by
-    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1.
+    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1;
+    and the zero-padded heights it is built over, a margin of m = 2k + 1
+    zero columns on every side.
 
     A cell holds `radius` above the tallest column within k columns of it,
     or -inf where that window holds no voxel, as the outer ring's never does.
@@ -157,11 +167,9 @@ def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
     """
     vs = grid.voxel_size
     k = math.ceil(radius / vs)
-    h = grid.column_heights
-    w, l = h.shape
+    w, l = grid.width, grid.length
     m = 2 * k + 1   # the window's width, and the zero margin on each side
-    z = np.zeros((w + 2 * m, l + 2 * m), dtype=np.int64)
-    z[m:m + w, m:m + l] = h
+    z = _zero_padded(grid.column_heights, m)
     tw, tl = w + m + 1, l + m + 1   # the grid grown by k + 1 columns a side
     along_x = z[:tw].copy()
     for s in range(1, m):
@@ -169,7 +177,7 @@ def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
     top = along_x[:, :tl].copy()
     for s in range(1, m):
         np.maximum(top, along_x[:, s:s + tl], out=top)
-    return np.where(top > 0, top * vs + radius, -np.inf)
+    return np.where(top > 0, top * vs + radius, -np.inf), z
 
 
 def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
@@ -199,19 +207,19 @@ SMALL_BATCH = 4
 MAX_CANDIDATES = 1 << 16
 
 
-def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: np.ndarray,
-                  vs: float):
+def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: list, vs: float):
     """Scalar core of the contact query, one sphere in Python floats, as
     `_step_each` takes it: the minimal (closest-point distance squared,
-    x, y, z) tuple over the candidate voxels, or None.
+    x, y, z) tuple over the candidate voxels, or None. `heights` is the
+    (W, L) column heights as nested lists, `heights[ix][iy]`.
 
     Only voxels whose axis slabs overlap the sphere are scanned; the
     lexicographic key breaks distance ties toward the lowest index.
     """
     x_lo = max(int(math.floor((cx - radius) / vs)), 0)
-    x_hi = min(int(math.floor((cx + radius) / vs)), heights.shape[0] - 1)
+    x_hi = min(int(math.floor((cx + radius) / vs)), len(heights) - 1)
     y_lo = max(int(math.floor((cy - radius) / vs)), 0)
-    y_hi = min(int(math.floor((cy + radius) / vs)), heights.shape[1] - 1)
+    y_hi = min(int(math.floor((cy + radius) / vs)), len(heights[0]) - 1)
     if x_lo > x_hi or y_lo > y_hi:
         return None
     z_lo = max(int(math.floor((cz - radius) / vs)), 0)
@@ -221,8 +229,9 @@ def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: np.nd
         bx0 = ix * vs
         qx = min(max(cx, bx0), bx0 + vs)
         ddx = (cx - qx) ** 2
+        column = heights[ix]
         for iy in range(y_lo, y_hi + 1):
-            h = int(heights[ix, iy])
+            h = column[iy]
             if h == 0:
                 continue
             by0 = iy * vs
@@ -264,47 +273,65 @@ def _window_offsets(k: int) -> np.ndarray:
     return _read_only(np.indices((k, k, k)).reshape(3, -1).T.copy())
 
 
-def _query_batch(centers, radius, heights, vs) -> Contacts:
-    """The contact query for every sphere in one numpy evaluation.
+def _query_batch(centers, radius, padded, vs):
+    """The contact query for every sphere in one numpy evaluation: the
+    (rows, voxel, axis, sign, penetration) arrays of a `Contacts` record, or
+    None when no sphere touches a voxel.
 
-    Each sphere's candidate voxels span the same (x, y, z) windows the scalar
-    core scans, laid out in (ix, iy, iz) order; per axis there are at most
-    ceil(2 * radius / vs) + 2 of them. Distances use the scalar core's float
+    `padded` holds the column heights from the grid's (0, 0) corner on, with
+    at least one zero column past its last x and its last y column, so one
+    clamp into its bounds reads every candidate column, and any column off
+    the grid reads as empty. Each sphere's candidate voxels span the same
+    (x, y, z) windows the scalar core scans, laid out in (ix, iy, iz) order;
+    per axis there are at most ceil(2 * radius / vs) + 2 of them. A voxel
+    past the end of a sphere's own window gets an infinite distance on that
+    axis: the window cannot simply go, as fl(idx * vs) can land within c + r
+    while floor((c + r) / vs) < idx. Distances use the scalar core's float
     expressions, and a first-occurrence argmin over the candidates repeats
-    its (d2, ix, iy, iz) tie-break, so both agree bit for bit. The argmin runs
-    only over the spheres whose least distance is within the radius; a batch
-    with none of those returns at once.
+    its (d2, ix, iy, iz) tie-break, so both agree bit for bit.
     """
     m = len(centers)
-    w, l = heights.shape
     lo = np.maximum(np.floor((centers - radius) / vs).astype(np.int64), 0)
     hi = np.floor((centers + radius) / vs).astype(np.int64)
-    np.minimum(hi[:, :2], (w - 1, l - 1), out=hi[:, :2])
-    k = max(int((hi - lo).max()) + 1, 0)   # one window length for all three axes
-    if k == 0:
-        return NO_CONTACTS
+    k = int((hi - lo).max()) + 1   # one window length for all three axes
+    if k <= 0:
+        return None
     idx = lo[:, None, :] + np.arange(k)[:, None]            # (m, k, axis)
     b0 = idx * vs
     c = centers[:, None, :]
     dd = (c - np.minimum(np.maximum(c, b0), b0 + vs)) ** 2
-    ok = idx <= hi[:, None, :]
-    ix, iy, iz = idx[:, :, 0], idx[:, :, 1], idx[:, :, 2]
-    col = (np.minimum(ix, w - 1)[:, :, None], np.minimum(iy, l - 1)[:, None, :])
-    # Voxel iz of a candidate column is a candidate while iz < min(h, z_hi + 1).
-    top = np.minimum(heights[col], hi[:, 2, None, None] + 1)
-    top *= ok[:, :, 0, None] & ok[:, None, :, 1]
+    np.putmask(dd, idx > hi[:, None, :], np.inf)
+    w, l = padded.shape
+    col = np.minimum(idx[:, :, :2], (w - 1, l - 1))
+    top = padded[col[:, :, None, 0], col[:, None, :, 1]]    # (m, k, k)
     d2 = (dd[:, :, None, 0] + dd[:, None, :, 1])[..., None] + dd[:, None, None, :, 2]
-    d2[iz[:, None, None, :] >= top[..., None]] = np.inf
+    np.putmask(d2, idx[:, None, None, :, 2] >= top[..., None], np.inf)
     d2 = d2.reshape(m, -1)
-    rows = np.flatnonzero(d2.min(axis=1) < radius * radius)
+    best = d2.argmin(axis=1)
+    rows = (d2[np.arange(m), best] < radius * radius).nonzero()[0]
     if rows.size == 0:
-        return NO_CONTACTS
-    voxel = lo[rows] + _window_offsets(k)[d2[rows].argmin(axis=1)]
+        return None
+    voxel = lo[rows] + _window_offsets(k)[best[rows]]
     d = centers[rows] - (voxel + 0.5) * vs
     pens = (radius + 0.5 * vs) - np.abs(d)
     axis = pens.argmin(axis=1)
-    sign = np.where(d[np.arange(len(rows)), axis] >= 0, 1.0, -1.0)
-    return Contacts(rows, voxel, axis, sign, pens.min(axis=1))
+    n = np.arange(len(rows))
+    return rows, voxel, axis, np.where(d[n, axis] >= 0, 1.0, -1.0), pens[n, axis]
+
+
+def _query(centers, radius, padded, vs):
+    """`_query_batch` in chunks of at most MAX_CANDIDATES candidate voxels."""
+    m = len(centers)
+    window = math.ceil(2.0 * radius / vs) + 2
+    size = max(1, MAX_CANDIDATES // window ** 3)
+    if m <= size:
+        return _query_batch(centers, radius, padded, vs)
+    parts = []
+    for start in range(0, m, size):
+        part = _query_batch(centers[start:start + size], radius, padded, vs)
+        if part is not None:
+            parts.append((part[0] + start, *part[1:]))
+    return tuple(np.concatenate(a) for a in zip(*parts)) if parts else None
 
 
 def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Contacts:
@@ -321,17 +348,8 @@ def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Con
     in chunks of at most MAX_CANDIDATES candidate voxels.
     """
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    heights = np.asarray(heights)
-    m = len(centers)
-    window = math.ceil(2.0 * radius / vs) + 2
-    size = max(1, MAX_CANDIDATES // window ** 3)
-    if m <= size:
-        return _query_batch(centers, radius, heights, vs)
-    parts = [_query_batch(centers[start:start + size], radius, heights, vs)
-             for start in range(0, m, size)]
-    particle = np.concatenate([p.particle + start for p, start in zip(parts, range(0, m, size))])
-    return Contacts(particle, *(np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("voxel", "axis", "sign", "penetration")))
+    found = _query(centers, radius, _zero_padded(np.asarray(heights), 1)[1:, 1:], vs)
+    return NO_CONTACTS if found is None else Contacts(*found)
 
 
 class PlacedGrid:
@@ -345,6 +363,8 @@ class PlacedGrid:
     strict contact test finds none; every farther cell clamps onto the -inf
     outer ring. The table therefore admits every row that can touch a voxel,
     and maybe some that cannot. (The argument holds in exact arithmetic.)
+    `padded` is the zero-padded heights the table is built over, seen from
+    the grid's (0, 0) corner, as `_query_batch` reads them.
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
@@ -353,8 +373,10 @@ class PlacedGrid:
         self.voxel_size = grid.voxel_size
         self.origin = grid_origin(grid, config)
         self.domain = np.array(config.domain_size)
-        self.reach = neighborhood_reach(grid, config.particle_radius)
+        self.reach, padded = neighborhood_reach(grid, config.particle_radius)
         self.pad = (self.reach.shape[0] - grid.width) // 2
+        margin = (padded.shape[0] - grid.width) // 2
+        self.padded = padded[margin:, margin:]
         self.cell_max = np.array(self.reach.shape) - 1
 
 
@@ -363,23 +385,22 @@ def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
     """Reflect and pop out the spheres at `centers` (burst rows `rows`) that
     touch a voxel while moving into it; tally them into `heatmap`."""
     config = placed.config
-    contacts = contact_query(centers, config.particle_radius, placed.heights,
-                             placed.voxel_size)
-    if not len(contacts):
+    found = _query(centers, config.particle_radius, placed.padded, placed.voxel_size)
+    if found is None:
         return NO_CONTACTS
-    i = rows[contacts.particle]
-    voxel, axis, sign, pen = contacts.voxel, contacts.axis, contacts.sign, contacts.penetration
-    v = burst.velocity[i]
-    vn = sign * v[np.arange(len(i)), axis]
-    hit = np.flatnonzero(vn < 0.0)  # separating contacts get no impulse and no row
+    touching, voxel, axis, sign, pen = found
+    i = rows[touching]
+    vn = sign * burst.velocity[i, axis]
+    hit = (vn < 0.0).nonzero()[0]  # separating contacts get no impulse and no row
     if hit.size == 0:
         return NO_CONTACTS
     if hit.size < len(i):
-        i, voxel, axis, sign, pen, v, vn = (a[hit] for a in (i, voxel, axis, sign, pen, v, vn))
+        i, voxel, axis, sign, pen, vn = (a[hit] for a in (i, voxel, axis, sign, pen, vn))
+    v = burst.velocity[i]   # the impact speed is read before the bounce
+    speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
     burst.velocity[i, axis] -= (1.0 + config.restitution) * vn * sign
     burst.position[i, axis] += sign * pen  # pop out of the face
     np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
-    speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
     return Contacts(i, voxel, axis, sign, pen, speed)
 
 
@@ -391,8 +412,9 @@ def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Conta
     restitution. A live particle is near when its height is below the
     `placed.reach` entry of its column cell, one table lookup per row; the
     table admits every row that can touch a voxel (see `PlacedGrid`). The
-    near particles take one `contact_query` with the one particle radius and
-    the one grid of heights. One contact at most per particle per step;
+    near particles take one contact query (`_query_batch`, chunked as in
+    `contact_query`) with the one particle radius over `placed.padded`, and
+    `_bounce` resolves its rows. One contact at most per particle per step;
     contacts come back in particle-row order and tally into `heatmap`.
     Particles leaving the domain are marked dead. Dead particles drift on but
     are never near, so they never collide again and their velocity, from
@@ -431,7 +453,8 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     such a row, like a NaN or infinite one, is not near.
     """
     config = placed.config
-    dt, r, vs, heights = config.dt, config.particle_radius, placed.voxel_size, placed.heights
+    dt, r, vs = config.dt, config.particle_radius, placed.voxel_size
+    heights = placed.heights.tolist()
     bounce = 1.0 + config.restitution
     ox, oy, oz = placed.origin.tolist()
     dx, dy, dz = placed.domain.tolist()

@@ -5,11 +5,14 @@ import pytest
 
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
+    NO_CONTACTS,
+    Contacts,
     PlacedGrid,
     SimResult,
     TunnelConfig,
     _best_overlap,
     _face_normal,
+    _query_batch,
     collision_count_metric,
     drag_force,
     spawn_burst,
@@ -93,7 +96,7 @@ def scalar_contact(center, radius, grid):
     or None."""
     cx, cy, cz = (float(v) for v in center)
     vs = grid.voxel_size
-    best = _best_overlap(cx, cy, cz, radius, grid.column_heights, vs)
+    best = _best_overlap(cx, cy, cz, radius, grid.column_heights.tolist(), vs)
     if best is None:
         return None
     _, ix, iy, iz = best
@@ -101,6 +104,15 @@ def scalar_contact(center, radius, grid):
     normal = np.zeros(3)
     normal[axis] = sign
     return (ix, iy, iz), normal
+
+
+def batch_query(centers, radius, heights, vs):
+    """One `_query_batch` call, unchunked, over the (W, L) `heights` with the
+    zero column past each high edge that it reads, as a Contacts record."""
+    padded = np.pad(np.asarray(heights, dtype=np.int64), ((0, 1), (0, 1)))
+    found = _query_batch(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius,
+                         padded, vs)
+    return NO_CONTACTS if found is None else Contacts(*found)
 
 
 def contacts_per_sphere(contacts, m):

@@ -426,6 +426,42 @@ class TestNonFiniteVoxelSize:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"])
+class TestOutIsAFile:
+    # An --out that is an existing file, or lies under one, cannot become the
+    # output directory: one line and exit 2, before anything is simulated or
+    # trained, and the file is left as it was.
+    def out_path(self, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        return taken, taken / below if below else taken
+
+    def refuse(self, monkeypatch, name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(f"voxwind.cli.{name}", refused)
+
+    def test_simulate_exits_2(self, tmp_path, capsys, monkeypatch, below):
+        taken, out = self.out_path(tmp_path, below)
+        self.refuse(monkeypatch, "run_simulation")
+        grid = write_wedge_grid(tmp_path / "grid.csv")
+        config = write_config(tmp_path / "run.json", base_config())
+        assert main(["simulate", "--grid", grid, "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"simulate: --out {out}: {taken} exists and is not a directory\n")
+        assert taken.read_text() == "keep\n"
+
+    def test_train_exits_2(self, tmp_path, capsys, monkeypatch, below):
+        taken, out = self.out_path(tmp_path, below)
+        self.refuse(monkeypatch, "train")
+        config = write_config(tmp_path / "run.json", base_config())
+        assert main(["train", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"train: --out {out}: {taken} exists and is not a directory\n")
+        assert taken.read_text() == "keep\n"
+
+
 DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "
                     "update at training step 8\n")
 

@@ -14,6 +14,8 @@ from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
 from voxwind.windtunnel import (
     SMALL_BATCH,
     ParticleBurst,
+    _best_overlap,
+    _face_normal,
     PlacedGrid,
     SimResult,
     TunnelConfig,
@@ -33,6 +35,7 @@ from voxwind.windtunnel import (
 )
 
 from conftest import (
+    batch_query,
     contacts_per_sphere,
     desk_tunnel,
     oracle_agrees,
@@ -370,6 +373,70 @@ class TestNearTable:
         assert ring_contacts > 0
 
 
+def boundary_coordinate(data, vs, r, n):
+    """One centre coordinate for a grid n voxels long: an exact multiple j * vs,
+    one ulp either side of it, the sphere's surface on such a boundary
+    (j * vs -+ r) or one ulp off it, or a uniform value; out to 3 voxels
+    beyond the grid on either side."""
+    j = data.draw(st.integers(-3, n + 3))
+    kind = data.draw(st.sampled_from(["multiple", "ulp", "surface", "surface_ulp", "uniform"]))
+    if kind == "uniform":
+        return data.draw(st.floats(-3 * vs, (n + 3) * vs))
+    x = j * vs
+    if kind.startswith("surface"):
+        x = x + data.draw(st.sampled_from([-r, r]))
+    if kind.endswith("ulp"):
+        x = float(np.nextafter(x, data.draw(st.sampled_from([-np.inf, np.inf]))))
+    return x
+
+
+class TestQueryBatchProperty:
+    @given(data=st.data(), vs=st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.05, 0.2),
+           ratio=st.floats(0.1, 3.0), m=st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_core_sphere_by_sphere(self, data, vs, ratio, m):
+        # Every row of one `_query_batch` call is the scalar core's contact for
+        # that sphere, voxel, axis, sign and penetration, bit for bit; the
+        # coordinates sit on and one ulp off voxel boundaries, where the
+        # sphere's own window decides which voxels are candidates.
+        r = ratio * vs
+        w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
+        heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                              max_size=w * l))).reshape(w, l)
+        for edge in data.draw(st.sets(st.sampled_from(["-x", "+x", "-y", "+y"]))):
+            heights[{"-x": (0, slice(None)), "+x": (-1, slice(None)),
+                     "-y": (slice(None), 0), "+y": (slice(None), -1)}[edge]] = 0
+        centers = np.array([[boundary_coordinate(data, vs, r, n) for n in (w, l, h_max)]
+                            for _ in range(m)])
+        got = batch_query(centers, r, heights, vs)
+        rows = {int(i): (tuple(int(v) for v in voxel), int(axis), float(sign), float(pen))
+                for i, voxel, axis, sign, pen in zip(got.particle, got.voxel, got.axis,
+                                                      got.sign, got.penetration)}
+        for i, (cx, cy, cz) in enumerate(centers.tolist()):
+            best = _best_overlap(cx, cy, cz, r, heights.tolist(), vs)
+            want = None
+            if best is not None:
+                _, ix, iy, iz = best
+                axis, sign, pen = _face_normal(cx, cy, cz, ix, iy, iz, r, vs)
+                want = ((ix, iy, iz), axis, sign, pen)
+            assert rows.get(i) == want, (i, centers[i])
+
+
+    def test_window_keeps_out_a_voxel_whose_rounded_face_is_in_reach(self):
+        # fl(31 * 0.15) = 4.6499999999999995 is below 31 * 0.15, so a sphere
+        # at x = 4.6125 with r = 0.0375 comes closer than r to voxel 31's -x
+        # face in floats; yet floor((x + r) / vs) = 30, so voxel 31 lies
+        # outside its own window and the scalar core never looks at it. y on
+        # a voxel boundary makes the batch's window two voxels wide.
+        vs, r = 0.15, 0.0375
+        heights = np.zeros((32, 2), dtype=np.int64)
+        heights[31] = 1
+        center = np.array([[4.6125, 0.15, 0.075]])
+        assert math.floor((4.6125 + r) / vs) == 30 and (4.6125 - 31 * vs) ** 2 < r * r
+        assert _best_overlap(*center[0].tolist(), r, heights.tolist(), vs) is None
+        assert len(batch_query(center, r, heights, vs)) == 0
+
+
 class TestStrictRadius:
     # vs = 0.5 and r = 0.25 are binary fractions, so a sphere exactly r from
     # a voxel face has closest-point distance squared exactly r * r
@@ -387,7 +454,7 @@ class TestStrictRadius:
     @pytest.mark.parametrize("query", ["contact_query", "_query_batch"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_query_is_strict(self, query, center, toward, axis, sign):
-        fn = getattr(windtunnel, query)
+        fn = contact_query if query == "contact_query" else batch_query
         at_r = np.array([center])
         assert len(fn(at_r, self.R, self.GRID.column_heights, self.VS)) == 0
         inside = np.nextafter(at_r, [toward])
@@ -603,7 +670,7 @@ class TestReach:
     def test_reach_covers_neighbors(self):
         # k = 1, so cell c is column c - 2 and sees columns c - 3 .. c - 1
         grid = VoxelGrid(3, 3, 8, 0.1, np.array([[0, 0, 0], [0, 8, 0], [0, 0, 0]]))
-        reach = neighborhood_reach(grid, 0.05)
+        reach, _ = neighborhood_reach(grid, 0.05)
         assert reach.shape == (7, 7)
         assert reach[2, 2] == reach[4, 4] == 8 * 0.1 + 0.05  # adjacent to the tall column
         assert reach[1, 3] == reach[0, 0] == -np.inf         # two columns away, or more
@@ -619,7 +686,8 @@ class TestReach:
             h = rng.integers(0, 6, size=(w, l))
             h[rng.uniform(size=(w, l)) < 0.4] = 0
             grid = VoxelGrid(w, l, 5, vs, h)
-            reach = neighborhood_reach(grid, r)
+            reach, padded = neighborhood_reach(grid, r)
+            np.testing.assert_array_equal(padded, np.pad(h, 2 * k + 1))
             pad = k + 1
             want = np.full((w + 2 * pad, l + 2 * pad), -np.inf)
             for cx, cy in np.ndindex(want.shape):
