@@ -1,9 +1,9 @@
 """Command-line pipeline: voxelize, simulate, train, report.
 
-Exit codes: 2 file parse failure or an --out that cannot be a directory, 3
-config validation failure, 4 training failure, 5 report inputs missing. The
-effective run config (defaults resolved) is echoed as config_echo.json beside
-every output set.
+Exit codes: 2 file parse failure, bad argument or an --out that cannot be
+written, 3 config validation failure, 4 training failure, 5 report inputs
+missing. simulate and train echo the effective run config (defaults resolved)
+as config_echo.json beside their outputs.
 """
 
 from __future__ import annotations
@@ -125,13 +125,30 @@ def _build_env(run: RunConfig) -> WindTunnelEnv:
     return WindTunnelEnv(EnvConfig(grid=grid, tunnel=run.tunnel, mask=mask, **settings))
 
 
-def _out_dir_blocked(out: Path) -> str | None:
-    """Why `out` cannot be made an output directory, or None when it can:
-    the nearest of it and its parents that exists must be a directory."""
-    for path in (out, *out.parents):
+def _out_blocked(out: Path, file: bool = False) -> str | None:
+    """Why `out` cannot be written as an output directory, or as an output
+    file when `file`, or None when it can. A directory is made with its missing
+    parents, so the nearest of it and its parents that exists must be a
+    directory. A file is not a directory, and its parent must already be one."""
+    where = out
+    if file:
+        if out.is_dir():
+            return f"--out {out}: is a directory"
+        if not out.parent.exists():
+            return f"--out {out}: {out.parent} does not exist"
+        where = out.parent
+    for path in (where, *where.parents):
         if path.exists():
             return None if path.is_dir() else f"--out {out}: {path} exists and is not a directory"
     return None
+
+
+def _table_cell(text: str) -> str:
+    """A --name that fills one comparison-table cell as it stands."""
+    if any(c in text for c in ',"\r\n'):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must not hold a comma, a double quote or a line break")
+    return text
 
 
 # --- commands -----------------------------------------------------------------
@@ -147,6 +164,10 @@ def cmd_voxelize(args) -> int:
         hm = load_heightmap(data)
     except PgmParseError as exc:
         print(f"voxelize: cannot parse {args.input}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    blocked = _out_blocked(Path(args.out), file=True)
+    if blocked:
+        print(f"voxelize: {blocked}", file=sys.stderr)
         return EXIT_PARSE
     try:
         grid = voxelise(hm, args.h_max, args.voxel_size)
@@ -171,7 +192,7 @@ def cmd_simulate(args) -> int:
         print(f"simulate: cannot load grid {args.grid}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out = Path(args.out)
-    blocked = _out_dir_blocked(out)
+    blocked = _out_blocked(out)
     if blocked:
         print(f"simulate: {blocked}", file=sys.stderr)
         return EXIT_PARSE
@@ -198,7 +219,7 @@ def cmd_train(args) -> int:
         print(f"train: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
-    blocked = _out_dir_blocked(out)
+    blocked = _out_blocked(out)
     if blocked:
         print(f"train: {blocked}", file=sys.stderr)
         return EXIT_PARSE
@@ -249,6 +270,10 @@ def cmd_report(args) -> int:
     if not after:
         print(f"report: no simresult_<mode>.csv files under {after_dir}", file=sys.stderr)
         return EXIT_REPORT
+    blocked = _out_blocked(Path(args.out), file=True)
+    if blocked:
+        print(f"report: {blocked}", file=sys.stderr)
+        return EXIT_PARSE
     rows = []
     for metric in METRIC_NAMES:
         rows.append(ComparisonRow(
@@ -301,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--after", required=True,
                        help="directory containing simresult_<mode>.csv files")
     p_rep.add_argument("--out", required=True, help="output table CSV path")
-    p_rep.add_argument("--name", default="design", help="design name for the car column")
+    p_rep.add_argument("--name", type=_table_cell, default="design",
+                       help="design name for the car column")
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -24,33 +24,16 @@ class Mlp:
     """Affine + tanh stack with an identity output layer.
 
     Weights are (fan_in, fan_out); forward works on a single vector or a
-    (batch, dim) array. Forward passes on shared params are read-only and
-    safe to run concurrently.
+    (batch, dim) array.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator | None = None):
+    def __init__(self, sizes, rng: np.random.Generator):
         sizes = [int(s) for s in sizes]
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output size")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.sizes = sizes
         self.weights = [xavier_uniform(a, b, rng) for a, b in zip(sizes, sizes[1:])]
         self.biases = [np.zeros(b, dtype=np.float64) for b in sizes[1:]]
-
-    @classmethod
-    def from_layers(cls, layers) -> "Mlp":
-        """Build from [(weight, bias), ...] pairs; dimensions must chain."""
-        weights = [np.asarray(w, dtype=np.float64) for w, _ in layers]
-        biases = [np.asarray(b, dtype=np.float64) for _, b in layers]
-        sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        net = cls(sizes)
-        net.weights = weights
-        net.biases = biases
-        for w, b, a, o in zip(weights, biases, sizes, sizes[1:]):
-            if w.shape != (a, o) or b.shape != (o,):
-                raise ValueError("layer dimensions do not chain")
-        return net
 
     @property
     def params(self) -> list:
@@ -105,13 +88,6 @@ class GaussianPolicy:
 
     mean_net: Mlp
     log_std: np.ndarray
-
-    def __post_init__(self):
-        self.log_std = np.asarray(self.log_std, dtype=np.float64)
-        if not np.all(np.isfinite(self.log_std)):
-            raise ValueError("log_std must be finite")
-        if self.log_std.shape != (self.mean_net.sizes[-1],):
-            raise ValueError("log_std length must equal the mean net output dim")
 
     @classmethod
     def create(cls, obs_dim: int, act_dim: int, hidden, log_std_init: float,
@@ -199,14 +175,7 @@ def _mlp_doc(net: Mlp) -> dict:
     }
 
 
-def _mlp_from_doc(doc: dict) -> Mlp:
-    layers = [(layer["weight"], layer["bias"]) for layer in doc["layers"]]
-    return Mlp.from_layers(layers)
-
-
-def _adam_doc(state: AdamState | None):
-    if state is None:
-        return None
+def _adam_doc(state: AdamState) -> dict:
     return {
         "t": state.t,
         "beta1": state.beta1,
@@ -217,45 +186,16 @@ def _adam_doc(state: AdamState | None):
     }
 
 
-def _adam_from_doc(doc) -> AdamState | None:
-    if doc is None:
-        return None
-    return AdamState(
-        m=[np.asarray(a, dtype=np.float64) for a in doc["m"]],
-        v=[np.asarray(a, dtype=np.float64) for a in doc["v"]],
-        t=int(doc["t"]),
-        beta1=float(doc["beta1"]),
-        beta2=float(doc["beta2"]),
-        eps=float(doc["eps"]),
-    )
-
-
-def save_checkpoint(path, policy: GaussianPolicy, value_net: Mlp,
-                    policy_opt: AdamState | None = None,
-                    value_opt: AdamState | None = None,
-                    config: dict | None = None) -> None:
-    """Write a JSON checkpoint. Finite doubles survive save/load bit-exactly
-    because json renders them with shortest round-trip repr."""
+def save_checkpoint(path, policy: GaussianPolicy, value_net: Mlp, policy_opt: AdamState,
+                    value_opt: AdamState, config: dict) -> None:
+    """Write a JSON checkpoint. json renders finite doubles in their shortest
+    round-trip repr, so every array reads back bit-exactly."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config": config or {},
+        "config": config,
         "policy": {**_mlp_doc(policy.mean_net), "log_std": policy.log_std.tolist()},
         "value": _mlp_doc(value_net),
         "optimizer": {"policy": _adam_doc(policy_opt), "value": _adam_doc(value_opt)},
     }
     Path(path).write_text(json.dumps(doc))
 
-
-def load_checkpoint(path) -> dict:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    policy = GaussianPolicy(_mlp_from_doc(doc["policy"]),
-                            np.asarray(doc["policy"]["log_std"], dtype=np.float64))
-    return {
-        "policy": policy,
-        "value": _mlp_from_doc(doc["value"]),
-        "policy_opt": _adam_from_doc(doc["optimizer"]["policy"]),
-        "value_opt": _adam_from_doc(doc["optimizer"]["value"]),
-        "config": doc["config"],
-    }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -270,10 +270,7 @@ def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.M
 @dataclass
 class TrainResult:
     policy: nn.GaussianPolicy
-    value_net: nn.Mlp
-    policy_opt: nn.AdamState
-    value_opt: nn.AdamState
-    trace: list = field(default_factory=list)
+    trace: list
 
 
 def train(env, config: PpoConfig, checkpoint_dir=None) -> TrainResult:
@@ -353,7 +350,7 @@ def train(env, config: PpoConfig, checkpoint_dir=None) -> TrainResult:
         if checkpoint_dir is not None:
             nn.save_checkpoint(checkpoint_dir / "checkpoint_final.json", policy,
                                value_net, policy_opt, value_opt, config=echo)
-    return TrainResult(policy, value_net, policy_opt, value_opt, trace)
+    return TrainResult(policy, trace)
 
 
 def evaluate_policy(env, policy: nn.GaussianPolicy):

@@ -57,26 +57,6 @@ def build_comparison_table(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_comparison_table(text: str):
-    """Inverse of build_comparison_table; improvement cells are ignored."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != TABLE_CSV_HEADER:
-        raise ValueError(f"comparison csv: first line must be '{TABLE_CSV_HEADER}'")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != 3 + 2 * len(MODES):
-            raise ValueError(f"comparison csv: malformed row {ln!r}")
-        optimised = {}
-        for k, mode in enumerate(MODES):
-            cell = cells[3 + 2 * k]
-            if cell:
-                optimised[mode] = float(cell)
-        rows.append(ComparisonRow(car=cells[0], metric=cells[1],
-                                  original=float(cells[2]), optimised=optimised))
-    return rows
-
-
 @dataclass
 class HeatmapExport:
     before_pgm: bytes

@@ -86,11 +86,6 @@ class VoxelGrid:
             self.column_heights.copy(),
         )
 
-    def is_occupied(self, x: int, y: int, z: int) -> bool:
-        if not (0 <= x < self.width and 0 <= y < self.length and 0 <= z < self.h_max):
-            return False
-        return z < int(self.column_heights[x, y])
-
 
 @dataclass
 class VoxelMask:

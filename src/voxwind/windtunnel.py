@@ -103,11 +103,17 @@ class SimResult:
     def __post_init__(self):
         self.heatmap = np.asarray(self.heatmap)
         for name in METRIC_NAMES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _checked_metric(name, getattr(self, name))
 
     def metrics(self) -> dict:
         return {name: float(getattr(self, name)) for name in METRIC_NAMES}
+
+
+def _checked_metric(name: str, value):
+    """`value`, once it is a finite, non-negative reading of metric `name`."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    return value
 
 
 # --- formulas ----------------------------------------------------------------
@@ -610,7 +616,7 @@ def simresult_from_csv(text: str) -> dict:
     cells = lines[1].split(",")
     if len(cells) != len(METRIC_NAMES):
         raise ValueError(f"simresult csv: expected {len(METRIC_NAMES)} values")
-    return {name: float(cell) for name, cell in zip(METRIC_NAMES, cells)}
+    return {name: _checked_metric(name, float(cell)) for name, cell in zip(METRIC_NAMES, cells)}
 
 
 def heatmap_to_csv(tallies: np.ndarray) -> str:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,24 @@ def stepped_simulation(grid, config):
         heightmap_sum=float(heightmap_sum(grid)),
         heatmap=heatmap,
     ), burst
+
+
+def read_checkpoint(path, ppo_config: dict, obs_dim: int, act_dim: int) -> dict:
+    """The checkpoint document at `path`, once its format version, its echo of
+    the PPO config and the shape of every layer are checked."""
+    doc = json.loads(Path(path).read_text())
+    assert doc["format_version"] == 1
+    assert doc["config"] == ppo_config
+    hidden = [ppo_config["hidden_units"]] * ppo_config["hidden_layers"]
+    for key, out_dim in (("policy", act_dim), ("value", 1)):
+        sizes = [obs_dim, *hidden, out_dim]
+        assert doc[key]["sizes"] == sizes
+        assert [np.shape(layer["weight"]) for layer in doc[key]["layers"]] == \
+            list(zip(sizes, sizes[1:]))
+        assert [np.shape(layer["bias"]) for layer in doc[key]["layers"]] == \
+            [(size,) for size in sizes[1:]]
+    assert np.shape(doc["policy"]["log_std"]) == (act_dim,)
+    return doc
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -13,9 +15,7 @@ from hypothesis import strategies as st
 from voxwind.cli import GridSource, RunConfig, SynthSpec, config_echo_json, load_run_config, main
 from voxwind.env import EnvConfig, RewardWeights
 from voxwind.errors import ConfigError
-from voxwind.nn import load_checkpoint
 from voxwind.ppo import PpoConfig
-from voxwind.report import parse_comparison_table
 from voxwind.schema import rules
 from voxwind.voxel import (
     VoxelMask,
@@ -27,6 +27,8 @@ from voxwind.voxel import (
     write_heightmap_pgm,
 )
 from voxwind.windtunnel import TunnelConfig, simresult_from_csv
+
+from conftest import read_checkpoint
 
 
 def base_config():
@@ -210,14 +212,15 @@ class TestTrain:
                      "--out", str(out)]) == 0
         lines = (out / "trace.csv").read_text().splitlines()
         assert len(lines) == 25  # header + 24 steps
-        load_checkpoint(out / "checkpoint_init.json")
-        load_checkpoint(out / "checkpoint_final.json")
+        echo = json.loads((out / "config_echo.json").read_text())
+        # observations: a 4x4 pooled height map and the four metrics; actions: 4x4 controls
+        for name in ("checkpoint_init.json", "checkpoint_final.json"):
+            read_checkpoint(out / name, echo["ppo"], obs_dim=20, act_dim=16)
         grid_from_csv((out / "optimised_grid.csv").read_text())
         simresult_from_csv((out / "simresult_ke_df_vcc.csv").read_text())
         simresult_from_csv((out / "baseline" / "simresult.csv").read_text())
         assert (out / "heatmap_before.pgm").read_bytes().startswith(b"P5")
         assert (out / "heatmap_after.pgm").read_bytes().startswith(b"P5")
-        echo = json.loads((out / "config_echo.json").read_text())
         assert echo["env"]["mode"] == "ke_df_vcc"
 
     def test_zero_steps_initial_checkpoint_only(self, tmp_path):
@@ -426,6 +429,14 @@ class TestNonFiniteVoxelSize:
         assert not out.exists()
 
 
+def refuse(monkeypatch, name):
+    """Make `voxwind.cli.<name>` fail the test if it is called."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(f"voxwind.cli.{name}", refused)
+
+
 @pytest.mark.parametrize("below", ["", "sub"])
 class TestOutIsAFile:
     # An --out that is an existing file, or lies under one, cannot become the
@@ -436,15 +447,9 @@ class TestOutIsAFile:
         taken.write_text("keep\n")
         return taken, taken / below if below else taken
 
-    def refuse(self, monkeypatch, name):
-        def refused(*args, **kwargs):
-            raise AssertionError(f"{name} ran")
-
-        monkeypatch.setattr(f"voxwind.cli.{name}", refused)
-
     def test_simulate_exits_2(self, tmp_path, capsys, monkeypatch, below):
         taken, out = self.out_path(tmp_path, below)
-        self.refuse(monkeypatch, "run_simulation")
+        refuse(monkeypatch, "run_simulation")
         grid = write_wedge_grid(tmp_path / "grid.csv")
         config = write_config(tmp_path / "run.json", base_config())
         assert main(["simulate", "--grid", grid, "--config", config, "--out", str(out)]) == 2
@@ -454,12 +459,48 @@ class TestOutIsAFile:
 
     def test_train_exits_2(self, tmp_path, capsys, monkeypatch, below):
         taken, out = self.out_path(tmp_path, below)
-        self.refuse(monkeypatch, "train")
+        refuse(monkeypatch, "train")
         config = write_config(tmp_path / "run.json", base_config())
         assert main(["train", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"train: --out {out}: {taken} exists and is not a directory\n")
         assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("case", ["directory", "missing parent", "file parent"])
+class TestOutFileBlocked:
+    # An output file --out that is a directory, or whose parent is missing or
+    # is a file: one line and exit 2, before any work, and nothing is written.
+    def out_path(self, tmp_path, case):
+        taken = tmp_path / "taken"
+        if case == "directory":
+            taken.mkdir()
+            return taken, f"--out {taken}: is a directory"
+        out = taken / "g.csv"
+        if case == "missing parent":
+            return out, f"--out {out}: {taken} does not exist"
+        taken.write_text("keep\n")
+        return out, f"--out {out}: {taken} exists and is not a directory"
+
+    def test_voxelize_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        out, message = self.out_path(tmp_path, case)
+        refuse(monkeypatch, "voxelise")
+        pgm = tmp_path / "map.pgm"
+        pgm.write_bytes(write_heightmap_pgm(synth_heightmap("wedge", 8, 4, 1.0)))
+        assert main(["voxelize", "--input", str(pgm), "--h-max", "8",
+                     "--voxel-size", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"voxelize: {message}\n"
+        assert not out.is_file()
+
+    def test_report_exits_2(self, tmp_path, capsys, monkeypatch, case):
+        out, message = self.out_path(tmp_path, case)
+        refuse(monkeypatch, "build_comparison_table")
+        TestReport.write_simresult(tmp_path / "before" / "simresult.csv", 10, 5, 4, 100)
+        TestReport.write_simresult(tmp_path / "after" / "simresult_ke.csv", 9, 5, 4, 100)
+        assert main(["report", "--before", str(tmp_path / "before"),
+                     "--after", str(tmp_path / "after"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"report: {message}\n"
+        assert not out.is_file()
 
 
 DIVERGED_MESSAGE = ("train: non-finite policy or value parameters after the PPO "
@@ -589,7 +630,8 @@ def test_any_json_document_loads_or_raises_config_error(tmp_path_factory, doc):
 
 
 class TestReport:
-    def write_simresult(self, path, drag, ke, cc, hs):
+    @staticmethod
+    def write_simresult(path, drag, ke, cc, hs):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(
             "drag_force,kinetic_energy,collision_count,heightmap_sum\n"
@@ -603,9 +645,12 @@ class TestReport:
         out = tmp_path / "table.csv"
         assert main(["report", "--before", str(tmp_path / "before"),
                      "--after", str(tmp_path / "after"), "--out", str(out)]) == 0
-        for row in parse_comparison_table(out.read_text()):
-            for mode, value in row.optimised.items():
-                assert value == row.original
+        header, *rows = csv.reader(io.StringIO(out.read_text()))
+        assert len(rows) == 4
+        for cells in rows:
+            assert len(cells) == len(header) == 9
+            assert cells[3::2] == [cells[2]] * 3
+            assert cells[4::2] == ["0.00"] * 3
 
     def test_f1_fixture_reproduces_percentages(self, tmp_path):
         self.write_simresult(tmp_path / "before" / "simresult.csv",
@@ -643,3 +688,32 @@ class TestReport:
         assert main(["report", "--before", str(tmp_path / "nope"),
                      "--after", str(tmp_path / "after"),
                      "--out", str(tmp_path / "t.csv")]) == 5
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_metric_exits_2(self, tmp_path, capsys, side, value):
+        before = tmp_path / "before" / "simresult.csv"
+        after = tmp_path / "after" / "simresult_ke.csv"
+        self.write_simresult(before, 10, 5, 4, 100)
+        self.write_simresult(after, 9, 5, 4, 100)
+        bad = before if side == "before" else after
+        self.write_simresult(bad, 10, value, 4, 100)
+        out = tmp_path / "t.csv"
+        assert main(["report", "--before", str(before.parent), "--after", str(after.parent),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"report: {bad}: kinetic_energy must be finite and non-negative, "
+            f"got {float(value)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["car,v2", 'the "F1" car', "two\nlines", "two\rlines"])
+    def test_name_not_one_cell_exits_2(self, tmp_path, capsys, name):
+        self.write_simresult(tmp_path / "before" / "simresult.csv", 10, 5, 4, 100)
+        self.write_simresult(tmp_path / "after" / "simresult_ke.csv", 9, 5, 4, 100)
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--before", str(tmp_path / "before"),
+                  "--after", str(tmp_path / "after"), "--out", str(out), "--name", name])
+        assert exc.value.code == 2
+        assert "--name" in capsys.readouterr().err
+        assert not out.exists()

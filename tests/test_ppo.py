@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from voxwind.ppo import (
 )
 from voxwind.windtunnel import SimResult
 
+from conftest import read_checkpoint
 from test_nn import central_differences, max_rel_error
 
 
@@ -392,9 +394,11 @@ class TestPpoConfig:
 class TestTrain:
     def test_zero_steps_initial_checkpoint_only(self, tmp_path):
         env = QuadraticBowlEnv()
-        result = train(env, small_config(max_training_steps=0), checkpoint_dir=tmp_path)
+        config = small_config(max_training_steps=0)
+        result = train(env, config, checkpoint_dir=tmp_path)
         assert result.trace == []
-        assert (tmp_path / "checkpoint_init.json").is_file()
+        read_checkpoint(tmp_path / "checkpoint_init.json", asdict(config),
+                        env.observation_dim, env.action_dim)
         assert not (tmp_path / "checkpoint_final.json").exists()
 
     def test_trace_length_matches_steps(self):
@@ -424,11 +428,12 @@ class TestTrain:
             train(FailingEnv(), small_config(max_training_steps=10))
 
     def test_final_checkpoint_written_after_training(self, tmp_path):
-        train(QuadraticBowlEnv(), small_config(max_training_steps=16),
-              checkpoint_dir=tmp_path)
-        assert (tmp_path / "checkpoint_final.json").is_file()
-        loaded = nn.load_checkpoint(tmp_path / "checkpoint_final.json")
-        assert loaded["config"]["max_training_steps"] == 16
+        env = QuadraticBowlEnv()
+        config = small_config(max_training_steps=16)
+        train(env, config, checkpoint_dir=tmp_path)
+        doc = read_checkpoint(tmp_path / "checkpoint_final.json", asdict(config),
+                              env.observation_dim, env.action_dim)
+        assert doc["config"]["max_training_steps"] == 16
 
     def test_trace_csv_format(self, tmp_path):
         result = train(QuadraticBowlEnv(), small_config(max_training_steps=12))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from voxwind.report import (
     build_comparison_table,
     export_heatmap_delta,
     improvement_pct,
-    parse_comparison_table,
 )
 from voxwind.voxel import round_half_away, write_pgm
 from voxwind.windtunnel import heatmap_to_pgm
@@ -56,6 +58,10 @@ class TestImprovementPct:
             assert pct == 0
 
 
+def table_cells(text):
+    return list(csv.reader(io.StringIO(text)))
+
+
 class TestComparisonTable:
     def f1_rows(self):
         return [
@@ -90,13 +96,19 @@ class TestComparisonTable:
 
     def test_round_trip(self):
         text = build_comparison_table(self.f1_rows())
-        again = build_comparison_table(parse_comparison_table(text))
-        assert again == text
+        header, *body = table_cells(text)
+        assert header == TABLE_CSV_HEADER.split(",")
+        rows = [ComparisonRow(cells[0], cells[1], float(cells[2]),
+                              {mode: float(cells[3 + 2 * k])
+                               for k, mode in enumerate(MODES) if cells[3 + 2 * k]})
+                for cells in body]
+        assert build_comparison_table(rows) == text
 
     def test_missing_modes_leave_empty_cells(self):
         text = build_comparison_table(
             [ComparisonRow("x", "drag_force", 10.0, {"ke": 9.0})])
-        cells = text.splitlines()[1].split(",")
+        cells = table_cells(text)[1]
+        assert len(cells) == 3 + 2 * len(MODES)
         assert cells[3] == "9.00"
         assert cells[5] == "" and cells[6] == ""
 
@@ -106,9 +118,13 @@ class TestComparisonTable:
                 [ComparisonRow("x", "drag_force", 10.0, {"bogus": 9.0})])
 
     def test_improvements_never_passed_through(self):
-        # parse drops improvement cells entirely; build recomputes them
-        parsed = parse_comparison_table(build_comparison_table(self.f1_rows()))
-        assert parsed[0].optimised["ke"] == pytest.approx(1786.41)
+        # rows carry no improvements; every impr_ cell is recomputed from its row
+        for row, cells in zip(self.f1_rows(),
+                              table_cells(build_comparison_table(self.f1_rows()))[1:]):
+            for k, mode in enumerate(MODES):
+                value = row.optimised[mode]
+                assert cells[3 + 2 * k] == f"{value:.2f}"
+                assert cells[4 + 2 * k] == f"{improvement_pct(row.original, value):.2f}"
 
 
 class TestHeatmapExport:

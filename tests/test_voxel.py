@@ -227,12 +227,11 @@ class TestApplyHeightDelta:
         for deltas in delta_seq:
             grid = apply_height_delta(grid, deltas, mask)
         np.testing.assert_array_equal(grid.column_heights[frozen], initial[frozen])
-        # solidity: occupancy is a prefix of every column
-        for x in range(3):
-            for y in range(3):
-                occ = [grid.is_occupied(x, y, z) for z in range(grid.h_max)]
-                h = grid.column_heights[x, y]
-                assert occ == [z < h for z in range(grid.h_max)]
+        # solidity: voxel z of column (x, y) is solid iff z < column_heights[x, y],
+        # so every column is a solid prefix of exactly its height
+        occ = np.arange(grid.h_max) < grid.column_heights[:, :, None]
+        assert np.all(occ[:, :, :-1] >= occ[:, :, 1:])
+        np.testing.assert_array_equal(occ.sum(axis=2), grid.column_heights)
 
 
 class TestHeightmapSum:
