@@ -1,7 +1,8 @@
 """Command-line pipeline: voxelize, simulate, train, report.
 
-Exit codes: 2 file parse failure, bad argument or an --out that cannot be
-written, 3 config validation failure, 4 training failure, 5 report inputs
+Commands raise on failure, and `main` alone maps a failure to one stderr line
+and an exit code: 2 file parse failure, bad argument or an --out that cannot
+be written, 3 config validation failure, 4 training failure, 5 report inputs
 missing. simulate and train echo the effective run config (defaults resolved)
 as config_echo.json beside their outputs.
 """
@@ -20,6 +21,7 @@ from .ppo import PpoConfig, evaluate_policy, train, write_trace_csv
 from .report import MODES, ComparisonRow, build_comparison_table, export_heatmap_delta
 from .schema import build, check_fields, defaults, rules, setting
 from .voxel import (
+    H_MAX_LIMIT,
     SYNTH_SHAPES,
     PgmParseError,
     grid_from_csv,
@@ -46,15 +48,19 @@ EXIT_TRAIN = 4
 EXIT_REPORT = 5
 
 
+class CommandError(Exception):
+    """A command's failure, raised as CommandError(exit code, message) for `main` to print."""
+
+
 @dataclass
 class SynthSpec:
     """Analytic stand-in design generated at train time."""
 
     shape: str = setting("wedge", choices=SYNTH_SHAPES)
-    width: int = setting(16, ge=1)
-    length: int = setting(16, ge=1)
+    width: int = setting(16, ge=1, le=4096)
+    length: int = setting(16, ge=1, le=4096)
     amplitude: float = setting(1.0, ge=0.0, le=1.0)
-    h_max: int = setting(8, ge=1)
+    h_max: int = setting(8, ge=1, le=H_MAX_LIMIT)
     voxel_size: float = setting(0.1, gt=0.0)
 
 
@@ -125,22 +131,23 @@ def _build_env(run: RunConfig) -> WindTunnelEnv:
     return WindTunnelEnv(EnvConfig(grid=grid, tunnel=run.tunnel, mask=mask, **settings))
 
 
-def _out_blocked(out: Path, file: bool = False) -> str | None:
-    """Why `out` cannot be written as an output directory, or as an output
-    file when `file`, or None when it can. A directory is made with its missing
-    parents, so the nearest of it and its parents that exists must be a
-    directory. A file is not a directory, and its parent must already be one."""
+def _check_out(out: Path, file: bool = False) -> None:
+    """Raise CommandError (exit 2) unless `out` can be written as an output
+    directory, or as an output file when `file`. A directory is made with its
+    missing parents, so the nearest of it and its parents that exists must be
+    a directory. A file is not a directory, and its parent must already be one."""
     where = out
     if file:
         if out.is_dir():
-            return f"--out {out}: is a directory"
+            raise CommandError(EXIT_PARSE, f"--out {out}: is a directory")
         if not out.parent.exists():
-            return f"--out {out}: {out.parent} does not exist"
+            raise CommandError(EXIT_PARSE, f"--out {out}: {out.parent} does not exist")
         where = out.parent
     for path in (where, *where.parents):
         if path.exists():
-            return None if path.is_dir() else f"--out {out}: {path} exists and is not a directory"
-    return None
+            if not path.is_dir():
+                raise CommandError(EXIT_PARSE, f"--out {out}: {path} exists and is not a directory")
+            return
 
 
 def _table_cell(text: str) -> str:
@@ -154,85 +161,57 @@ def _table_cell(text: str) -> str:
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_voxelize(args) -> int:
+def cmd_voxelize(args) -> None:
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
-        print(f"voxelize: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(EXIT_PARSE, f"cannot read {args.input}: {exc}") from exc
     try:
         hm = load_heightmap(data)
     except PgmParseError as exc:
-        print(f"voxelize: cannot parse {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    blocked = _out_blocked(Path(args.out), file=True)
-    if blocked:
-        print(f"voxelize: {blocked}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(EXIT_PARSE, f"cannot parse {args.input}: {exc}") from exc
+    _check_out(Path(args.out), file=True)
     try:
         grid = voxelise(hm, args.h_max, args.voxel_size)
     except ValueError as exc:
-        print(f"voxelize: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(EXIT_CONFIG, str(exc)) from exc
     Path(args.out).write_text(grid_to_csv(grid))
     print(f"{grid.width}x{grid.length} columns, h_max={grid.h_max}, "
           f"H_s={heightmap_sum(grid)}")
-    return 0
 
 
-def cmd_simulate(args) -> int:
-    try:
-        run = load_run_config(args.config, args.seed)
-    except ConfigError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_simulate(args) -> None:
+    run = load_run_config(args.config, args.seed)
     try:
         grid = grid_from_csv(Path(args.grid).read_text())
     except (OSError, ValueError) as exc:
-        print(f"simulate: cannot load grid {args.grid}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(EXIT_PARSE, f"cannot load grid {args.grid}: {exc}") from exc
     out = Path(args.out)
-    blocked = _out_blocked(out)
-    if blocked:
-        print(f"simulate: {blocked}", file=sys.stderr)
-        return EXIT_PARSE
+    _check_out(out)
     try:
         result = run_simulation(grid, run.tunnel)
     except ValueError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(EXIT_CONFIG, str(exc)) from exc
     out.mkdir(parents=True, exist_ok=True)
     (out / "simresult.csv").write_text(simresult_to_csv(result))
     (out / "heatmap.csv").write_text(heatmap_to_csv(result.heatmap))
     (out / "heatmap.pgm").write_bytes(heatmap_to_pgm(result.heatmap))
     (out / "config_echo.json").write_text(config_echo_json(run))
-    return 0
 
 
-def cmd_train(args) -> int:
-    try:
-        run = load_run_config(args.config, args.seed)
-        if args.mode is not None:
-            run.env["mode"] = ObjectiveMode(args.mode)
-        env = _build_env(run)
-    except ConfigError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_train(args) -> None:
+    run = load_run_config(args.config, args.seed)
+    if args.mode is not None:
+        run.env["mode"] = ObjectiveMode(args.mode)
+    env = _build_env(run)
     out = Path(args.out)
-    blocked = _out_blocked(out)
-    if blocked:
-        print(f"train: {blocked}", file=sys.stderr)
-        return EXIT_PARSE
+    _check_out(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(config_echo_json(run))
-    try:
-        result = train(env, run.ppo, checkpoint_dir=out)
-    except TrainingError as exc:
-        print(f"train: {exc}", file=sys.stderr)
-        return EXIT_TRAIN
+    result = train(env, run.ppo, checkpoint_dir=out)
     write_trace_csv(result.trace, out / "trace.csv")
     if run.ppo.max_training_steps == 0:
-        return 0
+        return
     grid_opt, res_opt = evaluate_policy(env, result.policy)
     (out / "optimised_grid.csv").write_text(grid_to_csv(grid_opt))
     (out / f"simresult_{env.config.mode.value}.csv").write_text(simresult_to_csv(res_opt))
@@ -244,46 +223,30 @@ def cmd_train(args) -> int:
     (out / "heatmap_after.pgm").write_bytes(maps.after_pgm)
     (out / "heatmap_before.csv").write_text(maps.before_csv)
     (out / "heatmap_after.csv").write_text(maps.after_csv)
-    return 0
 
 
-def cmd_report(args) -> int:
+def _read_simresult(path: Path) -> dict:
+    try:
+        return simresult_from_csv(path.read_text())
+    except ValueError as exc:
+        raise CommandError(EXIT_PARSE, f"{path}: {exc}") from exc
+
+
+def cmd_report(args) -> None:
     before_path = Path(args.before) / "simresult.csv"
     if not before_path.is_file():
-        print(f"report: missing {before_path}", file=sys.stderr)
-        return EXIT_REPORT
-    try:
-        before = simresult_from_csv(before_path.read_text())
-    except ValueError as exc:
-        print(f"report: {before_path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        raise CommandError(EXIT_REPORT, f"missing {before_path}")
+    before = _read_simresult(before_path)
     after_dir = Path(args.after)
-    after = {}
-    for mode in MODES:
-        candidate = after_dir / f"simresult_{mode}.csv"
-        if candidate.is_file():
-            try:
-                after[mode] = simresult_from_csv(candidate.read_text())
-            except ValueError as exc:
-                print(f"report: {candidate}: {exc}", file=sys.stderr)
-                return EXIT_PARSE
+    paths = {mode: after_dir / f"simresult_{mode}.csv" for mode in MODES}
+    after = {mode: _read_simresult(path) for mode, path in paths.items() if path.is_file()}
     if not after:
-        print(f"report: no simresult_<mode>.csv files under {after_dir}", file=sys.stderr)
-        return EXIT_REPORT
-    blocked = _out_blocked(Path(args.out), file=True)
-    if blocked:
-        print(f"report: {blocked}", file=sys.stderr)
-        return EXIT_PARSE
-    rows = []
-    for metric in METRIC_NAMES:
-        rows.append(ComparisonRow(
-            car=args.name,
-            metric=metric,
-            original=before[metric],
-            optimised={mode: vals[metric] for mode, vals in after.items()},
-        ))
+        raise CommandError(EXIT_REPORT, f"no simresult_<mode>.csv files under {after_dir}")
+    _check_out(Path(args.out), file=True)
+    rows = [ComparisonRow(car=args.name, metric=metric, original=before[metric],
+                          optimised={mode: vals[metric] for mode, vals in after.items()})
+            for metric in METRIC_NAMES]
     Path(args.out).write_text(build_comparison_table(rows))
-    return 0
 
 
 # --- entry point ----------------------------------------------------------------
@@ -333,8 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Its failure is printed here alone, as one stderr line
+    `<command>: <message>`, and picks the exit code; success returns 0."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+        return 0
+    except CommandError as exc:
+        code, message = exc.args
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, exc
+    except TrainingError as exc:
+        code, message = EXIT_TRAIN, exc
+    print(f"{args.command}: {message}", file=sys.stderr)
+    return code
 
 
 def app() -> None:

@@ -16,6 +16,9 @@ SYNTH_SHAPES = ("flat", "box", "wedge", "half-cylinder")
 GRID_CSV_HEADER = "width,length,h_max,voxel_size"
 MASK_CSV_HEADER = "width,length"
 
+# voxelise's largest h_max: up to it, float64 holds every round(v * h_max) exactly
+H_MAX_LIMIT = 10 ** 15
+
 
 class PgmParseError(ValueError):
     """Malformed PGM input; messages include the offending byte offset."""
@@ -241,7 +244,12 @@ def synth_heightmap(shape: str, width: int, length: int, amplitude: float = 1.0)
 
 def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
     """Convert normalized elevations to integer column heights: round(v * h_max).
-    VoxelGrid rejects h_max < 1 and a voxel_size that is not finite and positive."""
+    h_max must lie in [1, H_MAX_LIMIT], checked before the cast; VoxelGrid
+    rejects a voxel_size that is not finite and positive."""
+    if h_max < 1:
+        raise ValueError("h_max must be at least 1")
+    if h_max > H_MAX_LIMIT:
+        raise ValueError(f"h_max must be at most {H_MAX_LIMIT}, got {h_max}")
     heights = round_half_away(hm.values * h_max)
     return VoxelGrid(hm.width, hm.length, int(h_max), float(voxel_size), heights)
 

@@ -71,6 +71,12 @@ def write_wedge_grid(path):
     return str(path)
 
 
+def assert_stderr_line(capsys, command):
+    """A failed command printed one stderr line, and it starts with its name."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"{command}: "), err
+
+
 class TestVoxelize:
     def test_happy_path_prints_summary(self, tmp_path, capsys):
         pgm = tmp_path / "map.pgm"
@@ -114,10 +120,11 @@ class TestVoxelize:
         assert code == 2
         assert "byte" in capsys.readouterr().err
 
-    def test_missing_input_exits_2(self, tmp_path):
+    def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["voxelize", "--input", str(tmp_path / "nope.pgm"),
                      "--h-max", "8", "--voxel-size", "0.1",
                      "--out", str(tmp_path / "g.csv")]) == 2
+        assert_stderr_line(capsys, "voxelize")
 
 
 class TestSimulate:
@@ -178,12 +185,13 @@ class TestSimulate:
         assert code == 3
         assert "tunnel.air_sped" in capsys.readouterr().err
 
-    def test_bad_grid_exits_2(self, tmp_path):
+    def test_bad_grid_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "run.json", base_config())
         bad = tmp_path / "grid.csv"
         bad.write_text("not,a,grid\n")
         assert main(["simulate", "--grid", str(bad), "--config", config,
                      "--out", str(tmp_path / "sim")]) == 2
+        assert_stderr_line(capsys, "simulate")
 
     def test_seed_flag_changes_result(self, tmp_path):
         grid = write_wedge_grid(tmp_path / "grid.csv")
@@ -362,8 +370,9 @@ class TestOversizedHeaders(CappedRun):
 
 class TestGridAgainstTunnel(CappedRun):
     # A design the tunnel cannot hold fails before any simulation allocates:
-    # a grid wider than the domain, or voxels so small that one sphere's
-    # contact window (and the near test's table) would take gigabytes.
+    # a grid wider than the domain, voxels so small that one sphere's contact
+    # window (and the near test's table) would take gigabytes, or an h_max or
+    # synth size past its bound.
     @pytest.mark.parametrize("voxel_size", ["1e-5", "1e-300"])
     def test_simulate_tiny_voxels(self, tmp_path, voxel_size):
         grid = tmp_path / "grid.csv"
@@ -378,6 +387,9 @@ class TestGridAgainstTunnel(CappedRun):
     @pytest.mark.parametrize("setting, field", [
         (("tunnel", "domain_size", [1.0, 1.8, 0.9]), "tunnel.domain_size"),
         (("env", "synth", "voxel_size", 1e-300), "tunnel.particle_radius"),
+        (("env", "synth", "h_max", 2 ** 63 - 1), "env.synth.h_max"),
+        (("env", "synth", "h_max", 10 ** 21), "env.synth.h_max"),
+        (("env", "synth", "width", 200_000), "env.synth.width"),
     ])
     def test_train_design_does_not_fit(self, tmp_path, setting, field):
         doc = base_config()
@@ -386,6 +398,18 @@ class TestGridAgainstTunnel(CappedRun):
                                write_config(tmp_path / "run.json", doc), "--out", "train")
         self.assert_one_line(proc, 3, f"train: {field}: ")
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("h_max, message", [
+        (2 ** 63 - 1, "voxelize: h_max must be at most "),
+        (-10 ** 21, "voxelize: h_max must be at least 1"),
+    ])
+    def test_voxelize_h_max_out_of_range(self, tmp_path, h_max, message):
+        pgm = tmp_path / "map.pgm"
+        pgm.write_bytes(write_heightmap_pgm(synth_heightmap("wedge", 8, 4, 1.0)))
+        proc = self.run_capped(tmp_path, "voxelize", "--input", str(pgm), "--h-max",
+                               str(h_max), "--voxel-size", "0.1", "--out", "g.csv")
+        self.assert_one_line(proc, 3, message)
+        assert not (tmp_path / "g.csv").exists()
 
 
 @pytest.mark.parametrize("voxel_size", ["nan", "inf"])
@@ -676,18 +700,20 @@ class TestReport:
         assert float(energy[6]) == pytest.approx(37.93, abs=0.01)
         assert float(energy[8]) == pytest.approx(42.02, abs=0.01)
 
-    def test_missing_after_dir_exits_5(self, tmp_path):
+    def test_missing_after_dir_exits_5(self, tmp_path, capsys):
         self.write_simresult(tmp_path / "before" / "simresult.csv", 10, 5, 4, 100)
         assert main(["report", "--before", str(tmp_path / "before"),
                      "--after", str(tmp_path / "missing"),
                      "--out", str(tmp_path / "t.csv")]) == 5
+        assert_stderr_line(capsys, "report")
 
-    def test_missing_before_exits_5(self, tmp_path):
+    def test_missing_before_exits_5(self, tmp_path, capsys):
         (tmp_path / "after").mkdir()
         self.write_simresult(tmp_path / "after" / "simresult_ke.csv", 10, 5, 4, 100)
         assert main(["report", "--before", str(tmp_path / "nope"),
                      "--after", str(tmp_path / "after"),
                      "--out", str(tmp_path / "t.csv")]) == 5
+        assert_stderr_line(capsys, "report")
 
     @pytest.mark.parametrize("side", ["before", "after"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
