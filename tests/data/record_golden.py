@@ -23,7 +23,9 @@ def main() -> int:
             target = GOLDEN_DIR / case
             target.mkdir(parents=True, exist_ok=True)
             for name, data in case_outputs(case, work).items():
-                (target / name).write_bytes(data)
+                path = target / name   # a name may hold a subpath, as baseline/ does
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(data)
             print(f"recorded {case}")
     return 0
 

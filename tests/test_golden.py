@@ -3,7 +3,8 @@ files under tests/data/golden byte for byte.
 
 The files pin the tunnel at 10 and 60 mph on four designs, including a
 0.05 m grid where a sphere spans three columns, and a short masked training
-run. They change only with a deliberate change of outputs: re-record them
+run with its heatmaps, its baseline and optimised results and the
+`voxwind report` table built from them. They change only with a deliberate change of outputs: re-record them
 with `PYTHONPATH=src python tests/data/record_golden.py` and say why in
 CHANGES.md.
 """
@@ -33,7 +34,10 @@ SIM_CASES = [f"{name}_{speed:g}mph" for name in DESIGNS for speed in SPEEDS]
 SIM_FILES = ("simresult.csv", "heatmap.csv")
 
 TRAIN_CASE = "train_masked"
-TRAIN_FILES = ("trace.csv",)
+TRAIN_FILES = ("trace.csv", "heatmap_before.csv", "heatmap_after.csv", "heatmap_before.pgm",
+               "heatmap_after.pgm", "baseline/simresult.csv", "simresult_ke_df_vcc.csv",
+               "optimised_grid.csv")
+REPORT_FILE = "report.csv"
 
 
 def _write_json(path: Path, doc: dict) -> str:
@@ -61,7 +65,8 @@ def simulate_outputs(case: str, work: Path) -> dict:
 
 
 def train_outputs(work: Path) -> dict:
-    """Run a short `voxwind train` with the two leading rows masked."""
+    """Run a short `voxwind train` with the two leading rows masked, then
+    `voxwind report` on its baseline and its result."""
     frozen = np.zeros((16, 16), dtype=bool)
     frozen[:2] = True
     mask_path = work / "mask.csv"
@@ -80,7 +85,11 @@ def train_outputs(work: Path) -> dict:
     out = work / TRAIN_CASE
     code = main(["train", "--config", config, "--mode", "ke_df_vcc", "--out", str(out)])
     assert code == 0
-    return {f: (out / f).read_bytes() for f in TRAIN_FILES}
+    table = work / REPORT_FILE
+    code = main(["report", "--before", str(out / "baseline"), "--after", str(out),
+                 "--out", str(table)])
+    assert code == 0
+    return {**{f: (out / f).read_bytes() for f in TRAIN_FILES}, REPORT_FILE: table.read_bytes()}
 
 
 def case_outputs(case: str, work: Path) -> dict:
