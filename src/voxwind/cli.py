@@ -18,7 +18,7 @@ from pathlib import Path
 from .env import EnvConfig, ObjectiveMode, WindTunnelEnv
 from .errors import ConfigError, TrainingError
 from .ppo import PpoConfig, evaluate_policy, train, write_trace_csv
-from .report import MODES, ComparisonRow, build_comparison_table, export_heatmap_delta
+from .report import MODES, build_comparison_table, export_heatmap_delta
 from .schema import build, check_fields, defaults, rules, setting
 from .voxel import (
     H_MAX_LIMIT,
@@ -33,7 +33,6 @@ from .voxel import (
     voxelise,
 )
 from .windtunnel import (
-    METRIC_NAMES,
     TunnelConfig,
     heatmap_to_csv,
     heatmap_to_pgm,
@@ -218,11 +217,11 @@ def cmd_train(args) -> None:
     baseline_dir = out / "baseline"
     baseline_dir.mkdir(exist_ok=True)
     (baseline_dir / "simresult.csv").write_text(simresult_to_csv(env.baseline))
-    maps = export_heatmap_delta(env.baseline.heatmap, res_opt.heatmap)
-    (out / "heatmap_before.pgm").write_bytes(maps.before_pgm)
-    (out / "heatmap_after.pgm").write_bytes(maps.after_pgm)
-    (out / "heatmap_before.csv").write_text(maps.before_csv)
-    (out / "heatmap_after.csv").write_text(maps.after_csv)
+    before_pgm, after_pgm = export_heatmap_delta(env.baseline.heatmap, res_opt.heatmap)
+    (out / "heatmap_before.pgm").write_bytes(before_pgm)
+    (out / "heatmap_after.pgm").write_bytes(after_pgm)
+    (out / "heatmap_before.csv").write_text(heatmap_to_csv(env.baseline.heatmap))
+    (out / "heatmap_after.csv").write_text(heatmap_to_csv(res_opt.heatmap))
 
 
 def _read_simresult(path: Path) -> dict:
@@ -243,10 +242,7 @@ def cmd_report(args) -> None:
     if not after:
         raise CommandError(EXIT_REPORT, f"no simresult_<mode>.csv files under {after_dir}")
     _check_out(Path(args.out), file=True)
-    rows = [ComparisonRow(car=args.name, metric=metric, original=before[metric],
-                          optimised={mode: vals[metric] for mode, vals in after.items()})
-            for metric in METRIC_NAMES]
-    Path(args.out).write_text(build_comparison_table(rows))
+    Path(args.out).write_text(build_comparison_table(args.name, before, after))
 
 
 # --- entry point ----------------------------------------------------------------

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .env import ObjectiveMode
 from .voxel import write_pgm
-from .windtunnel import heatmap_to_csv, minmax_pixels
+from .windtunnel import minmax_pixels
 
 MODES = tuple(mode.value for mode in ObjectiveMode)
 
@@ -23,50 +21,28 @@ def improvement_pct(original: float, optimised: float) -> float:
     return (optimised - original) / original * 100.0
 
 
-@dataclass
-class ComparisonRow:
-    car: str
-    metric: str
-    original: float
-    optimised: dict = field(default_factory=dict)  # mode name -> optimised value
+def build_comparison_table(car: str, original: dict, optimised: dict) -> str:
+    """Render one row per metric of `original` as CSV with 2-decimal fixed floats.
 
-
-def build_comparison_table(rows) -> str:
-    """Render rows as CSV with 2-decimal fixed floats.
-
-    Improvement columns are always recomputed from the raw original/optimised
-    values, never copied through. Modes absent from a row leave empty cells.
+    `optimised` maps a mode name to its metric dict; a mode it lacks leaves
+    empty cells. Improvement columns are always recomputed from the raw
+    original/optimised values, never copied through.
     """
     lines = [TABLE_CSV_HEADER]
-    for row in rows:
-        for mode in row.optimised:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        cells = [row.car, row.metric, f"{row.original:.2f}"]
+    for metric, value in original.items():
+        cells = [car, metric, f"{value:.2f}"]
         for mode in MODES:
-            if mode in row.optimised:
-                value = float(row.optimised[mode])
-                cells.append(f"{value:.2f}")
-                if row.original != 0:
-                    cells.append(f"{improvement_pct(row.original, value):.2f}")
-                else:
-                    cells.append("")
-            else:
-                cells.extend(["", ""])
+            if mode not in optimised:
+                cells += ["", ""]
+                continue
+            opt = float(optimised[mode][metric])
+            cells += [f"{opt:.2f}", f"{improvement_pct(value, opt):.2f}" if value != 0 else ""]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class HeatmapExport:
-    before_pgm: bytes
-    after_pgm: bytes
-    before_csv: str
-    after_csv: str
-
-
-def export_heatmap_delta(before: np.ndarray, after: np.ndarray) -> HeatmapExport:
-    """Raw tallies as CSV plus a jointly min-max normalised PGM pair.
+def export_heatmap_delta(before: np.ndarray, after: np.ndarray) -> tuple[bytes, bytes]:
+    """The before and after tallies as a jointly min-max normalised PGM pair.
 
     Both images share one scale so their grey levels are comparable; the
     maximum tally across the pair maps to pixel 255.
@@ -75,11 +51,5 @@ def export_heatmap_delta(before: np.ndarray, after: np.ndarray) -> HeatmapExport
     a = np.asarray(after, dtype=np.float64)
     if b.shape != a.shape:
         raise ValueError(f"heatmap dimensions differ: {b.shape} vs {a.shape}")
-    lo = min(float(b.min()), float(a.min()))
-    hi = max(float(b.max()), float(a.max()))
-    return HeatmapExport(
-        before_pgm=write_pgm(minmax_pixels(b, lo, hi), maxval=255, binary=True),
-        after_pgm=write_pgm(minmax_pixels(a, lo, hi), maxval=255, binary=True),
-        before_csv=heatmap_to_csv(before),
-        after_csv=heatmap_to_csv(after),
-    )
+    lo, hi = min(float(b.min()), float(a.min())), max(float(b.max()), float(a.max()))
+    return tuple(write_pgm(minmax_pixels(t, lo, hi), maxval=255, binary=True) for t in (b, a))

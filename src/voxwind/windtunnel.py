@@ -217,10 +217,12 @@ def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: list,
     """Scalar core of the contact query, one sphere in Python floats, as
     `_step_each` takes it: the minimal (closest-point distance squared,
     x, y, z) tuple over the candidate voxels, or None. `heights` is the
-    (W, L) column heights as nested lists, `heights[ix][iy]`.
+    column heights from the grid's (0, 0) corner on as nested lists,
+    `heights[ix][iy]`; any columns past the grid's are empty and skipped.
 
     Only voxels whose axis slabs overlap the sphere are scanned; the
-    lexicographic key breaks distance ties toward the lowest index.
+    lexicographic key breaks distance ties toward the lowest index. Squares
+    are products, as in numpy; Python's float `** 2` can differ in the last bit.
     """
     x_lo = max(int(math.floor((cx - radius) / vs)), 0)
     x_hi = min(int(math.floor((cx + radius) / vs)), len(heights) - 1)
@@ -233,20 +235,20 @@ def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: list,
     best = None
     for ix in range(x_lo, x_hi + 1):
         bx0 = ix * vs
-        qx = min(max(cx, bx0), bx0 + vs)
-        ddx = (cx - qx) ** 2
+        ex = cx - min(max(cx, bx0), bx0 + vs)
+        ddx = ex * ex
         column = heights[ix]
         for iy in range(y_lo, y_hi + 1):
             h = column[iy]
             if h == 0:
                 continue
             by0 = iy * vs
-            qy = min(max(cy, by0), by0 + vs)
-            ddy = ddx + (cy - qy) ** 2
+            ey = cy - min(max(cy, by0), by0 + vs)
+            ddy = ddx + ey * ey
             for iz in range(z_lo, min(z_hi_raw, h - 1) + 1):
                 bz0 = iz * vs
-                qz = min(max(cz, bz0), bz0 + vs)
-                d2 = ddy + (cz - qz) ** 2
+                ez = cz - min(max(cz, bz0), bz0 + vs)
+                d2 = ddy + ez * ez
                 key = (d2, ix, iy, iz)
                 if best is None or key < best:
                     best = key
@@ -370,12 +372,11 @@ class PlacedGrid:
     outer ring. The table therefore admits every row that can touch a voxel,
     and maybe some that cannot. (The argument holds in exact arithmetic.)
     `padded` is the zero-padded heights the table is built over, seen from
-    the grid's (0, 0) corner, as `_query_batch` reads them.
+    the grid's (0, 0) corner, as `_query_batch` and `_best_overlap` read them.
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
         self.config = config
-        self.heights = grid.column_heights
         self.voxel_size = grid.voxel_size
         self.origin = grid_origin(grid, config)
         self.domain = np.array(config.domain_size)
@@ -460,7 +461,7 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     """
     config = placed.config
     dt, r, vs = config.dt, config.particle_radius, placed.voxel_size
-    heights = placed.heights.tolist()
+    heights = placed.padded.tolist()
     bounce = 1.0 + config.restitution
     ox, oy, oz = placed.origin.tolist()
     dx, dy, dz = placed.domain.tolist()
@@ -501,11 +502,6 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     if pos:
         burst.position[:], burst.velocity[:], burst.alive[:] = pos, vel, alive
     return rows, speeds
-
-
-def _running_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, the order a Python `+=` loop adds in."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:
@@ -550,7 +546,7 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     the one that calling `step` on every dt gives. SMALL_BATCH makes the one
     choice of stepper: a burst of at most that many rows takes those steps
     through `_step_each`, which gives the same outputs, and a larger one
-    takes `step`.
+    takes `step`. A metric that overflows float64 raises ConfigError.
     """
     config.validate()
     check_fits(grid, config)
@@ -578,27 +574,26 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
             if len(contacts):
                 hit_rows.append(contacts.particle)
                 hit_speeds.append(contacts.impact_speed)
-    vel = burst.velocity
-    ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", vel, vel)
-    area = math.pi * config.particle_radius ** 2
     owner = np.concatenate(hit_rows) // n if hit_rows else np.zeros(0, dtype=np.intp)
-    drag = drag_force(config.fluid_density, np.concatenate(hit_speeds or [np.zeros(0)]),
-                      config.drag_coefficient, area)
-    drag_total = 0.0
-    ke_total = 0.0
-    for k in range(b):
-        drag_total += _running_sum(drag[owner == k])
-        ke_total += float(ke[k * n:(k + 1) * n].sum())
-    total_particles = n * b
-    mean_ke = ke_total / total_particles if total_particles else 0.0
-    count = collision_count_metric([heatmap.sum()], b, config.base_cycle_count)
-    return SimResult(
-        drag_force=drag_total / b,
-        kinetic_energy=mean_ke,
-        collision_count=count,
-        heightmap_sum=float(heightmap_sum(grid)),
-        heatmap=heatmap,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):   # SimResult rejects an overflow
+        ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", burst.velocity, burst.velocity)
+        drag = drag_force(config.fluid_density, np.concatenate(hit_speeds or [np.zeros(0)]),
+                          config.drag_coefficient, math.pi * config.particle_radius ** 2)
+        # each burst's impacts in time order and its particles pairwise, then
+        # the bursts' sums added left to right
+        per_burst = (np.bincount(owner, weights=drag, minlength=b), ke.reshape(b, n).sum(axis=1))
+        drag_total, ke_total = np.cumsum(per_burst, axis=1)[:, -1].tolist()
+    try:
+        return SimResult(
+            drag_force=drag_total / b,
+            kinetic_energy=ke_total / (n * b) if n else 0.0,
+            collision_count=collision_count_metric([heatmap.sum()], b, config.base_cycle_count),
+            heightmap_sum=float(heightmap_sum(grid)),
+            heatmap=heatmap,
+        )
+    except ValueError as exc:   # a metric is not finite: it overflowed float64
+        raise ConfigError(f"tunnel: {exc}; particle_mass, fluid_density or drag_coefficient "
+                          "is too large") from exc
 
 
 # --- exports -------------------------------------------------------------------

@@ -38,17 +38,18 @@ def desk_tunnel(seed=7, particle_count=64, burst_count=2, max_steps=140,
 def exhaustive_contact(position, radius, grid):
     """Brute-force contact oracle: rank every occupied voxel in the grid by
     closest-point distance with the same lexicographic tie-break, no
-    candidate windowing. Returns ((x, y, z), normal) or None."""
+    candidate windowing; squares are products, as in the contact query.
+    Returns ((x, y, z), normal) or None."""
     cx, cy, cz = (float(v) for v in position)
     vs = grid.voxel_size
     best = None
     for x in range(grid.width):
         for y in range(grid.length):
             for z in range(int(grid.column_heights[x, y])):
-                qx = min(max(cx, x * vs), (x + 1) * vs)
-                qy = min(max(cy, y * vs), (y + 1) * vs)
-                qz = min(max(cz, z * vs), (z + 1) * vs)
-                d2 = (cx - qx) ** 2 + (cy - qy) ** 2 + (cz - qz) ** 2
+                ex = cx - min(max(cx, x * vs), (x + 1) * vs)
+                ey = cy - min(max(cy, y * vs), (y + 1) * vs)
+                ez = cz - min(max(cz, z * vs), (z + 1) * vs)
+                d2 = ex * ex + ey * ey + ez * ez
                 key = (d2, x, y, z)
                 if best is None or key < best:
                     best = key

@@ -412,6 +412,29 @@ class TestGridAgainstTunnel(CappedRun):
         assert not (tmp_path / "g.csv").exists()
 
 
+@pytest.mark.parametrize("field", ["particle_mass", "fluid_density", "drag_coefficient"])
+class TestMetricOverflow(CappedRun):
+    # A tunnel setting so large that a metric overflows float64 fails as a
+    # config error in one line, with no numpy warning before it.
+
+    def overflowing_config(self, tmp_path, field):
+        doc = base_config()
+        doc["tunnel"][field] = 1e308
+        return write_config(tmp_path / "run.json", doc)
+
+    def test_simulate_exits_3(self, tmp_path, field):
+        proc = self.run_capped(tmp_path, "simulate", "--grid", write_wedge_grid(tmp_path / "g.csv"),
+                               "--config", self.overflowing_config(tmp_path, field),
+                               "--out", "sim")
+        self.assert_one_line(proc, 3, "simulate: tunnel: ")
+        assert not (tmp_path / "sim").exists()
+
+    def test_train_exits_3(self, tmp_path, field):
+        proc = self.run_capped(tmp_path, "train", "--config",
+                               self.overflowing_config(tmp_path, field), "--out", "train")
+        self.assert_one_line(proc, 3, "train: tunnel: ")
+
+
 @pytest.mark.parametrize("voxel_size", ["nan", "inf"])
 class TestNonFiniteVoxelSize:
     # A voxel size must be finite: each command that reads one rejects it

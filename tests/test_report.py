@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from voxwind.cli import build_parser
 from voxwind.report import (
     MODES,
-    ComparisonRow,
-    HeatmapExport,
     TABLE_CSV_HEADER,
     build_comparison_table,
     export_heatmap_delta,
@@ -62,14 +60,17 @@ def table_cells(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+F1_ORIGINAL = {"drag_force": 2004.63, "kinetic_energy": 283.60}
+F1_OPTIMISED = {
+    "ke": {"drag_force": 1786.41, "kinetic_energy": 371.41},
+    "ke_df": {"drag_force": 1752.57, "kinetic_energy": 391.16},
+    "ke_df_vcc": {"drag_force": 1716.85, "kinetic_energy": 402.78},
+}
+
+
 class TestComparisonTable:
-    def f1_rows(self):
-        return [
-            ComparisonRow("F1 car", "drag_force", 2004.63,
-                          {"ke": 1786.41, "ke_df": 1752.57, "ke_df_vcc": 1716.85}),
-            ComparisonRow("F1 car", "kinetic_energy", 283.60,
-                          {"ke": 371.41, "ke_df": 391.16, "ke_df_vcc": 402.78}),
-        ]
+    def f1_table(self):
+        return build_comparison_table("F1 car", F1_ORIGINAL, F1_OPTIMISED)
 
     def test_modes_and_their_columns(self, capsys):
         assert MODES == ("ke", "ke_df", "ke_df_vcc")
@@ -80,12 +81,12 @@ class TestComparisonTable:
                                     "opt_all,impr_all")
 
     def test_empty_rows_header_only(self):
-        assert build_comparison_table([]) == TABLE_CSV_HEADER + "\n"
+        assert build_comparison_table("x", {}, F1_OPTIMISED) == TABLE_CSV_HEADER + "\n"
 
     def test_f1_improvements_recomputed(self):
-        text = build_comparison_table(self.f1_rows())
+        text = self.f1_table()
         drag = text.splitlines()[1].split(",")
-        assert drag[2] == "2004.63"
+        assert drag[:3] == ["F1 car", "drag_force", "2004.63"]
         assert float(drag[4]) == pytest.approx(-10.89, abs=0.01)
         assert float(drag[6]) == pytest.approx(-12.57, abs=0.01)
         assert float(drag[8]) == pytest.approx(-14.36, abs=0.01)
@@ -95,69 +96,55 @@ class TestComparisonTable:
         assert float(energy[8]) == pytest.approx(42.02, abs=0.01)
 
     def test_round_trip(self):
-        text = build_comparison_table(self.f1_rows())
+        text = self.f1_table()
         header, *body = table_cells(text)
         assert header == TABLE_CSV_HEADER.split(",")
-        rows = [ComparisonRow(cells[0], cells[1], float(cells[2]),
-                              {mode: float(cells[3 + 2 * k])
-                               for k, mode in enumerate(MODES) if cells[3 + 2 * k]})
-                for cells in body]
-        assert build_comparison_table(rows) == text
+        original = {cells[1]: float(cells[2]) for cells in body}
+        optimised = {mode: {cells[1]: float(cells[3 + 2 * k]) for cells in body}
+                     for k, mode in enumerate(MODES) if body[0][3 + 2 * k]}
+        assert build_comparison_table(body[0][0], original, optimised) == text
 
     def test_missing_modes_leave_empty_cells(self):
-        text = build_comparison_table(
-            [ComparisonRow("x", "drag_force", 10.0, {"ke": 9.0})])
+        text = build_comparison_table("x", {"drag_force": 10.0}, {"ke": {"drag_force": 9.0}})
         cells = table_cells(text)[1]
         assert len(cells) == 3 + 2 * len(MODES)
         assert cells[3] == "9.00"
-        assert cells[5] == "" and cells[6] == ""
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            build_comparison_table(
-                [ComparisonRow("x", "drag_force", 10.0, {"bogus": 9.0})])
+        assert cells[5:] == [""] * 4
 
     def test_improvements_never_passed_through(self):
-        # rows carry no improvements; every impr_ cell is recomputed from its row
-        for row, cells in zip(self.f1_rows(),
-                              table_cells(build_comparison_table(self.f1_rows()))[1:]):
+        # the inputs carry no improvements; every impr_ cell is recomputed
+        for (metric, original), cells in zip(F1_ORIGINAL.items(),
+                                             table_cells(self.f1_table())[1:]):
             for k, mode in enumerate(MODES):
-                value = row.optimised[mode]
+                value = F1_OPTIMISED[mode][metric]
                 assert cells[3 + 2 * k] == f"{value:.2f}"
-                assert cells[4 + 2 * k] == f"{improvement_pct(row.original, value):.2f}"
+                assert cells[4 + 2 * k] == f"{improvement_pct(original, value):.2f}"
 
 
 class TestHeatmapExport:
     def test_identical_maps_identical_bytes(self):
         m = np.array([[0, 3], [9, 1]])
-        out = export_heatmap_delta(m, m)
-        assert out.before_pgm == out.after_pgm
-        assert out.before_csv == out.after_csv
+        before_pgm, after_pgm = export_heatmap_delta(m, m)
+        assert before_pgm == after_pgm
 
     def test_all_zero_maps_black_images(self):
         z = np.zeros((3, 3))
-        out = export_heatmap_delta(z, z)
-        pixels = np.frombuffer(out.before_pgm[len(b"P5\n3 3\n255\n"):], np.uint8)
+        before_pgm, _ = export_heatmap_delta(z, z)
+        pixels = np.frombuffer(before_pgm[len(b"P5\n3 3\n255\n"):], np.uint8)
         assert np.all(pixels == 0)
 
     def test_joint_scale_max_is_255(self):
         before = np.array([[0, 4]])
         after = np.array([[0, 8]])
-        out = export_heatmap_delta(before, after)
-        b = np.frombuffer(out.before_pgm[len(b"P5\n1 2\n255\n"):], np.uint8)
-        a = np.frombuffer(out.after_pgm[len(b"P5\n1 2\n255\n"):], np.uint8)
+        before_pgm, after_pgm = export_heatmap_delta(before, after)
+        b = np.frombuffer(before_pgm[len(b"P5\n1 2\n255\n"):], np.uint8)
+        a = np.frombuffer(after_pgm[len(b"P5\n1 2\n255\n"):], np.uint8)
         assert a.max() == 255
         assert b.max() == 128  # 4/8 of the shared scale
-        assert isinstance(out, HeatmapExport)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
             export_heatmap_delta(np.zeros((2, 2)), np.zeros((3, 2)))
-
-    def test_raw_csv_preserves_tallies(self):
-        out = export_heatmap_delta(np.array([[1, 2]]), np.array([[3, 4]]))
-        assert out.before_csv == "1,2\n"
-        assert out.after_csv == "3,4\n"
 
     @pytest.mark.parametrize("before,after", [
         (np.full((2, 3), 4), np.full((2, 3), 4)),                       # uniform: black
@@ -176,6 +163,4 @@ class TestHeatmapExport:
         assert heatmap_to_pgm(before) == pgm(before, float(before.min()), float(before.max()))
         lo = float(min(before.min(), after.min()))
         hi = float(max(before.max(), after.max()))
-        out = export_heatmap_delta(before, after)
-        assert out.before_pgm == pgm(before, lo, hi)
-        assert out.after_pgm == pgm(after, lo, hi)
+        assert export_heatmap_delta(before, after) == (pgm(before, lo, hi), pgm(after, lo, hi))

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxwind import windtunnel
@@ -38,6 +38,7 @@ from conftest import (
     batch_query,
     contacts_per_sphere,
     desk_tunnel,
+    exhaustive_contact,
     oracle_agrees,
     random_contact_batches,
     scalar_contact,
@@ -373,41 +374,61 @@ class TestNearTable:
         assert ring_contacts > 0
 
 
-def boundary_coordinate(data, vs, r, n):
+def boundary_coordinate(draw, vs, r, n):
     """One centre coordinate for a grid n voxels long: an exact multiple j * vs,
     one ulp either side of it, the sphere's surface on such a boundary
     (j * vs -+ r) or one ulp off it, or a uniform value; out to 3 voxels
     beyond the grid on either side."""
-    j = data.draw(st.integers(-3, n + 3))
-    kind = data.draw(st.sampled_from(["multiple", "ulp", "surface", "surface_ulp", "uniform"]))
+    j = draw(st.integers(-3, n + 3))
+    kind = draw(st.sampled_from(["multiple", "ulp", "surface", "surface_ulp", "uniform"]))
     if kind == "uniform":
-        return data.draw(st.floats(-3 * vs, (n + 3) * vs))
+        return draw(st.floats(-3 * vs, (n + 3) * vs))
     x = j * vs
     if kind.startswith("surface"):
-        x = x + data.draw(st.sampled_from([-r, r]))
+        x = x + draw(st.sampled_from([-r, r]))
     if kind.endswith("ulp"):
-        x = float(np.nextafter(x, data.draw(st.sampled_from([-np.inf, np.inf]))))
+        x = float(np.nextafter(x, draw(st.sampled_from([-np.inf, np.inf]))))
     return x
 
 
+@st.composite
+def spheres_over_a_grid(draw):
+    """(vs, r, (W, L) heights, (m, 3) centers): up to 12 spheres of one radius
+    on and one ulp off the voxel boundaries of a grid of at most 6^3, whose
+    edge columns may be empty."""
+    vs = draw(st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.05, 0.2))
+    r = draw(st.floats(0.1, 3.0)) * vs
+    w, l, h_max = (draw(st.integers(1, 6)) for _ in range(3))
+    heights = np.array(draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                     max_size=w * l))).reshape(w, l)
+    for edge in draw(st.sets(st.sampled_from(["-x", "+x", "-y", "+y"]))):
+        heights[{"-x": (0, slice(None)), "+x": (-1, slice(None)),
+                 "-y": (slice(None), 0), "+y": (slice(None), -1)}[edge]] = 0
+    centers = np.array([[boundary_coordinate(draw, vs, r, n) for n in (w, l, h_max)]
+                        for _ in range(draw(st.integers(1, 12)))])
+    return vs, r, heights, centers
+
+
+# A sphere exactly r below the base of voxel (1, 1, 0): its closest-point
+# distance squared is (-r) * (-r) = r * r, so it touches nothing, while
+# Python's (-r) ** 2 is one ulp below r * r for this r.
+TOUCH_VS = 0.2
+TOUCH_R = 2.514600307638288 * TOUCH_VS
+TOUCH_HEIGHTS = np.zeros((6, 6), dtype=np.int64)
+TOUCH_HEIGHTS[1, 1] = 1
+TOUCH_CENTER = (0.2, 0.2, -TOUCH_R)
+
+
 class TestQueryBatchProperty:
-    @given(data=st.data(), vs=st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.05, 0.2),
-           ratio=st.floats(0.1, 3.0), m=st.integers(1, 12))
+    @given(case=spheres_over_a_grid())
+    @example(case=(TOUCH_VS, TOUCH_R, TOUCH_HEIGHTS, np.array([TOUCH_CENTER])))
     @settings(max_examples=300, deadline=None)
-    def test_equals_scalar_core_sphere_by_sphere(self, data, vs, ratio, m):
+    def test_equals_scalar_core_sphere_by_sphere(self, case):
         # Every row of one `_query_batch` call is the scalar core's contact for
         # that sphere, voxel, axis, sign and penetration, bit for bit; the
         # coordinates sit on and one ulp off voxel boundaries, where the
         # sphere's own window decides which voxels are candidates.
-        r = ratio * vs
-        w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
-        heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
-                                              max_size=w * l))).reshape(w, l)
-        for edge in data.draw(st.sets(st.sampled_from(["-x", "+x", "-y", "+y"]))):
-            heights[{"-x": (0, slice(None)), "+x": (-1, slice(None)),
-                     "-y": (slice(None), 0), "+y": (slice(None), -1)}[edge]] = 0
-        centers = np.array([[boundary_coordinate(data, vs, r, n) for n in (w, l, h_max)]
-                            for _ in range(m)])
+        vs, r, heights, centers = case
         got = batch_query(centers, r, heights, vs)
         rows = {int(i): (tuple(int(v) for v in voxel), int(axis), float(sign), float(pen))
                 for i, voxel, axis, sign, pen in zip(got.particle, got.voxel, got.axis,
@@ -435,6 +456,33 @@ class TestQueryBatchProperty:
         assert math.floor((4.6125 + r) / vs) == 30 and (4.6125 - 31 * vs) ** 2 < r * r
         assert _best_overlap(*center[0].tolist(), r, heights.tolist(), vs) is None
         assert len(batch_query(center, r, heights, vs)) == 0
+
+    def test_exact_touch_is_no_contact_everywhere(self):
+        # the scalar core, the batched query, the exhaustive oracle and both
+        # steppers agree that TOUCH_CENTER touches nothing, and that a radius
+        # one ulp larger touches voxel (1, 1, 0)
+        assert (-TOUCH_R) ** 2 < TOUCH_R * TOUCH_R
+        grid = VoxelGrid(6, 6, 1, TOUCH_VS, TOUCH_HEIGHTS)
+        velocity = np.array([0.0, 0.0, 1.0])    # up into the voxel's base
+        start = np.array(TOUCH_CENTER) - velocity * 0.25
+        assert tuple(start + velocity * 0.25) == TOUCH_CENTER    # one dt lands on it
+        for r, hits in ((TOUCH_R, 0), (float(np.nextafter(TOUCH_R, 1.0)), 1)):
+            best = _best_overlap(*TOUCH_CENTER, r, TOUCH_HEIGHTS.tolist(), TOUCH_VS)
+            assert (best is not None) == hits
+            assert len(batch_query([TOUCH_CENTER], r, TOUCH_HEIGHTS, TOUCH_VS)) == hits
+            assert (exhaustive_contact(TOUCH_CENTER, r, grid) is not None) == hits
+            cfg = TunnelConfig(particle_radius=r, domain_size=(6 * TOUCH_VS, 6 * TOUCH_VS, 1.0),
+                               dt=0.25)
+            placed = PlacedGrid(grid, cfg)
+            assert not placed.origin.any()
+            for stepper in ("step", "_step_each"):
+                burst = lone_burst(start, velocity)
+                hm = np.zeros((6, 6), dtype=np.int64)
+                if stepper == "step":
+                    found = len(step(burst, placed, hm))
+                else:
+                    found = len(windtunnel._step_each(burst, placed, hm, 1)[0])
+                assert found == hits == hm[1, 1], (r, stepper)
 
 
 class TestStrictRadius:
