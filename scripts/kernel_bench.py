@@ -3,11 +3,13 @@
 
 Times, in microseconds per call:
 
-- `step` with no near rows: the desk burst (96 x 2 particles) held upstream
-  of the 16x16 wedge at 0.1 m, velocity zero, so every call is the fixed cost;
-- one contact query of 30 spheres around the wedge's surface, and, in
-  turn, of the first 1, 2, 3 and 4 of them: 42% of the queries of
-  desk-scale training hold at most 4 spheres;
+- one dt of `_step_batch` with no near rows: the desk burst (96 x 2
+  particles) held upstream of the 16x16 wedge at 0.1 m, velocity zero, so
+  every call is the fixed cost;
+- one contact query (`_query` over `PlacedGrid.padded`, as the steppers
+  call it) of 30 spheres around the wedge's surface, and, in turn, of the
+  first 1, 2, 3 and 4 of them: 42% of the queries of desk-scale training
+  hold at most 4 spheres;
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
   the wedge and on an agent-reshaped wedge: eight uniform random actions
   applied as `WindTunnelEnv.act` applies them, from a fixed seed. Such
@@ -17,8 +19,12 @@ Times, in microseconds per call:
   where the fixed cost per simulation shows;
 - one desk simulation of a single burst of 1, 4, 5 and 16 particles, on both
   sides of SMALL_BATCH, where `run_simulation` switches from stepping rows in
-  Python floats to the numpy `step`;
+  Python floats (`_step_each`) to numpy (`_step_batch`);
 - building the desk `PlacedGrid`, the near test's table included.
+
+A case runs only when every tree has what it calls. `step_empty_us` needs
+`_step_batch`, which trees from before the one stepper contract lack; every
+other case runs on those trees too.
 
 Each tree is imported under its own package name, and the trees' samples
 interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
@@ -72,12 +78,11 @@ def cases(tree):
     xy = rng.uniform(0.0, 1.6, size=(30, 2))
     col = np.minimum((xy / 0.1).astype(int), 15)
     centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
-    r, h, vs = config.particle_radius, grid.column_heights, 0.1
+    r, padded, vs = config.particle_radius, placed.padded, 0.1
     few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
     out = {
-        "step_empty_us": (lambda: wt.step(burst, placed, heatmap), 200),
-        "query_30_us": (lambda: wt.contact_query(centers, r, h, vs), 100),
-        "query_1_to_4_us": (lambda: wt.contact_query(next(few), r, h, vs), 100),
+        "query_30_us": (lambda: wt._query(centers, r, padded, vs), 100),
+        "query_1_to_4_us": (lambda: wt._query(next(few), r, padded, vs), 100),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
         "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
@@ -85,6 +90,8 @@ def cases(tree):
     }
     for m, cfg in burst_of.items():
         out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
+    if hasattr(wt, "_step_batch"):
+        out["step_empty_us"] = (lambda: wt._step_batch(burst, placed, heatmap, 1), 200)
     return out
 
 
@@ -103,7 +110,8 @@ def main():
     parser.add_argument("--repeats", type=int, default=41)
     args = parser.parse_args()
     trees = {label: cases(tree) for label, tree in parse_trees(args.tree).items()}
-    names = list(next(iter(trees.values())))
+    names = [name for name in next(iter(trees.values()))
+             if all(name in per for per in trees.values())]
     samples = {label: {name: [] for name in names} for label in trees}
     for rep in range(args.repeats):
         order = list(trees) if rep % 2 == 0 else list(reversed(list(trees)))

@@ -205,6 +205,8 @@ def cmd_train(args) -> None:
     env = _build_env(run)
     out = Path(args.out)
     _check_out(out)
+    if run.ppo.max_training_steps > 0:
+        env.reset()   # measures the baseline, which can fail, before --out is made
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(config_echo_json(run))
     result = train(env, run.ppo, checkpoint_dir=out)

@@ -64,32 +64,6 @@ class ParticleBurst:
         return len(self.position)
 
 
-@dataclass(frozen=True)
-class Contacts:
-    """Sphere-voxel contacts, one row per contact, in increasing sphere row."""
-
-    particle: np.ndarray       # row of the sphere in the queried batch or burst
-    voxel: np.ndarray          # (M, 3) winning voxel (ix, iy, iz)
-    axis: np.ndarray           # axis of minimal penetration
-    sign: np.ndarray           # +1.0 or -1.0, pointing toward the sphere center
-    penetration: np.ndarray    # overlap along `axis`
-    impact_speed: np.ndarray | None = None  # speed before the bounce; set by step
-
-    def __len__(self) -> int:
-        return len(self.particle)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# The one empty contact set: every query and step without contacts returns it.
-NO_CONTACTS = Contacts(*(_read_only(a) for a in (
-    np.zeros(0, dtype=np.intp), np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.intp),
-    np.zeros(0), np.zeros(0), np.zeros(0))))
-
-
 @dataclass
 class SimResult:
     """The four aggregate metrics plus the per-column collision heatmap."""
@@ -278,13 +252,18 @@ def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
 def _window_offsets(k: int) -> np.ndarray:
     """Read-only (k**3, 3) table of the (ix, iy, iz) offsets in a k-voxel
     window, in the flat (ix, iy, iz) order of `_query_batch`'s candidates."""
-    return _read_only(np.indices((k, k, k)).reshape(3, -1).T.copy())
+    offsets = np.indices((k, k, k)).reshape(3, -1).T.copy()
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _query_batch(centers, radius, padded, vs):
     """The contact query for every sphere in one numpy evaluation: the
-    (rows, voxel, axis, sign, penetration) arrays of a `Contacts` record, or
-    None when no sphere touches a voxel.
+    (rows, voxel, axis, sign, penetration) arrays, one entry per sphere that
+    touches a voxel, in increasing row, or None when no sphere does. An
+    entry holds the sphere's row in `centers`, its winning voxel
+    (ix, iy, iz), the axis of minimal penetration, +1.0 or -1.0 toward the
+    sphere center, and the overlap along that axis.
 
     `padded` holds the column heights from the grid's (0, 0) corner on, with
     at least one zero column past its last x and its last y column, so one
@@ -328,7 +307,19 @@ def _query_batch(centers, radius, padded, vs):
 
 
 def _query(centers, radius, padded, vs):
-    """`_query_batch` in chunks of at most MAX_CANDIDATES candidate voxels."""
+    """Deepest-penetration contact of each sphere against the occupied
+    voxels: `_query_batch` in chunks of at most MAX_CANDIDATES candidate voxels.
+
+    `centers` is (M, 3) in grid-local coordinates (grid corner at the
+    origin); every sphere has the one `radius` and meets the one grid of
+    column heights `padded`, laid out as `_query_batch` reads it. Candidates
+    are ranked by (closest-point distance squared, x, y, z), the closest
+    point being the sphere-AABB query of Ericson, Real-Time Collision
+    Detection (2004), 5.2, so ties break to the lowest index. The face
+    normal is the axis of minimal penetration for the winning voxel, signed
+    toward the sphere center. Spheres that overlap nothing within their
+    radius get no row.
+    """
     m = len(centers)
     window = math.ceil(2.0 * radius / vs) + 2
     size = max(1, MAX_CANDIDATES // window ** 3)
@@ -342,27 +333,9 @@ def _query(centers, radius, padded, vs):
     return tuple(np.concatenate(a) for a in zip(*parts)) if parts else None
 
 
-def contact_query(centers, radius: float, heights: np.ndarray, vs: float) -> Contacts:
-    """Deepest-penetration contact of each sphere against the occupied voxels.
-
-    `centers` is (M, 3) in grid-local coordinates (grid corner at the
-    origin); every sphere has the one `radius` and meets the one (W, L) grid
-    of column heights `heights`. Candidates are ranked by (closest-point
-    distance squared, x, y, z), the closest point being the sphere-AABB query
-    of Ericson, Real-Time Collision Detection (2004), 5.2, so ties break to
-    the lowest index. The face normal is the axis of minimal penetration for
-    the winning voxel, signed toward the sphere center. Spheres that overlap
-    nothing within their radius get no row. Every batch takes `_query_batch`,
-    in chunks of at most MAX_CANDIDATES candidate voxels.
-    """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    found = _query(centers, radius, _zero_padded(np.asarray(heights), 1)[1:, 1:], vs)
-    return NO_CONTACTS if found is None else Contacts(*found)
-
-
 class PlacedGrid:
-    """A grid placed in the tunnel: the constants `step` tests against,
-    computed once per simulation.
+    """A grid placed in the tunnel: the constants both steppers test
+    against, computed once per simulation.
 
     `reach` is the near test's table (`neighborhood_reach`), indexed by a
     center's column cell floor(loc_xy / vs) shifted by `pad` and clamped. A
@@ -388,19 +361,20 @@ class PlacedGrid:
 
 
 def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
-            placed: PlacedGrid, heatmap: np.ndarray) -> Contacts:
+            placed: PlacedGrid, heatmap: np.ndarray):
     """Reflect and pop out the spheres at `centers` (burst rows `rows`) that
-    touch a voxel while moving into it; tally them into `heatmap`."""
+    touch a voxel while moving into it; tally them into `heatmap`. Returns
+    their burst rows and impact speeds, in row order, or None."""
     config = placed.config
     found = _query(centers, config.particle_radius, placed.padded, placed.voxel_size)
     if found is None:
-        return NO_CONTACTS
+        return None
     touching, voxel, axis, sign, pen = found
     i = rows[touching]
     vn = sign * burst.velocity[i, axis]
     hit = (vn < 0.0).nonzero()[0]  # separating contacts get no impulse and no row
     if hit.size == 0:
-        return NO_CONTACTS
+        return None
     if hit.size < len(i):
         i, voxel, axis, sign, pen, vn = (a[hit] for a in (i, voxel, axis, sign, pen, vn))
     v = burst.velocity[i]   # the impact speed is read before the bounce
@@ -408,56 +382,65 @@ def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
     burst.velocity[i, axis] -= (1.0 + config.restitution) * vn * sign
     burst.position[i, axis] += sign * pen  # pop out of the face
     np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
-    return Contacts(i, voxel, axis, sign, pen, speed)
+    return i, speed
 
 
-def step(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray) -> Contacts:
-    """Advance one dt: integrate, resolve voxel contacts, retire exited particles.
+def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
+    """Advance the burst up to `steps` dt, stopping early once no particle is
+    alive, the whole burst at once in numpy. Returns the contacts' burst rows
+    (intp) and impact speeds (float64), in step order and then row order.
 
+    Each dt: integrate, resolve voxel contacts, retire exited particles.
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
     restitution. A live particle is near when its height is below the
     `placed.reach` entry of its column cell, one table lookup per row; the
     table admits every row that can touch a voxel (see `PlacedGrid`). The
-    near particles take one contact query (`_query_batch`, chunked as in
-    `contact_query`) with the one particle radius over `placed.padded`, and
-    `_bounce` resolves its rows. One contact at most per particle per step;
-    contacts come back in particle-row order and tally into `heatmap`.
-    Particles leaving the domain are marked dead. Dead particles drift on but
-    are never near, so they never collide again and their velocity, from
-    which `run_simulation` reads the exit energy, stays as it was when they
-    left. Mutates `burst` and `heatmap`; a step without contacts returns the
-    shared `NO_CONTACTS`.
-    `run_simulation` leaves out the inlet lead-in, the steps before any
+    near particles take one contact query (`_query`) with the one particle
+    radius over `placed.padded`, and `_bounce` resolves its rows. One contact
+    at most per particle per dt; contacts tally into `heatmap`. Particles
+    leaving the domain are marked dead. Dead particles drift on but are never
+    near, so they never collide again and their velocity, from which
+    `run_simulation` reads the exit energy, stays as it was when they left.
+    Mutates `burst` and `heatmap`.
+    `run_simulation` leaves out the inlet lead-in, the dt before any
     particle can come near the grid, in which a step would only add the
     shared x drift to every position.
     """
+    config = placed.config
     pos, vel, alive = burst.position, burst.velocity, burst.alive
-    pos += vel * placed.config.dt
-    loc = pos - placed.origin
-    cell = np.floor(loc[:, :2] / placed.voxel_size).astype(np.intp)
-    cell += placed.pad
-    np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
-    near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
-    contacts = _bounce(burst, loc[near], near, placed, heatmap) if near.size else NO_CONTACTS
-    inside = (pos >= 0.0) & (pos <= placed.domain)
-    alive &= inside[:, 0] & inside[:, 1] & inside[:, 2]  # faster than .all(axis=1)
-    return contacts
+    rows, speeds = [], []
+    for _ in range(steps):
+        if not alive.any():
+            break
+        pos += vel * config.dt
+        loc = pos - placed.origin
+        cell = np.floor(loc[:, :2] / placed.voxel_size).astype(np.intp)
+        cell += placed.pad
+        np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
+        near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
+        hit = _bounce(burst, loc[near], near, placed, heatmap) if near.size else None
+        if hit is not None:
+            rows.append(hit[0])
+            speeds.append(hit[1])
+        inside = (pos >= 0.0) & (pos <= placed.domain)
+        alive &= inside[:, 0] & inside[:, 1] & inside[:, 2]  # faster than .all(axis=1)
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    return np.concatenate(rows), np.concatenate(speeds)
 
 
 def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
-    """`step` on every dt, at most `steps` times and while a particle is
-    alive, one burst row at a time in Python floats; the burst's final state
-    is written back. Returns the contacts' burst rows and impact speeds, in
-    step order and then row order.
+    """`_step_batch`, one burst row at a time in Python floats: the same
+    arguments, returns and effects. The burst's final state is written back.
 
     For bursts of at most SMALL_BATCH rows. Each row makes the float
-    operations of `step` and `_bounce`, in their order, and takes its contact
-    from the scalar core (`_best_overlap`, `_face_normal`), which
-    `_query_batch`, the query `step` takes, matches bit for bit. Rows do not
-    interact within a step, so every output is bit for bit `step`'s. A
-    column cell outside `placed.reach` clamps onto its -inf outer ring, so
-    such a row, like a NaN or infinite one, is not near.
+    operations of `_step_batch` and `_bounce`, in their order, and takes its
+    contact from the scalar core (`_best_overlap`, `_face_normal`), which
+    `_query_batch`, the query `_step_batch` takes, matches bit for bit. Rows
+    do not interact within a step, so every output is bit for bit
+    `_step_batch`'s. A column cell outside `placed.reach` clamps onto its
+    -inf outer ring, so such a row, like a NaN or infinite one, is not near.
     """
     config = placed.config
     dt, r, vs = config.dt, config.particle_radius, placed.voxel_size
@@ -501,7 +484,7 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
                 live -= 1
     if pos:
         burst.position[:], burst.velocity[:], burst.alive[:] = pos, vel, alive
-    return rows, speeds
+    return np.array(rows, dtype=np.intp), np.array(speeds, dtype=np.float64)
 
 
 def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:
@@ -539,14 +522,14 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     burst order. Every particle spawns at x = 0 moving at (v, 0, 0), so until
     the first can come near the grid they share one x, and each step only
     adds v * dt to it. That inlet lead-in runs as a scalar loop making the
-    same float additions as `step` while the shared x stays at least r short
+    same float additions as a step while the shared x stays at least r short
     of the grid's front face: there every closest-point distance is at least
     r, so the contact query's strict `d2 < r * r` finds no contact and a step
-    would only drift. After it `step` runs on every dt, so every output is
-    the one that calling `step` on every dt gives. SMALL_BATCH makes the one
-    choice of stepper: a burst of at most that many rows takes those steps
-    through `_step_each`, which gives the same outputs, and a larger one
-    takes `step`. A metric that overflows float64 raises ConfigError.
+    would only drift. After it one stepper call runs the remaining dt, so
+    every output is the one that stepping every dt from t = 0 gives.
+    SMALL_BATCH makes the one choice of stepper: a burst of at most that many
+    rows takes `_step_each`, a larger one `_step_batch`; both give the same
+    outputs. A metric that overflows float64 raises ConfigError.
     """
     config.validate()
     check_fits(grid, config)
@@ -555,30 +538,19 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     seeds = np.random.SeedSequence(config.seed).spawn(b)
     burst = spawn_burst(config, [np.random.default_rng(s) for s in seeds])
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
-    hit_rows, hit_speeds = [], []
     x, d, t = 0.0, mph_to_mps(config.air_speed) * config.dt, 0
     ox, r = float(placed.origin[0]), config.particle_radius
     while t < config.max_steps and (x + d) - ox <= -r:
         x += d
         t += 1
     burst.position[:, 0] = x
-    if len(burst) <= SMALL_BATCH:
-        rows, speeds = _step_each(burst, placed, heatmap, config.max_steps - t)
-        if rows:
-            hit_rows.append(np.array(rows, dtype=np.intp))
-            hit_speeds.append(np.array(speeds))
-    else:
-        while t < config.max_steps and burst.alive.any():
-            contacts = step(burst, placed, heatmap)
-            t += 1
-            if len(contacts):
-                hit_rows.append(contacts.particle)
-                hit_speeds.append(contacts.impact_speed)
-    owner = np.concatenate(hit_rows) // n if hit_rows else np.zeros(0, dtype=np.intp)
+    stepper = _step_each if len(burst) <= SMALL_BATCH else _step_batch
+    rows, speeds = stepper(burst, placed, heatmap, config.max_steps - t)
+    owner = rows // max(n, 1)   # a burst of 0 particles makes no contacts
     with np.errstate(over="ignore", invalid="ignore"):   # SimResult rejects an overflow
         ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", burst.velocity, burst.velocity)
-        drag = drag_force(config.fluid_density, np.concatenate(hit_speeds or [np.zeros(0)]),
-                          config.drag_coefficient, math.pi * config.particle_radius ** 2)
+        drag = drag_force(config.fluid_density, speeds, config.drag_coefficient,
+                          math.pi * config.particle_radius ** 2)
         # each burst's impacts in time order and its particles pairwise, then
         # the bursts' sums added left to right
         per_burst = (np.bincount(owner, weights=drag, minlength=b), ke.reshape(b, n).sum(axis=1))

@@ -7,18 +7,17 @@ import pytest
 
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
-    NO_CONTACTS,
-    Contacts,
     PlacedGrid,
     SimResult,
     TunnelConfig,
     _best_overlap,
     _face_normal,
+    _query,
     _query_batch,
+    _step_batch,
     collision_count_metric,
     drag_force,
     spawn_burst,
-    step,
 )
 
 
@@ -70,7 +69,7 @@ def exhaustive_contact(position, radius, grid):
 
 def random_contact_batches(n_batches, batch_size, seed):
     """Randomized (grid <= 8^3, (batch_size, 3) centers, radius) instances for
-    oracle checks: one grid and one radius per batch, as `step` queries."""
+    oracle checks: one grid and one radius per batch, as a stepper queries."""
     rng = np.random.default_rng(seed)
     for _ in range(n_batches):
         w, l, h_max = rng.integers(1, 9, size=3)
@@ -111,18 +110,29 @@ def scalar_contact(center, radius, grid):
 
 def batch_query(centers, radius, heights, vs):
     """One `_query_batch` call, unchunked, over the (W, L) `heights` with the
-    zero column past each high edge that it reads, as a Contacts record."""
+    zero column past each high edge that it reads: its (rows, voxel, axis,
+    sign, penetration) tuple, or None."""
     padded = np.pad(np.asarray(heights, dtype=np.int64), ((0, 1), (0, 1)))
-    found = _query_batch(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius,
-                         padded, vs)
-    return NO_CONTACTS if found is None else Contacts(*found)
+    return _query_batch(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius,
+                        padded, vs)
 
 
-def contacts_per_sphere(contacts, m):
-    """A Contacts record as one ((x, y, z), normal) or None per queried sphere."""
+def grid_query(centers, radius, grid):
+    """`_query`, chunked, over the `PlacedGrid.padded` heights of `grid`, as
+    a stepper calls it: the `_query_batch` tuple, or None."""
+    padded = PlacedGrid(grid, TunnelConfig(particle_radius=radius)).padded
+    return _query(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius, padded,
+                  grid.voxel_size)
+
+
+def contacts_per_sphere(found, m):
+    """A `_query` tuple, or None, as one ((x, y, z), normal) or None per
+    queried sphere."""
     out = [None] * m
-    for row, voxel, axis, sign in zip(contacts.particle, contacts.voxel, contacts.axis,
-                                      contacts.sign):
+    if found is None:
+        return out
+    rows, voxels, axes, signs, _ = found
+    for row, voxel, axis, sign in zip(rows, voxels, axes, signs):
         normal = np.zeros(3)
         normal[axis] = sign
         out[row] = (tuple(int(v) for v in voxel), normal)
@@ -130,9 +140,9 @@ def contacts_per_sphere(contacts, m):
 
 
 def stepped_simulation(grid, config):
-    """`run_simulation` as a plain loop that calls `step` on every dt and adds
-    each burst's drag impact by impact: the reference for its inlet lead-in.
-    Returns the SimResult and the final burst."""
+    """`run_simulation` as one `_step_batch` call over every dt from t = 0,
+    adding each burst's drag impact by impact: the reference for its inlet
+    lead-in. Returns the SimResult and the final burst."""
     placed = PlacedGrid(grid, config)
     b, n = config.burst_count, config.particle_count
     seeds = np.random.SeedSequence(config.seed).spawn(b)
@@ -140,13 +150,9 @@ def stepped_simulation(grid, config):
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
     area = math.pi * config.particle_radius ** 2
     drag = [0.0] * b
-    for _ in range(config.max_steps):
-        if not burst.alive.any():
-            break
-        contacts = step(burst, placed, heatmap)
-        for row, speed in zip(contacts.particle, contacts.impact_speed):
-            drag[row // n] += drag_force(config.fluid_density, speed,
-                                         config.drag_coefficient, area)
+    rows, speeds = _step_batch(burst, placed, heatmap, config.max_steps)
+    for row, speed in zip(rows, speeds):
+        drag[row // n] += drag_force(config.fluid_density, speed, config.drag_coefficient, area)
     # a particle's velocity stays frozen from its exit on
     ke = np.array([0.5 * config.particle_mass * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
                    for v in burst.velocity])

@@ -19,12 +19,17 @@ from voxwind.voxel import VoxelGrid, VoxelMask, heightmap_sum, synth_heightmap, 
 from voxwind.windtunnel import (
     TunnelConfig,
     collision_count_metric,
-    contact_query,
     drag_force,
     kinetic_energy,
 )
 
-from conftest import contacts_per_sphere, oracle_agrees, random_contact_batches, scalar_contact
+from conftest import (
+    contacts_per_sphere,
+    grid_query,
+    oracle_agrees,
+    random_contact_batches,
+    scalar_contact,
+)
 from test_nn import max_rel_error, numeric_grads
 from test_ppo import gae_bruteforce
 
@@ -155,8 +160,7 @@ def test_criterion_5_collision_oracle():
     # bursts step with
     batches = list(random_contact_batches(125, 8, seed=7))
     sides = {
-        "batched": [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
-                                                      grid.voxel_size), len(centers))
+        "batched": [contacts_per_sphere(grid_query(centers, radius, grid), len(centers))
                     for grid, centers, radius in batches],
         "one at a time (scalar core)": [[scalar_contact(center, radius, grid)
                                          for center in centers]

@@ -433,6 +433,7 @@ class TestMetricOverflow(CappedRun):
         proc = self.run_capped(tmp_path, "train", "--config",
                                self.overflowing_config(tmp_path, field), "--out", "train")
         self.assert_one_line(proc, 3, "train: tunnel: ")
+        assert not (tmp_path / "train").exists()
 
 
 @pytest.mark.parametrize("voxel_size", ["nan", "inf"])

@@ -19,8 +19,8 @@ from voxwind.windtunnel import (
     PlacedGrid,
     SimResult,
     TunnelConfig,
+    _step_batch,
     collision_count_metric,
-    contact_query,
     drag_force,
     heatmap_to_csv,
     heatmap_to_pgm,
@@ -31,7 +31,6 @@ from voxwind.windtunnel import (
     simresult_from_csv,
     simresult_to_csv,
     spawn_burst,
-    step,
 )
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     contacts_per_sphere,
     desk_tunnel,
     exhaustive_contact,
+    grid_query,
     oracle_agrees,
     random_contact_batches,
     scalar_contact,
@@ -148,13 +148,41 @@ class TestSpawnBurst:
 
 
 def single_contact(pos, radius, grid):
-    """contact_query for one sphere as ((x, y, z), normal) or None."""
-    c = contact_query(pos, radius, grid.column_heights, grid.voxel_size)
-    return contacts_per_sphere(c, 1)[0]
+    """The contact query for one sphere as ((x, y, z), normal) or None."""
+    return contacts_per_sphere(grid_query(pos, radius, grid), 1)[0]
 
 
 def lone_burst(position, velocity):
     return ParticleBurst(np.array([position], dtype=float), np.array([velocity], dtype=float))
+
+
+def assert_same_contacts(got, want):
+    """Two `_query` or stepper tuples, or Nones, equal array by array in
+    values and dtypes."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype, k
+            np.testing.assert_array_equal(a, b, err_msg=str(k))
+
+
+def step_both(burst, placed, shape, steps):
+    """Both steppers over `steps` dt, each on its own copy of `burst` and a
+    zero (W, L) = `shape` heatmap, asserted equal in their rows and speeds
+    (values and dtypes), their heatmaps and their final bursts. Returns
+    `_step_batch`'s (rows, speeds), heatmap and burst."""
+    runs = []
+    for stepper in (windtunnel._step_batch, windtunnel._step_each):
+        own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
+        runs.append((stepper(own, placed, hm, steps), hm, own))
+    (got, got_hm, got_burst), (want, want_hm, want_burst) = runs
+    assert_same_contacts(got, want)
+    assert got[0].dtype == np.intp and got[1].dtype == np.float64
+    np.testing.assert_array_equal(got_hm, want_hm)
+    for name in ("position", "velocity", "alive"):
+        np.testing.assert_array_equal(getattr(got_burst, name), getattr(want_burst, name))
+    return runs[0]
 
 
 def head_on_step(restitution, velocity=(1.0, 0.0, 0.0)):
@@ -164,10 +192,9 @@ def head_on_step(restitution, velocity=(1.0, 0.0, 0.0)):
     cfg = TunnelConfig(**{**cfg.__dict__, "restitution": restitution,
                           "domain_size": (0.4, 0.1, 1.0), "dt": 0.01})
     placed = PlacedGrid(grid, cfg)
-    burst = lone_burst(placed.origin + [0.145, 0.05, 0.05], velocity)
-    hm = np.zeros((4, 1), dtype=np.int64)
-    contacts = step(burst, placed, hm)
-    return burst, contacts, hm
+    (rows, speeds), hm, burst = step_both(
+        lone_burst(placed.origin + [0.145, 0.05, 0.05], velocity), placed, (4, 1), 1)
+    return burst.position[0] - placed.origin, burst, rows, speeds, hm
 
 
 class TestSphereVoxelContact:
@@ -183,23 +210,21 @@ class TestSphereVoxelContact:
 
     def test_face_normal_above_top(self):
         grid = VoxelGrid(1, 1, 4, 0.1, np.array([[2]]))
-        c = contact_query([0.05, 0.05, 0.23], 0.05, grid.column_heights, grid.voxel_size)
-        assert len(c) == 1
-        assert (c.axis[0], c.sign[0]) == (2, 1.0)  # normal +z
-        assert tuple(c.voxel[0]) == (0, 0, 1)
-        assert c.penetration[0] == pytest.approx(0.02)
+        rows, voxel, axis, sign, pen = grid_query([0.05, 0.05, 0.23], 0.05, grid)
+        assert rows.tolist() == [0]
+        assert (axis[0], sign[0]) == (2, 1.0)  # normal +z
+        assert tuple(voxel[0]) == (0, 0, 1)
+        assert pen[0] == pytest.approx(0.02)
 
     def test_batch_rows_name_the_touching_spheres(self):
         grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
         centers = [[1.0, 1.0, 1.0], [0.05, 0.05, 0.05], [0.1, 0.1, 0.5],
                    [0.15, 0.15, 0.22], [2.0, 0.0, 0.0], [0.05, 0.15, 0.1]]
-        c = contact_query(centers, 0.03, grid.column_heights, grid.voxel_size)
-        assert c.particle.tolist() == [1, 3, 5]
+        assert grid_query(centers, 0.03, grid)[0].tolist() == [1, 3, 5]
 
     def test_impact_speed_is_velocity_norm(self):
-        _, contacts, _ = head_on_step(1.0, velocity=(3.0, 4.0, 0.0))
-        assert len(contacts) == 1
-        assert contacts.impact_speed[0] == pytest.approx(5.0)
+        *_, speeds, _ = head_on_step(1.0, velocity=(3.0, 4.0, 0.0))
+        assert speeds.tolist() == [pytest.approx(5.0)]
 
     def test_matches_exhaustive_oracle_sample(self, monkeypatch):
         # 240 spheres, 12 per grid: as one batch (the vectorised query), in
@@ -209,8 +234,7 @@ class TestSphereVoxelContact:
         batches = list(random_contact_batches(20, 12, seed=42))
 
         def batched():
-            return [contacts_per_sphere(contact_query(centers, radius, grid.column_heights,
-                                                      grid.voxel_size), len(centers))
+            return [contacts_per_sphere(grid_query(centers, radius, grid), len(centers))
                     for grid, centers, radius in batches]
 
         sides = [batched()]
@@ -227,40 +251,36 @@ class TestStep:
     def test_empty_grid_straight_line(self):
         grid = VoxelGrid(4, 4, 4, 0.1, np.zeros((4, 4), dtype=int))
         cfg = desk_tunnel(particle_count=0)
-        burst = lone_burst([0.5, 0.5, 0.5], [1.0, 0.0, 0.0])
-        hm = np.zeros((4, 4), dtype=np.int64)
-        contacts = step(burst, PlacedGrid(grid, cfg), hm)
-        assert contacts is windtunnel.NO_CONTACTS
-        assert not contacts.particle.flags.writeable
+        (rows, speeds), hm, burst = step_both(lone_burst([0.5, 0.5, 0.5], [1.0, 0.0, 0.0]),
+                                              PlacedGrid(grid, cfg), (4, 4), 1)
+        assert len(rows) == len(speeds) == 0
         np.testing.assert_allclose(burst.position[0],
                                    [0.5 + cfg.dt, 0.5, 0.5])
         assert hm.sum() == 0
 
     def test_elastic_head_on(self):
-        burst, contacts, hm = head_on_step(1.0)
-        assert len(contacts) == 1
+        loc, burst, rows, _, hm = head_on_step(1.0)
+        assert rows.tolist() == [0]
+        # normal -x: reflected along x, and popped back out of voxel (2, 0, 0)
+        # to touch its -x face at 0.2 m
         np.testing.assert_allclose(burst.velocity[0], [-1.0, 0.0, 0.0])
-        assert (contacts.axis[0], contacts.sign[0]) == (0, -1.0)  # normal -x
-        assert contacts.particle.tolist() == [0]
-        assert tuple(contacts.voxel[0]) == (2, 0, 0)
-        assert hm[2, 0] == 1
+        np.testing.assert_allclose(loc, [0.2 - 0.05, 0.05, 0.05])
+        assert hm[2, 0] == hm.sum() == 1
 
     def test_plastic_head_on(self):
-        burst, contacts, _ = head_on_step(0.0)
-        assert len(contacts) == 1
+        _, burst, rows, _, _ = head_on_step(0.0)
+        assert rows.tolist() == [0]
         np.testing.assert_allclose(burst.velocity[0], [0.0, 0.0, 0.0])
 
     def test_exit_records_ke(self):
         # the exit energy is read from the velocity, which stays frozen after exit
         grid = VoxelGrid(2, 2, 2, 0.1, np.zeros((2, 2), dtype=int))
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
-        burst = lone_burst([0.1, 0.1, 0.1], [2.0, 0.0, 0.0])
-        hm = np.zeros((2, 2), dtype=np.int64)
-        placed = PlacedGrid(grid, cfg)
-        step(burst, placed, hm)
+        # both steppers stop after the exit, one dt into the two asked for
+        _, _, burst = step_both(lone_burst([0.1, 0.1, 0.1], [2.0, 0.0, 0.0]),
+                                PlacedGrid(grid, cfg), (2, 2), 2)
         assert not burst.alive[0]
-        step(burst, placed, hm)
-        assert not burst.alive[0]
+        np.testing.assert_array_equal(burst.position[0], [0.1 + 2.0 * 0.5, 0.1, 0.1])
         v = burst.velocity[0]
         assert 0.5 * cfg.particle_mass * (v @ v) == pytest.approx(0.5 * cfg.particle_mass * 4.0)
 
@@ -279,27 +299,29 @@ class TestStep:
         burst = ParticleBurst(pos.copy(), vel.copy())
         burst.alive[:] = was_alive
         hm = np.zeros((4, 4), dtype=np.int64)
-        contacts = step(burst, placed, hm)
+        rows, _ = _step_batch(burst, placed, hm, 1)
 
         # the batch holds every kind of particle this test is about
         drifted = pos + vel * cfg.dt - placed.origin
-        touching = contact_query(drifted, cfg.particle_radius, grid.column_heights,
-                                 grid.voxel_size).particle
-        assert was_alive[touching].sum() > len(contacts)  # separating contacts
-        assert len(touching) < n                          # misses
-        assert (was_alive & ~burst.alive).any()           # exits
+        touching = grid_query(drifted, cfg.particle_radius, grid)[0]
+        assert was_alive[touching].sum() > len(rows)  # separating contacts
+        assert len(touching) < n                      # misses
+        assert (was_alive & ~burst.alive).any()       # exits
 
-        rows = []
+        alone_rows = []
         alone_hm = np.zeros_like(hm)
         for i in range(n):
+            if not was_alive[i]:
+                # a burst of one dead row would not step at all; in a batch
+                # such a row drifts on
+                np.testing.assert_array_equal(burst.position[i], pos[i] + vel[i] * cfg.dt)
+                continue
             one = lone_burst(pos[i], vel[i])
-            one.alive[0] = was_alive[i]
-            c = step(one, placed, alone_hm)
-            rows += [i] * len(c)
+            alone_rows += [i] * len(_step_batch(one, placed, alone_hm, 1)[0])
             np.testing.assert_array_equal(burst.position[i], one.position[0])
             np.testing.assert_array_equal(burst.velocity[i], one.velocity[0])
             assert burst.alive[i] == one.alive[0]
-        assert contacts.particle.tolist() == rows
+        assert rows.tolist() == alone_rows
         np.testing.assert_array_equal(hm, alone_hm)
         # dead particles stay dead with the velocity their exit energy is read from
         assert not burst.alive[~was_alive].any()
@@ -307,19 +329,11 @@ class TestStep:
 
 
 def step_querying_every_live_row(burst, placed, heatmap):
-    """`step` with a near test that admits every live row, as a reference."""
+    """One dt of `_step_batch` with a near test that admits every live row,
+    as a reference."""
     everything = copy.copy(placed)
     everything.reach = np.full_like(placed.reach, np.inf)
-    return step(burst, everything, heatmap)
-
-
-def assert_same_contacts(got, want):
-    for name in ("particle", "voxel", "axis", "sign", "penetration", "impact_speed"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.dtype == b.dtype, name
-            np.testing.assert_array_equal(a, b, err_msg=name)
+    return _step_batch(burst, everything, heatmap, 1)
 
 
 class TestNearTable:
@@ -360,12 +374,13 @@ class TestNearTable:
             hm, ref_hm = np.zeros((w, l), dtype=np.int64), np.zeros((w, l), dtype=np.int64)
             for _ in range(3):
                 before = (burst.position + burst.velocity * cfg.dt - placed.origin)[:, :2]
-                contacts = step(burst, placed, hm)
-                assert_same_contacts(contacts, step_querying_every_live_row(ref, placed, ref_hm))
+                rows, speeds = _step_batch(burst, placed, hm, 1)
+                assert_same_contacts((rows, speeds),
+                                     step_querying_every_live_row(ref, placed, ref_hm))
                 for name in ("position", "velocity", "alive"):
                     np.testing.assert_array_equal(getattr(burst, name), getattr(ref, name))
                 np.testing.assert_array_equal(hm, ref_hm)
-                cell = np.floor(before[contacts.particle] / vs)
+                cell = np.floor(before[rows] / vs)
                 outer = (cell == -k) | (cell == np.array([w, l]) - 1 + k)
                 ring_contacts += int(outer.any(axis=1).sum())
         # rows k columns off the footprint, in the outermost ring whose
@@ -430,9 +445,10 @@ class TestQueryBatchProperty:
         # sphere's own window decides which voxels are candidates.
         vs, r, heights, centers = case
         got = batch_query(centers, r, heights, vs)
-        rows = {int(i): (tuple(int(v) for v in voxel), int(axis), float(sign), float(pen))
-                for i, voxel, axis, sign, pen in zip(got.particle, got.voxel, got.axis,
-                                                      got.sign, got.penetration)}
+        rows = {}
+        if got is not None:
+            rows = {int(i): (tuple(int(v) for v in voxel), int(axis), float(sign), float(pen))
+                    for i, voxel, axis, sign, pen in zip(*got)}
         for i, (cx, cy, cz) in enumerate(centers.tolist()):
             best = _best_overlap(cx, cy, cz, r, heights.tolist(), vs)
             want = None
@@ -455,7 +471,7 @@ class TestQueryBatchProperty:
         center = np.array([[4.6125, 0.15, 0.075]])
         assert math.floor((4.6125 + r) / vs) == 30 and (4.6125 - 31 * vs) ** 2 < r * r
         assert _best_overlap(*center[0].tolist(), r, heights.tolist(), vs) is None
-        assert len(batch_query(center, r, heights, vs)) == 0
+        assert batch_query(center, r, heights, vs) is None
 
     def test_exact_touch_is_no_contact_everywhere(self):
         # the scalar core, the batched query, the exhaustive oracle and both
@@ -469,20 +485,14 @@ class TestQueryBatchProperty:
         for r, hits in ((TOUCH_R, 0), (float(np.nextafter(TOUCH_R, 1.0)), 1)):
             best = _best_overlap(*TOUCH_CENTER, r, TOUCH_HEIGHTS.tolist(), TOUCH_VS)
             assert (best is not None) == hits
-            assert len(batch_query([TOUCH_CENTER], r, TOUCH_HEIGHTS, TOUCH_VS)) == hits
+            assert (batch_query([TOUCH_CENTER], r, TOUCH_HEIGHTS, TOUCH_VS) is not None) == hits
             assert (exhaustive_contact(TOUCH_CENTER, r, grid) is not None) == hits
             cfg = TunnelConfig(particle_radius=r, domain_size=(6 * TOUCH_VS, 6 * TOUCH_VS, 1.0),
                                dt=0.25)
             placed = PlacedGrid(grid, cfg)
             assert not placed.origin.any()
-            for stepper in ("step", "_step_each"):
-                burst = lone_burst(start, velocity)
-                hm = np.zeros((6, 6), dtype=np.int64)
-                if stepper == "step":
-                    found = len(step(burst, placed, hm))
-                else:
-                    found = len(windtunnel._step_each(burst, placed, hm, 1)[0])
-                assert found == hits == hm[1, 1], (r, stepper)
+            (rows, _), hm, _ = step_both(lone_burst(start, velocity), placed, (6, 6), 1)
+            assert len(rows) == hits == hm[1, 1], r
 
 
 class TestStrictRadius:
@@ -499,21 +509,26 @@ class TestStrictRadius:
              ((0.75, 0.25, 0.25), (0.75, 1.0, 0.25), 1, -1.0),   # beside its -y face
              ((0.75, 0.75, 0.75), (0.75, 0.75, 0.0), 2, 1.0)]    # above its top face
 
-    @pytest.mark.parametrize("query", ["contact_query", "_query_batch"])
+    def query(self, name, centers):
+        if name == "_query":
+            return grid_query(centers, self.R, self.GRID)
+        return batch_query(centers, self.R, self.GRID.column_heights, self.VS)
+
+    # the chunked query the steppers call, and one unchunked batch
+    @pytest.mark.parametrize("query", ["_query", "_query_batch"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_query_is_strict(self, query, center, toward, axis, sign):
-        fn = contact_query if query == "contact_query" else batch_query
         at_r = np.array([center])
-        assert len(fn(at_r, self.R, self.GRID.column_heights, self.VS)) == 0
+        assert self.query(query, at_r) is None
         inside = np.nextafter(at_r, [toward])
         assert np.count_nonzero(inside != at_r) == 1
-        c = fn(inside, self.R, self.GRID.column_heights, self.VS)
-        assert len(c) == 1
-        assert (tuple(c.voxel[0]), c.axis[0], c.sign[0]) == ((1, 1, 0), axis, sign)
+        rows, voxel, found_axis, found_sign, _ = self.query(query, inside)
+        assert rows.tolist() == [0]
+        assert (tuple(voxel[0]), found_axis[0], found_sign[0]) == ((1, 1, 0), axis, sign)
 
-    # the numpy step, and the row-at-a-time step of bursts of at most
+    # the numpy stepper, and the row-at-a-time stepper of bursts of at most
     # SMALL_BATCH rows, which takes the scalar core
-    @pytest.mark.parametrize("stepper", ["step", "_step_each"])
+    @pytest.mark.parametrize("stepper", ["_step_batch", "_step_each"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_step_is_strict(self, center, toward, axis, sign, stepper):
         cfg = TunnelConfig(particle_radius=self.R, domain_size=(1.5, 1.5, 1.5), dt=0.25)
@@ -526,10 +541,7 @@ class TestStrictRadius:
                              (np.nextafter(center, toward), 1)):
             burst = lone_burst(target - velocity * cfg.dt, velocity)
             hm = np.zeros((3, 3), dtype=np.int64)
-            if stepper == "step":
-                found = len(step(burst, placed, hm))
-            else:
-                found = len(windtunnel._step_each(burst, placed, hm, 1)[0])
+            found = len(getattr(windtunnel, stepper)(burst, placed, hm, 1)[0])
             if hits:
                 pen = (self.R + 0.5 * self.VS) - abs(target[axis] - voxel_center[axis])
                 assert burst.position[0, axis] == target[axis] + sign * pen
@@ -677,7 +689,7 @@ class TestRunSimulationDrift:
 
 class TestStepEach:
     """Bursts of at most SMALL_BATCH rows step one row at a time in Python
-    floats; larger ones take the numpy `step`."""
+    floats; larger ones take the numpy `_step_batch`."""
 
     def test_learner_tunnel_equals_stepping_every_dt(self, wedge_grid):
         # the 4-particle, 1-burst tunnel of a learner-sized training run
@@ -690,13 +702,61 @@ class TestStepEach:
 
     def test_selected_by_burst_rows(self, wedge_grid):
         def no_step(*args):
-            raise AssertionError("numpy step called")
+            raise AssertionError("numpy stepper called")
 
         cfg = desk_tunnel(particle_count=SMALL_BATCH, burst_count=1)
-        with mock.patch.object(windtunnel, "step", no_step):
+        with mock.patch.object(windtunnel, "_step_batch", no_step):
             assert run_simulation(wedge_grid, cfg).collision_count > 0
-            with pytest.raises(AssertionError, match="numpy step"):
+            with pytest.raises(AssertionError, match="numpy stepper"):
                 run_simulation(wedge_grid, replace(cfg, particle_count=SMALL_BATCH + 1))
+
+
+class TestSteppersAgree:
+    """`_step_batch` and `_step_each` on copies of one burst over the same
+    number of dt give the same rows, speeds, heatmap and final burst, on
+    either side of SMALL_BATCH."""
+
+    @pytest.mark.parametrize("low, high", [(1, SMALL_BATCH), (SMALL_BATCH + 1, 40)])
+    @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
+           vs=st.sampled_from([0.05, 0.1, 0.2]), dt=st.sampled_from([1 / 500, 1 / 120, 1 / 30]),
+           restitution=st.floats(0.0, 1.0), steps=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_on_random_bursts(self, low, high, data, mph, ratio, vs, dt, restitution,
+                                    steps, seed):
+        # rows around the grid, a few dead, flying in any direction at the
+        # air speed; some start outside the domain
+        w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
+        heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                              max_size=w * l))).reshape(w, l)
+        grid = VoxelGrid(w, l, h_max, vs, heights)
+        r = ratio * vs
+        extent = np.array([w, l, h_max]) * vs
+        domain = extent + data.draw(st.tuples(*(st.floats(0.0, 1.0),) * 3))
+        cfg = TunnelConfig(particle_radius=r, domain_size=tuple(domain), dt=dt,
+                           restitution=restitution)
+        placed = PlacedGrid(grid, cfg)
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(low, high))
+        pos = placed.origin + rng.uniform(-r - vs, extent + r + vs, size=(m, 3))
+        direction = rng.normal(size=(m, 3))
+        speed = mph_to_mps(mph) / np.linalg.norm(direction, axis=1)
+        burst = ParticleBurst(pos, direction * speed[:, None])
+        burst.alive[rng.uniform(size=m) < 0.2] = False
+        step_both(burst, placed, (w, l), steps)
+
+    @pytest.mark.parametrize("rows", [1, SMALL_BATCH, SMALL_BATCH + 1, 40])
+    def test_equal_on_desk_bursts(self, wedge_grid, rows):
+        # spawned bursts from the inlet, over every dt of a desk run
+        impacts = 0
+        for mph in (10.0, 60.0, 120.0):
+            cfg = desk_tunnel(particle_count=rows, burst_count=1, max_steps=160)
+            cfg = replace(cfg, air_speed=mph)
+            burst = spawn_burst(cfg, [np.random.default_rng(int(mph))])
+            (hits, _), _, _ = step_both(burst, PlacedGrid(wedge_grid, cfg),
+                                        (wedge_grid.width, wedge_grid.length), cfg.max_steps)
+            impacts += len(hits)
+        assert impacts > 0
 
 
 def edge_ring_reach(grid, r):
