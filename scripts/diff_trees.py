@@ -49,12 +49,20 @@ def draw_config(rng) -> dict:
     return {"heights": heights, "h_max": h_max, "voxel_size": vs, "tunnel": tunnel}
 
 
+def grid_csv(config: dict) -> str:
+    """The config's grid as grid CSV text, written here in the format that
+    every tree's `grid_from_csv` reads, so no tree's grid constructor is called."""
+    heights = config["heights"]
+    lines = ["width,length,h_max,voxel_size",
+             f"{heights.shape[0]},{heights.shape[1]},{config['h_max']},{config['voxel_size']!r}"]
+    lines.extend(",".join(str(int(v)) for v in row) for row in heights)
+    return "\n".join(lines) + "\n"
+
+
 def outputs(tree, config: dict) -> dict:
     """field -> output text or bytes of one simulation in `tree`."""
-    wt, vx = tree.windtunnel, tree.voxel
-    heights = config["heights"]
-    grid = vx.VoxelGrid(heights.shape[0], heights.shape[1], config["h_max"],
-                        config["voxel_size"], heights.copy())
+    wt = tree.windtunnel
+    grid = tree.voxel.grid_from_csv(grid_csv(config))
     try:
         result = wt.run_simulation(grid, wt.TunnelConfig(**config["tunnel"]))
     except Exception as exc:  # a raise is an output to compare, not a crash

@@ -38,7 +38,7 @@ class RewardWeights:
     w_h: float = setting(0.1, gt=0.0)
 
 
-def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int = 3) -> SimResult:
+def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int) -> SimResult:
     """The SimResult of the untouched design, averaged over consecutive seeds."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")

@@ -14,6 +14,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_VERSION = 1
 
+# Adam's decay rates and denominator guard, the constants of Kingma & Ba,
+# Adam: A Method for Stochastic Optimization (ICLR 2015)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def xavier_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -45,7 +49,9 @@ class Mlp:
         return out
 
     def forward(self, x):
-        """Run the net; returns (output, cache) where cache feeds backward()."""
+        """Run the net; returns (output, cache) where cache feeds backward().
+        The cache holds each layer's (batch, dim) activations, a single
+        vector's as a batch of one."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x[None, :] if single else x
@@ -57,29 +63,21 @@ class Mlp:
             z = h @ w + b
             h = z if li == last else np.tanh(z)
             acts.append(h)
-        return (h[0] if single else h), (acts, single)
+        return (h[0] if single else h), acts
 
-    def backward(self, cache, grad_out):
-        """Exact gradients for the cached forward pass.
-
-        Returns (param_grads, grad_input); param_grads aligns with .params.
-        """
-        acts, single = cache
-        g = np.asarray(grad_out, dtype=np.float64)
-        if single:
-            g = g[None, :]
-        if g.shape != acts[-1].shape:
-            raise ValueError(f"grad shape {g.shape} does not match output {acts[-1].shape}")
+    def backward(self, acts, grad_out) -> list:
+        """Exact parameter gradients for the cached forward pass, aligned with
+        .params; grad_out is (batch, output dim), like the cached output."""
+        delta = np.asarray(grad_out, dtype=np.float64)
+        if delta.shape != acts[-1].shape:
+            raise ValueError(f"grad shape {delta.shape} does not match output {acts[-1].shape}")
         grads = [None] * (2 * len(self.weights))
-        last = len(self.weights) - 1
-        delta = g
-        for li in range(last, -1, -1):
-            if li != last:
-                delta = delta * (1.0 - acts[li + 1] ** 2)  # through tanh
+        for li in range(len(self.weights) - 1, -1, -1):
             grads[2 * li] = acts[li].T @ delta
             grads[2 * li + 1] = delta.sum(axis=0)
-            delta = delta @ self.weights[li].T
-        return grads, (delta[0] if single else delta)
+            if li:
+                delta = (delta @ self.weights[li].T) * (1.0 - acts[li] ** 2)  # through tanh
+        return grads
 
 
 @dataclass
@@ -130,14 +128,11 @@ def gaussian_entropy(policy: GaussianPolicy) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators shaped like their parameters."""
+    """First/second moment accumulators shaped like their parameters, and the step count."""
 
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -145,23 +140,22 @@ class AdamState:
                    v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """Bias-corrected Adam; updates params and state in place and returns them."""
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam; updates params and state in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads, and state must have matching lengths")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if p.shape != g.shape:
             raise ValueError(f"grad shape {g.shape} does not match param {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return params, state
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -178,9 +172,9 @@ def _mlp_doc(net: Mlp) -> dict:
 def _adam_doc(state: AdamState) -> dict:
     return {
         "t": state.t,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
+        "beta1": BETA1,
+        "beta2": BETA2,
+        "eps": EPS,
         "m": [a.tolist() for a in state.m],
         "v": [a.tolist() for a in state.v],
     }

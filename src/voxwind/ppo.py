@@ -16,6 +16,8 @@ from .windtunnel import METRIC_NAMES
 _TRACE_FLOAT_KEYS = ("reward", *METRIC_NAMES, "policy_loss", "value_loss", "entropy")
 TRACE_CSV_HEADER = ",".join(("step",) + _TRACE_FLOAT_KEYS)
 
+ADVANTAGE_VAR_GUARD = 1e-8
+
 
 @dataclass
 class PpoConfig:
@@ -163,11 +165,12 @@ def compute_gae(rewards, values, dones, gamma: float, lam: float,
     return advantages, advantages + values
 
 
-def normalize_advantages(advantages: np.ndarray, guard: float = 1e-8) -> np.ndarray:
-    """Zero-mean unit-variance rescale, skipped entirely for near-zero variance."""
+def normalize_advantages(advantages: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance rescale, skipped entirely for a variance below
+    ADVANTAGE_VAR_GUARD."""
     adv = np.asarray(advantages, dtype=np.float64)
     var = float(adv.var())
-    if var < guard:
+    if var < ADVANTAGE_VAR_GUARD:
         return adv.copy()
     return (adv - adv.mean()) / math.sqrt(var)
 
@@ -206,20 +209,20 @@ def ppo_loss_and_grads(policy: nn.GaussianPolicy, value_net: nn.Mlp, states, act
     dmu = dlogp[:, None] * (diff / var)
     dlog_std = (dlogp[:, None] * (diff * diff / var - 1.0)).sum(axis=0)
     dlog_std -= config.beta * np.ones(policy.action_dim)  # entropy bonus
-    net_grads, _ = policy.mean_net.backward(cache, dmu)
+    net_grads = policy.mean_net.backward(cache, dmu)
 
     val, vcache = value_net.forward(states)
     verr = val[:, 0] - returns
     value_loss = float((verr * verr).mean())
     dval = (config.value_coef * 2.0 * verr / bsz)[:, None]
-    value_grads, _ = value_net.backward(vcache, dval)
+    value_grads = value_net.backward(vcache, dval)
     return policy_loss, value_loss, entropy, net_grads + [dlog_std], value_grads
 
 
 def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.Mlp,
                config: PpoConfig, progress: float,
                policy_opt: nn.AdamState, value_opt: nn.AdamState,
-               rng: np.random.Generator | None = None) -> dict:
+               rng: np.random.Generator) -> dict:
     """One optimisation phase over a finished buffer.
 
     Advantages are normalised once across the buffer, then config.epochs of
@@ -233,8 +236,6 @@ def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.M
     if n < config.batch_size:
         raise ValueError(f"buffer has {n} rows, shorter than one minibatch of "
                          f"{config.batch_size}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     adv_all = normalize_advantages(data["advantages"])
     lr = linear_schedule(config.learning_rate, config.learning_rate_final, progress)
     eps = linear_schedule(config.epsilon, config.epsilon_final, progress)

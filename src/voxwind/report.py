@@ -52,4 +52,4 @@ def export_heatmap_delta(before: np.ndarray, after: np.ndarray) -> tuple[bytes, 
     if b.shape != a.shape:
         raise ValueError(f"heatmap dimensions differ: {b.shape} vs {a.shape}")
     lo, hi = min(float(b.min()), float(a.min())), max(float(b.max()), float(a.max()))
-    return tuple(write_pgm(minmax_pixels(t, lo, hi), maxval=255, binary=True) for t in (b, a))
+    return tuple(write_pgm(minmax_pixels(t, lo, hi)) for t in (b, a))

@@ -38,19 +38,12 @@ def round_half_away(x):
 class HeightMap:
     """Normalized elevation field; values[x, y] in [0, 1]."""
 
-    width: int
-    length: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.width < 1 or self.length < 1:
+        if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError("heightmap dimensions must be at least 1x1")
-        if self.values.shape != (self.width, self.length):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match "
-                f"({self.width}, {self.length})"
-            )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("heightmap values must be finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
@@ -61,33 +54,31 @@ class HeightMap:
 class VoxelGrid:
     """Solid-column voxel model: cell (x, y, z) is occupied iff z < column_heights[x, y]."""
 
-    width: int
-    length: int
+    column_heights: np.ndarray
     h_max: int
     voxel_size: float
-    column_heights: np.ndarray
 
     def __post_init__(self):
         self.column_heights = np.asarray(self.column_heights, dtype=np.int64)
-        if self.width < 1 or self.length < 1:
+        if self.column_heights.ndim != 2 or self.column_heights.size == 0:
             raise ValueError("grid dimensions must be at least 1x1")
         if self.h_max < 1:
             raise ValueError("h_max must be at least 1")
         if not 0.0 < self.voxel_size < np.inf:
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size!r}")
-        if self.column_heights.shape != (self.width, self.length):
-            raise ValueError(
-                f"column_heights shape {self.column_heights.shape} does not "
-                f"match ({self.width}, {self.length})"
-            )
         if self.column_heights.min() < 0 or self.column_heights.max() > self.h_max:
             raise ValueError("column heights must lie in [0, h_max]")
 
+    @property
+    def width(self) -> int:
+        return self.column_heights.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.column_heights.shape[1]
+
     def copy(self) -> "VoxelGrid":
-        return VoxelGrid(
-            self.width, self.length, self.h_max, self.voxel_size,
-            self.column_heights.copy(),
-        )
+        return VoxelGrid(self.column_heights.copy(), self.h_max, self.voxel_size)
 
 
 @dataclass
@@ -132,7 +123,7 @@ def _next_token(data: bytes, pos: int):
 
 
 def load_heightmap(data: bytes) -> HeightMap:
-    """Parse PGM bytes (ascii P2 or binary P5) into a HeightMap.
+    """Parse PGM bytes (plain P2 or raw P5) into a HeightMap.
 
     maxval must be 255 or 65535; stored values are pixel/maxval. Raises
     PgmParseError naming a byte offset on malformed headers, truncated
@@ -184,12 +175,11 @@ def load_heightmap(data: bytes) -> HeightMap:
                 )
             pixels.append(v)
         pixels = np.array(pixels, dtype=np.float64)
-    values = (pixels / maxval).reshape(height, width).T
-    return HeightMap(width=width, length=height, values=values)
+    return HeightMap((pixels / maxval).reshape(height, width).T)
 
 
-def write_pgm(pixels, maxval: int = 255, binary: bool = True) -> bytes:
-    """Serialize an integer pixel grid indexed [x, y] as PGM bytes."""
+def write_pgm(pixels, maxval: int = 255) -> bytes:
+    """Serialize an integer pixel grid indexed [x, y] as raw (P5) PGM bytes."""
     if maxval not in (255, 65535):
         raise ValueError("maxval must be 255 or 65535")
     pix = np.asarray(pixels, dtype=np.int64)
@@ -198,24 +188,20 @@ def write_pgm(pixels, maxval: int = 255, binary: bool = True) -> bytes:
     if pix.min() < 0 or pix.max() > maxval:
         raise ValueError(f"pixel values must lie in [0, {maxval}]")
     rows = pix.T  # file rows run along y
-    magic = "P5" if binary else "P2"
-    header = f"{magic}\n{pix.shape[0]} {pix.shape[1]}\n{maxval}\n".encode("ascii")
-    if binary:
-        dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
-        return header + np.ascontiguousarray(rows).astype(dtype).tobytes()
-    body = "\n".join(" ".join(str(int(v)) for v in row) for row in rows)
-    return header + body.encode("ascii") + b"\n"
+    header = f"P5\n{pix.shape[0]} {pix.shape[1]}\n{maxval}\n".encode("ascii")
+    dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+    return header + np.ascontiguousarray(rows).astype(dtype).tobytes()
 
 
-def write_heightmap_pgm(hm: HeightMap, maxval: int = 255, binary: bool = True) -> bytes:
+def write_heightmap_pgm(hm: HeightMap, maxval: int = 255) -> bytes:
     """Quantize a HeightMap back to PGM; value v maps to round(v * maxval)."""
-    return write_pgm(round_half_away(hm.values * maxval), maxval=maxval, binary=binary)
+    return write_pgm(round_half_away(hm.values * maxval), maxval=maxval)
 
 
 # --- construction and edits --------------------------------------------------
 
 
-def synth_heightmap(shape: str, width: int, length: int, amplitude: float = 1.0) -> HeightMap:
+def synth_heightmap(shape: str, width: int, length: int, amplitude: float) -> HeightMap:
     """Deterministic analytic surfaces standing in for real scanned bodies.
 
     flat: all zeros. box: constant plateau at `amplitude`. wedge: linear ramp
@@ -239,7 +225,7 @@ def synth_heightmap(shape: str, width: int, length: int, amplitude: float = 1.0)
         u = np.zeros(1) if width == 1 else np.linspace(-1.0, 1.0, width)
         arch = amplitude * np.sqrt(np.clip(1.0 - u * u, 0.0, 1.0))
         values = np.repeat(arch[:, None], length, axis=1)
-    return HeightMap(width=width, length=length, values=values)
+    return HeightMap(values)
 
 
 def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
@@ -251,7 +237,7 @@ def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
     if h_max > H_MAX_LIMIT:
         raise ValueError(f"h_max must be at most {H_MAX_LIMIT}, got {h_max}")
     heights = round_half_away(hm.values * h_max)
-    return VoxelGrid(hm.width, hm.length, int(h_max), float(voxel_size), heights)
+    return VoxelGrid(heights, int(h_max), float(voxel_size))
 
 
 def apply_height_delta(grid: VoxelGrid, deltas, mask: VoxelMask | None = None) -> VoxelGrid:
@@ -274,7 +260,7 @@ def apply_height_delta(grid: VoxelGrid, deltas, mask: VoxelMask | None = None) -
     new_heights = np.clip(round_half_away(grid.column_heights + deltas), 0, grid.h_max)
     if mask is not None:
         new_heights = np.where(mask.frozen, grid.column_heights, new_heights)
-    return VoxelGrid(grid.width, grid.length, grid.h_max, grid.voxel_size, new_heights)
+    return VoxelGrid(new_heights, grid.h_max, grid.voxel_size)
 
 
 def heightmap_sum(grid: VoxelGrid) -> int:
@@ -294,35 +280,45 @@ def grid_to_csv(grid: VoxelGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grid_from_csv(text: str) -> VoxelGrid:
+def _read_table(text: str, kind: str, header: str, dim_types, cell, dtype):
+    """The dimension row and the table of a grid or mask CSV: one value per
+    `header` field, converted by `dim_types`, the first two being the width
+    and length; then width rows of length cells, each converted by `cell`,
+    as a (width, length) array of `dtype`."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != GRID_CSV_HEADER:
-        raise ValueError(f"grid csv: first line must be '{GRID_CSV_HEADER}'")
+    if not lines or lines[0] != header:
+        raise ValueError(f"{kind} csv: first line must be '{header}'")
     if len(lines) < 2:
-        raise ValueError("grid csv: missing dimension row")
+        raise ValueError(f"{kind} csv: missing dimension row")
     parts = lines[1].split(",")
-    if len(parts) != 4:
-        raise ValueError(f"grid csv: dimension row needs 4 fields, got {len(parts)}")
+    if len(parts) != len(dim_types):
+        raise ValueError(f"{kind} csv: dimension row needs {len(dim_types)} fields, "
+                         f"got {len(parts)}")
     try:
-        width, length, h_max = int(parts[0]), int(parts[1]), int(parts[2])
-        voxel_size = float(parts[3])
+        dims = [convert(part) for convert, part in zip(dim_types, parts)]
     except ValueError as exc:
-        raise ValueError(f"grid csv: bad dimension row: {exc}") from exc
+        raise ValueError(f"{kind} csv: bad dimension row: {exc}") from exc
+    width, length = dims[:2]
     rows = lines[2:]
     if len(rows) != width:
-        raise ValueError(f"grid csv: expected {width} height rows, got {len(rows)}")
-    heights = []   # the rows read, not the header's claim, size the array
+        raise ValueError(f"{kind} csv: expected {width} rows, got {len(rows)}")
+    values = []   # the rows read, not the header's claim, size the array
     for x, row in enumerate(rows):
         cells = row.split(",")
         if len(cells) != length:
-            raise ValueError(
-                f"grid csv: row {x} has {len(cells)} cells, expected {length}"
-            )
-        try:
-            heights.append([int(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"grid csv: row {x}: {exc}") from exc
-    return VoxelGrid(width, length, h_max, voxel_size, np.array(heights, dtype=np.int64))
+            raise ValueError(f"{kind} csv: row {x} has {len(cells)} cells, expected {length}")
+        for y, c in enumerate(cells):
+            try:
+                values.append(cell(c))
+            except ValueError as exc:
+                raise ValueError(f"{kind} csv: row {x} column {y}: {exc}") from exc
+    return dims, np.array(values, dtype=dtype).reshape(width, length)
+
+
+def grid_from_csv(text: str) -> VoxelGrid:
+    (_, _, h_max, voxel_size), heights = _read_table(
+        text, "grid", GRID_CSV_HEADER, (int, int, int, float), int, np.int64)
+    return VoxelGrid(heights, h_max, voxel_size)
 
 
 def mask_to_csv(mask: VoxelMask) -> str:
@@ -332,26 +328,12 @@ def mask_to_csv(mask: VoxelMask) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mask_cell(c: str) -> bool:
+    if c not in ("0", "1"):
+        raise ValueError(f"cell {c!r} is not 0 or 1")
+    return c == "1"
+
+
 def mask_from_csv(text: str) -> VoxelMask:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != MASK_CSV_HEADER:
-        raise ValueError(f"mask csv: first line must be '{MASK_CSV_HEADER}'")
-    if len(lines) < 2:
-        raise ValueError("mask csv: missing dimension row")
-    try:
-        width, length = (int(p) for p in lines[1].split(","))
-    except ValueError as exc:
-        raise ValueError(f"mask csv: bad dimension row: {exc}") from exc
-    rows = lines[2:]
-    if len(rows) != width:
-        raise ValueError(f"mask csv: expected {width} rows, got {len(rows)}")
-    frozen = []   # the rows read, not the header's claim, size the array
-    for x, row in enumerate(rows):
-        cells = row.split(",")
-        if len(cells) != length:
-            raise ValueError(f"mask csv: row {x} has {len(cells)} cells, expected {length}")
-        for y, cell in enumerate(cells):
-            if cell not in ("0", "1"):
-                raise ValueError(f"mask csv: row {x} column {y}: cell {cell!r} is not 0 or 1")
-        frozen.append([c == "1" for c in cells])
-    return VoxelMask(np.array(frozen, dtype=bool).reshape(width, length))
+    _, frozen = _read_table(text, "mask", MASK_CSV_HEADER, (int, int), _mask_cell, bool)
+    return VoxelMask(frozen)

@@ -38,10 +38,12 @@ class TunnelConfig:
     max_steps: int = setting(240, ge=1, le=100_000)          # integration steps per burst
     fluid_density: float = setting(1.225, gt=0.0)            # kg/m^3
     particle_mass: float = setting(0.01, gt=0.0)             # kg
-    particle_radius: float = setting(0.05, gt=0.0)           # m
+    # the radius and domain are at most 1e150 m, so squared lengths and sums
+    # of three stay finite
+    particle_radius: float = setting(0.05, gt=0.0, le=1e150)  # m
     drag_coefficient: float = setting(0.47, gt=0.0)          # sphere
     restitution: float = setting(0.5, ge=0.0, le=1.0)        # 0 = plastic, 1 = elastic
-    domain_size: tuple = setting((6.0, 4.0, 4.0), gt=0.0)   # meters (x, y, z)
+    domain_size: tuple = setting((6.0, 4.0, 4.0), gt=0.0, le=1e150)   # meters (x, y, z)
     seed: int = setting(0, ge=0)
 
     def validate(self, prefix: str = "tunnel") -> None:
@@ -605,4 +607,4 @@ def minmax_pixels(t: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def heatmap_to_pgm(tallies: np.ndarray) -> bytes:
     """Min-max normalise tallies to 8-bit pixels (uniform maps render black)."""
     t = np.asarray(tallies, dtype=np.float64)
-    return write_pgm(minmax_pixels(t, float(t.min()), float(t.max())), maxval=255, binary=True)
+    return write_pgm(minmax_pixels(t, float(t.min()), float(t.max())))

@@ -74,7 +74,7 @@ def random_contact_batches(n_batches, batch_size, seed):
     for _ in range(n_batches):
         w, l, h_max = rng.integers(1, 9, size=3)
         heights = rng.integers(0, h_max + 1, size=(w, l))
-        grid = VoxelGrid(int(w), int(l), int(h_max), 0.1, heights)
+        grid = VoxelGrid(heights, int(h_max), 0.1)
         span = np.array([w * 0.1, l * 0.1, h_max * 0.1])
         centers = (rng.uniform(-0.15, 1.0, size=(batch_size, 3)) * span
                    + rng.uniform(-0.1, 0.1, size=(batch_size, 3)))

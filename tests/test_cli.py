@@ -384,6 +384,23 @@ class TestGridAgainstTunnel(CappedRun):
                              f"voxels of {float(voxel_size)!r} m")
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("tunnel, field", [
+        ({"particle_radius": 1e200}, "tunnel.particle_radius"),
+        ({"particle_radius": 1e200, "dt": 1e198}, "tunnel.particle_radius"),
+        ({}, "tunnel.domain_size"),
+    ], ids=["radius", "radius and dt", "domain"])
+    def test_simulate_huge_lengths(self, tmp_path, tunnel, field):
+        # a grid of 1e200 m voxels in a 1e201 m domain: lengths whose squares
+        # would overflow float64 are refused before any simulation
+        grid = tmp_path / "grid.csv"
+        grid.write_text("width,length,h_max,voxel_size\n1,1,1,1e200\n1\n")
+        doc = base_config()
+        doc["tunnel"].update(domain_size=[1e201] * 3, **tunnel)
+        proc = self.run_capped(tmp_path, "simulate", "--grid", str(grid), "--config",
+                               write_config(tmp_path / "run.json", doc), "--out", "sim")
+        self.assert_one_line(proc, 3, f"simulate: {field}: ", "<= 1e+150")
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("setting, field", [
         (("tunnel", "domain_size", [1.0, 1.8, 0.9]), "tunnel.domain_size"),
         (("env", "synth", "voxel_size", 1e-300), "tunnel.particle_radius"),

@@ -97,33 +97,15 @@ class TestMlpForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
 
-    def test_single_vector_backward_shapes(self):
-        net = Mlp([2, 2], np.random.default_rng(0))
-        x = np.array([0.5, -0.5])
-        out, cache = net.forward(x)
-        grads, gin = net.backward(cache, np.ones(2))
-        assert len(grads) == len(net.params)
-        assert gin.shape == (2,)
-
 
 class TestMlpBackward:
     def test_zero_grad_out(self):
         rng = np.random.default_rng(0)
         net = Mlp([3, 4, 2], rng)
         out, cache = net.forward(rng.standard_normal(3))
-        grads, gin = net.backward(cache, np.zeros(2))
+        grads = net.backward(cache, np.zeros((1, 2)))
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
-        np.testing.assert_array_equal(gin, np.zeros(3))
-
-    def test_identity_layer_passes_gradient(self):
-        net = Mlp([3, 3], np.random.default_rng(0))
-        net.weights, net.biases = [np.eye(3)], [np.zeros(3)]
-        out, cache = net.forward(np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-        grad = np.array([0.3, -0.7, 2.0])
-        _, gin = net.backward(cache, grad)
-        np.testing.assert_array_equal(gin, grad)
 
     def test_gradcheck_small_shapes(self):
         rng = np.random.default_rng(11)
@@ -132,7 +114,7 @@ class TestMlpBackward:
             x = rng.standard_normal(sizes[0])
             lw = rng.standard_normal(sizes[-1])
             out, cache = net.forward(x)
-            analytic, _ = net.backward(cache, lw)
+            analytic = net.backward(cache, lw[None])
             numeric = numeric_grads(net, x, lw)
             assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -142,7 +124,7 @@ class TestMlpBackward:
         x = rng.standard_normal((5, 3))
         lw = rng.standard_normal((5, 2))
         _, cache = net.forward(x)
-        analytic, _ = net.backward(cache, lw)
+        analytic = net.backward(cache, lw)
         numeric = numeric_grads(net, x, lw)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
@@ -150,7 +132,7 @@ class TestMlpBackward:
         net = Mlp([3, 2], np.random.default_rng(0))
         _, cache = net.forward(np.zeros(3))
         with pytest.raises(ValueError):
-            net.backward(cache, np.zeros(3))
+            net.backward(cache, np.zeros((1, 3)))
 
 
 class TestGaussian:
@@ -280,6 +262,7 @@ class TestCheckpoint:
         for state, key in ((p_opt, "policy"), (v_opt, "value")):
             written = doc["optimizer"][key]
             assert written["t"] == state.t
+            assert (written["beta1"], written["beta2"], written["eps"]) == (0.9, 0.999, 1e-8)
             for m, v, am, av in zip(written["m"], written["v"], state.m, state.v, strict=True):
                 same_bytes(m, am)
                 same_bytes(v, av)

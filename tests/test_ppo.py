@@ -303,7 +303,8 @@ class TestPpoUpdate:
         before_value = [p.copy() for p in value.params]
         ppo_update(buf, policy, value, config, 0.0,
                    nn.AdamState.for_params(policy.params),
-                   nn.AdamState.for_params(value.params))
+                   nn.AdamState.for_params(value.params),
+                   rng=np.random.default_rng(config.seed))
         for a, b in zip(policy.mean_net.params, before_mean):
             np.testing.assert_array_equal(a, b)
         assert not np.array_equal(policy.log_std, before_log_std)  # entropy term
@@ -317,7 +318,8 @@ class TestPpoUpdate:
         before = [p.copy() for p in policy.params + value.params]
         diag = ppo_update(buf, policy, value, config, 0.0,
                           nn.AdamState.for_params(policy.params),
-                          nn.AdamState.for_params(value.params))
+                          nn.AdamState.for_params(value.params),
+                          rng=np.random.default_rng(config.seed))
         for a, b in zip(policy.params + value.params, before):
             np.testing.assert_array_equal(a, b)
         assert diag["policy_loss"] == []
@@ -342,7 +344,8 @@ class TestPpoUpdate:
         value = nn.Mlp([3, 8, 1], np.random.default_rng(5))
         diag = ppo_update(buf, policy, value, config, 0.0,
                           nn.AdamState.for_params(policy.params),
-                          nn.AdamState.for_params(value.params))
+                          nn.AdamState.for_params(value.params),
+                          rng=np.random.default_rng(config.seed))
         assert diag["value_loss"][-1] <= diag["value_loss"][0]
 
     def test_buffer_shorter_than_minibatch(self):
@@ -356,7 +359,8 @@ class TestPpoUpdate:
         with pytest.raises(ValueError, match="minibatch"):
             ppo_update(buf, policy, value, config, 0.0,
                        nn.AdamState.for_params(policy.params),
-                       nn.AdamState.for_params(value.params))
+                       nn.AdamState.for_params(value.params),
+                   rng=np.random.default_rng(config.seed))
 
 
 class TestPpoConfig:

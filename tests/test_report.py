@@ -158,7 +158,7 @@ class TestHeatmapExport:
                 pix = round_half_away((t - lo) / (hi - lo) * 255.0)
             else:
                 pix = np.zeros(t.shape, dtype=np.int64)
-            return write_pgm(pix, maxval=255, binary=True)
+            return write_pgm(pix)
 
         assert heatmap_to_pgm(before) == pgm(before, float(before.min()), float(before.max()))
         lo = float(min(before.min(), after.min()))

@@ -31,7 +31,7 @@ def pgm_ascii(width, height, maxval, pixels):
 class TestLoadHeightmap:
     def test_all_zero_pixels(self):
         hm = load_heightmap(pgm_ascii(2, 2, 255, [0, 0, 0, 0]))
-        assert hm.width == 2 and hm.length == 2
+        assert hm.values.shape == (2, 2)
         assert np.all(hm.values == 0.0)
 
     def test_full_scale_pixel(self):
@@ -52,7 +52,7 @@ class TestLoadHeightmap:
     def test_orientation(self):
         # row-major payload: values[x, y] is column x of file row y
         hm = load_heightmap(pgm_ascii(2, 1, 255, [10, 20]))
-        assert hm.width == 2 and hm.length == 1
+        assert hm.values.shape == (2, 1)
         assert hm.values[0, 0] == pytest.approx(10 / 255)
         assert hm.values[1, 0] == pytest.approx(20 / 255)
 
@@ -102,36 +102,31 @@ class TestPgmRoundTrip:
     def test_p5_values_roundtrip(self, pixels):
         header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
         hm = load_heightmap(header + pixels.tobytes())
-        again = load_heightmap(write_heightmap_pgm(hm, maxval=255, binary=True))
-        np.testing.assert_array_equal(hm.values, again.values)
-
-    def test_p2_roundtrip(self):
-        hm = load_heightmap(pgm_ascii(3, 2, 255, [0, 50, 100, 150, 200, 255]))
-        again = load_heightmap(write_heightmap_pgm(hm, maxval=255, binary=False))
+        again = load_heightmap(write_heightmap_pgm(hm, maxval=255))
         np.testing.assert_array_equal(hm.values, again.values)
 
     def test_p5_16bit_roundtrip(self):
         vals = np.array([[0.0, 0.25], [0.5, 1.0]])
-        hm = HeightMap(2, 2, vals)
-        again = load_heightmap(write_heightmap_pgm(hm, maxval=65535, binary=True))
+        hm = HeightMap(vals)
+        again = load_heightmap(write_heightmap_pgm(hm, maxval=65535))
         np.testing.assert_allclose(again.values, vals, atol=1 / 65535)
 
 
 class TestVoxelise:
     def test_zero_value(self):
-        hm = HeightMap(1, 1, np.zeros((1, 1)))
+        hm = HeightMap(np.zeros((1, 1)))
         assert voxelise(hm, 8, 0.1).column_heights[0, 0] == 0
 
     def test_full_scale(self):
-        hm = HeightMap(1, 1, np.ones((1, 1)))
+        hm = HeightMap(np.ones((1, 1)))
         assert voxelise(hm, 32, 0.1).column_heights[0, 0] == 32
 
     def test_half_rounds_up(self):
-        hm = HeightMap(1, 1, np.full((1, 1), 0.5))
+        hm = HeightMap(np.full((1, 1), 0.5))
         assert voxelise(hm, 10, 0.1).column_heights[0, 0] == 5
 
     def test_rejects_bad_args(self):
-        hm = HeightMap(1, 1, np.zeros((1, 1)))
+        hm = HeightMap(np.zeros((1, 1)))
         with pytest.raises(ValueError):
             voxelise(hm, 0, 0.1)
         with pytest.raises(ValueError):
@@ -141,15 +136,15 @@ class TestVoxelise:
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_value(self, a, b):
         lo, hi = sorted((a, b))
-        hm_lo = HeightMap(1, 1, np.full((1, 1), lo / 255))
-        hm_hi = HeightMap(1, 1, np.full((1, 1), hi / 255))
+        hm_lo = HeightMap(np.full((1, 1), lo / 255))
+        hm_hi = HeightMap(np.full((1, 1), hi / 255))
         assert (voxelise(hm_lo, 16, 0.1).column_heights[0, 0]
                 <= voxelise(hm_hi, 16, 0.1).column_heights[0, 0])
 
     @given(arrays(np.uint8, (4, 3)))
     @settings(max_examples=50, deadline=None)
     def test_sum_bounded(self, pixels):
-        hm = HeightMap(4, 3, pixels / 255)
+        hm = HeightMap(pixels / 255)
         grid = voxelise(hm, 8, 0.1)
         assert heightmap_sum(grid) <= 4 * 3 * 8
 
@@ -186,19 +181,19 @@ class TestApplyHeightDelta:
         np.testing.assert_array_equal(out.column_heights, wedge_grid.column_heights)
 
     def test_masked_column_unchanged(self):
-        grid = VoxelGrid(2, 1, 8, 0.1, np.array([[3], [3]]))
+        grid = VoxelGrid(np.array([[3], [3]]), 8, 0.1)
         mask = VoxelMask(np.array([[True], [False]]))
         out = apply_height_delta(grid, np.full((2, 1), 3.0), mask)
         assert out.column_heights[0, 0] == 3
         assert out.column_heights[1, 0] == 6
 
     def test_clamps_at_h_max(self):
-        grid = VoxelGrid(1, 1, 32, 0.1, np.array([[30]]))
+        grid = VoxelGrid(np.array([[30]]), 32, 0.1)
         out = apply_height_delta(grid, np.array([[5.0]]))
         assert out.column_heights[0, 0] == 32
 
     def test_clamps_at_zero(self):
-        grid = VoxelGrid(1, 1, 8, 0.1, np.array([[2]]))
+        grid = VoxelGrid(np.array([[2]]), 8, 0.1)
         out = apply_height_delta(grid, np.array([[-5.0]]))
         assert out.column_heights[0, 0] == 0
 
@@ -222,7 +217,7 @@ class TestApplyHeightDelta:
         frozen = np.array([(mask_bits >> k) & 1 for k in range(9)],
                           dtype=bool).reshape(3, 3)
         mask = VoxelMask(frozen)
-        grid = VoxelGrid(3, 3, 8, 0.1, np.full((3, 3), 4))
+        grid = VoxelGrid(np.full((3, 3), 4), 8, 0.1)
         initial = grid.column_heights.copy()
         for deltas in delta_seq:
             grid = apply_height_delta(grid, deltas, mask)
@@ -236,15 +231,15 @@ class TestApplyHeightDelta:
 
 class TestHeightmapSum:
     def test_zero_grid(self):
-        grid = VoxelGrid(2, 2, 8, 0.1, np.zeros((2, 2), dtype=int))
+        grid = VoxelGrid(np.zeros((2, 2), dtype=int), 8, 0.1)
         assert heightmap_sum(grid) == 0
 
     def test_known_sum(self):
-        grid = VoxelGrid(2, 2, 8, 0.1, np.array([[1, 2], [3, 4]]))
+        grid = VoxelGrid(np.array([[1, 2], [3, 4]]), 8, 0.1)
         assert heightmap_sum(grid) == 10
 
     def test_single_column(self):
-        grid = VoxelGrid(1, 1, 8, 0.1, np.array([[5]]))
+        grid = VoxelGrid(np.array([[5]]), 8, 0.1)
         assert heightmap_sum(grid) == 5
 
 
@@ -293,12 +288,18 @@ class TestGridCsv:
 class TestInvariantValidation:
     def test_heightmap_range(self):
         with pytest.raises(ValueError):
-            HeightMap(1, 1, np.array([[1.5]]))
+            HeightMap(np.array([[1.5]]))
         with pytest.raises(ValueError):
-            HeightMap(1, 1, np.array([[-0.1]]))
+            HeightMap(np.array([[-0.1]]))
+        for values in (np.zeros(3), np.zeros((0, 3))):
+            with pytest.raises(ValueError, match="at least 1x1"):
+                HeightMap(values)
 
     def test_grid_height_bounds(self):
         with pytest.raises(ValueError):
-            VoxelGrid(1, 1, 4, 0.1, np.array([[5]]))
+            VoxelGrid(np.array([[5]]), 4, 0.1)
         with pytest.raises(ValueError):
-            VoxelGrid(1, 1, 4, 0.1, np.array([[-1]]))
+            VoxelGrid(np.array([[-1]]), 4, 0.1)
+        for heights in (np.zeros(3, dtype=int), np.zeros((0, 3), dtype=int)):
+            with pytest.raises(ValueError, match="at least 1x1"):
+                VoxelGrid(heights, 4, 0.1)

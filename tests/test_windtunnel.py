@@ -187,7 +187,7 @@ def step_both(burst, placed, shape, steps):
 
 def head_on_step(restitution, velocity=(1.0, 0.0, 0.0)):
     # tall column dead ahead; particle flies straight at its -x face
-    grid = VoxelGrid(4, 1, 10, 0.1, np.array([[0], [0], [10], [0]]))
+    grid = VoxelGrid(np.array([[0], [0], [10], [0]]), 10, 0.1)
     cfg = desk_tunnel(particle_count=0)
     cfg = TunnelConfig(**{**cfg.__dict__, "restitution": restitution,
                           "domain_size": (0.4, 0.1, 1.0), "dt": 0.01})
@@ -199,17 +199,17 @@ def head_on_step(restitution, velocity=(1.0, 0.0, 0.0)):
 
 class TestSphereVoxelContact:
     def test_far_particle_no_contact(self):
-        grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
+        grid = VoxelGrid(np.full((2, 2), 2), 4, 0.1)
         assert single_contact([1.0, 1.0, 1.0], 0.05, grid) is None
 
     def test_center_inside_voxel(self):
-        grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
+        grid = VoxelGrid(np.full((2, 2), 2), 4, 0.1)
         hit = single_contact([0.05, 0.05, 0.05], 0.03, grid)
         assert hit is not None
         assert hit[0] == (0, 0, 0)
 
     def test_face_normal_above_top(self):
-        grid = VoxelGrid(1, 1, 4, 0.1, np.array([[2]]))
+        grid = VoxelGrid(np.array([[2]]), 4, 0.1)
         rows, voxel, axis, sign, pen = grid_query([0.05, 0.05, 0.23], 0.05, grid)
         assert rows.tolist() == [0]
         assert (axis[0], sign[0]) == (2, 1.0)  # normal +z
@@ -217,7 +217,7 @@ class TestSphereVoxelContact:
         assert pen[0] == pytest.approx(0.02)
 
     def test_batch_rows_name_the_touching_spheres(self):
-        grid = VoxelGrid(2, 2, 4, 0.1, np.full((2, 2), 2))
+        grid = VoxelGrid(np.full((2, 2), 2), 4, 0.1)
         centers = [[1.0, 1.0, 1.0], [0.05, 0.05, 0.05], [0.1, 0.1, 0.5],
                    [0.15, 0.15, 0.22], [2.0, 0.0, 0.0], [0.05, 0.15, 0.1]]
         assert grid_query(centers, 0.03, grid)[0].tolist() == [1, 3, 5]
@@ -249,7 +249,7 @@ class TestSphereVoxelContact:
 
 class TestStep:
     def test_empty_grid_straight_line(self):
-        grid = VoxelGrid(4, 4, 4, 0.1, np.zeros((4, 4), dtype=int))
+        grid = VoxelGrid(np.zeros((4, 4), dtype=int), 4, 0.1)
         cfg = desk_tunnel(particle_count=0)
         (rows, speeds), hm, burst = step_both(lone_burst([0.5, 0.5, 0.5], [1.0, 0.0, 0.0]),
                                               PlacedGrid(grid, cfg), (4, 4), 1)
@@ -274,7 +274,7 @@ class TestStep:
 
     def test_exit_records_ke(self):
         # the exit energy is read from the velocity, which stays frozen after exit
-        grid = VoxelGrid(2, 2, 2, 0.1, np.zeros((2, 2), dtype=int))
+        grid = VoxelGrid(np.zeros((2, 2), dtype=int), 2, 0.1)
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
         # both steppers stop after the exit, one dt into the two asked for
         _, _, burst = step_both(lone_burst([0.1, 0.1, 0.1], [2.0, 0.0, 0.0]),
@@ -287,8 +287,8 @@ class TestStep:
     def test_batch_matches_particles_stepped_alone(self):
         # Hits, near misses, separating contacts, exits and dead particles in
         # one step must come out as if every particle were stepped by itself.
-        grid = VoxelGrid(4, 4, 6, 0.1, np.array(
-            [[0, 2, 3, 0], [1, 6, 6, 2], [0, 4, 5, 1], [3, 0, 2, 2]]))
+        grid = VoxelGrid(np.array(
+            [[0, 2, 3, 0], [1, 6, 6, 2], [0, 4, 5, 1], [3, 0, 2, 2]]), 6, 0.1)
         cfg = TunnelConfig(domain_size=(0.8, 0.8, 0.8), dt=0.01, restitution=0.3)
         placed = PlacedGrid(grid, cfg)
         rng = np.random.default_rng(11)
@@ -350,7 +350,7 @@ class TestNearTable:
             r = ratio * vs
             k = math.ceil(r / vs)
             w, l, h_max = (int(v) for v in rng.integers(1, 7, size=3))
-            grid = VoxelGrid(w, l, h_max, vs, rng.integers(0, h_max + 1, size=(w, l)))
+            grid = VoxelGrid(rng.integers(0, h_max + 1, size=(w, l)), h_max, vs)
             extent = np.array([w, l, h_max]) * vs
             domain = extent + rng.uniform(0.0, 2 * (k + 1) * vs, size=3)
             cfg = TunnelConfig(particle_radius=r, domain_size=tuple(domain), dt=0.01,
@@ -478,7 +478,7 @@ class TestQueryBatchProperty:
         # steppers agree that TOUCH_CENTER touches nothing, and that a radius
         # one ulp larger touches voxel (1, 1, 0)
         assert (-TOUCH_R) ** 2 < TOUCH_R * TOUCH_R
-        grid = VoxelGrid(6, 6, 1, TOUCH_VS, TOUCH_HEIGHTS)
+        grid = VoxelGrid(TOUCH_HEIGHTS, 1, TOUCH_VS)
         velocity = np.array([0.0, 0.0, 1.0])    # up into the voxel's base
         start = np.array(TOUCH_CENTER) - velocity * 0.25
         assert tuple(start + velocity * 0.25) == TOUCH_CENTER    # one dt lands on it
@@ -499,7 +499,7 @@ class TestStrictRadius:
     # vs = 0.5 and r = 0.25 are binary fractions, so a sphere exactly r from
     # a voxel face has closest-point distance squared exactly r * r
     VS, R = 0.5, 0.25
-    GRID = VoxelGrid(3, 3, 2, 0.5, np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]]))
+    GRID = VoxelGrid(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 0]]), 2, 0.5)
 
     # (center exactly r from voxel (1, 1, 0), the direction one ulp closer,
     # axis, sign). Beside a low face the voxel is in the sphere's window, so
@@ -606,7 +606,7 @@ class TestRunSimulation:
         # 2r / vs = 38 exactly: a window of 40^3 = 64000 voxels fits in
         # MAX_CANDIDATES, the next radius up needs 41^3 = 68921
         vs = 0.125
-        grid = VoxelGrid(2, 2, 2, vs, np.array([[1, 0], [2, 1]]))
+        grid = VoxelGrid(np.array([[1, 0], [2, 1]]), 2, vs)
         cfg = TunnelConfig(particle_radius=19 * vs, particle_count=3, max_steps=30,
                            domain_size=(2.0, 1.0, 1.0))
         assert (math.ceil(2 * cfg.particle_radius / vs) + 2) ** 3 <= windtunnel.MAX_CANDIDATES
@@ -653,7 +653,7 @@ class TestRunSimulationDrift:
         w, l, h_max = (data.draw(st.integers(1, 8)) for _ in range(3))
         heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
                                               max_size=w * l))).reshape(w, l)
-        grid = VoxelGrid(w, l, h_max, vs, heights)
+        grid = VoxelGrid(heights, h_max, vs)
         extra = data.draw(st.tuples(*(st.floats(0.0, 1.5),) * 3))
         cfg = TunnelConfig(air_speed=mph, particle_count=particles, burst_count=bursts,
                            dt=dt, max_steps=data.draw(st.integers(1, 250)),
@@ -729,7 +729,7 @@ class TestSteppersAgree:
         w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
         heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
                                               max_size=w * l))).reshape(w, l)
-        grid = VoxelGrid(w, l, h_max, vs, heights)
+        grid = VoxelGrid(heights, h_max, vs)
         r = ratio * vs
         extent = np.array([w, l, h_max]) * vs
         domain = extent + data.draw(st.tuples(*(st.floats(0.0, 1.0),) * 3))
@@ -777,7 +777,7 @@ def edge_ring_reach(grid, r):
 class TestReach:
     def test_reach_covers_neighbors(self):
         # k = 1, so cell c is column c - 2 and sees columns c - 3 .. c - 1
-        grid = VoxelGrid(3, 3, 8, 0.1, np.array([[0, 0, 0], [0, 8, 0], [0, 0, 0]]))
+        grid = VoxelGrid(np.array([[0, 0, 0], [0, 8, 0], [0, 0, 0]]), 8, 0.1)
         reach, _ = neighborhood_reach(grid, 0.05)
         assert reach.shape == (7, 7)
         assert reach[2, 2] == reach[4, 4] == 8 * 0.1 + 0.05  # adjacent to the tall column
@@ -793,7 +793,7 @@ class TestReach:
             assert math.ceil(r / vs) == k
             h = rng.integers(0, 6, size=(w, l))
             h[rng.uniform(size=(w, l)) < 0.4] = 0
-            grid = VoxelGrid(w, l, 5, vs, h)
+            grid = VoxelGrid(h, 5, vs)
             reach, padded = neighborhood_reach(grid, r)
             np.testing.assert_array_equal(padded, np.pad(h, 2 * k + 1))
             pad = k + 1
