@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .schema import check_fields, setting
 from .voxel import VoxelGrid, VoxelMask, apply_height_delta
-from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, check_fits, run_simulation
+from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, run_simulation
 
 
 class ObjectiveMode(Enum):
@@ -166,21 +166,21 @@ class EnvConfig:
                 raise ConfigError(f"{prefix}.{name}: {tuple(dims)} exceeds grid {shape}")
         if self.mask is not None and self.mask.frozen.shape != shape:
             raise ConfigError(f"{prefix}.mask: shape {self.mask.frozen.shape} is not {shape}")
-        self.tunnel.validate()
-        check_fits(self.grid, self.tunnel)
 
 
 class WindTunnelEnv:
     """Episodic design loop: observe the design, nudge heights, re-simulate."""
 
     def __init__(self, config: EnvConfig):
+        """Validate the config and measure the untouched design's baseline,
+        whose simulations check the tunnel and that the grid fits in it."""
         config.validate()
+        self.baseline = measure_baseline(config.grid, config.tunnel, config.baseline_seeds)
         self.config = config
         self._initial = config.grid.copy()
         self.mask = config.mask if config.mask is not None else VoxelMask.none(
             config.grid.width, config.grid.length)
         self.grid = config.grid.copy()
-        self.baseline: SimResult | None = None
         self._metrics: dict | None = None
         self._t = 0
 
@@ -195,10 +195,7 @@ class WindTunnelEnv:
         return kx * ky
 
     def reset(self) -> np.ndarray:
-        """Restore the original design; the baseline is measured once and reused."""
-        if self.baseline is None:
-            self.baseline = measure_baseline(self._initial, self.config.tunnel,
-                                             self.config.baseline_seeds)
+        """Restore the original design and the baseline's metrics."""
         self.grid = self._initial.copy()
         self._t = 0
         self._metrics = self.baseline.metrics()
@@ -206,7 +203,7 @@ class WindTunnelEnv:
 
     def observe(self) -> np.ndarray:
         """Pure function of the current state; metric slots are 1.0 at baseline."""
-        if self._metrics is None or self.baseline is None:
+        if self._metrics is None:
             raise RuntimeError("reset() must run before observe()")
         pooled = mean_pool(self.grid.column_heights / self.grid.h_max,
                            self.config.pool_dims).ravel()

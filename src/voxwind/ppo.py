@@ -260,8 +260,6 @@ def ppo_update(buffer: RolloutBuffer, policy: nn.GaussianPolicy, value_net: nn.M
             diag["policy_loss"].append(float(np.mean(pl_acc)))
             diag["value_loss"].append(float(np.mean(vl_acc)))
             diag["entropy"].append(float(np.mean(ent_acc)))
-    diag["lr"] = lr
-    diag["epsilon"] = eps
     return diag
 
 

@@ -105,16 +105,14 @@ def drag_force(rho: float, v: float, c_d: float, area: float):
     return 0.5 * rho * v * v * c_d * area
 
 
-def kinetic_energy(mass: float, speed: float):
-    """Kinetic energy: 0.5 * m * v^2."""
-    return 0.5 * mass * speed * speed
+def kinetic_energy(mass: float, velocity: np.ndarray) -> np.ndarray:
+    """Kinetic energy 0.5 * m * |v|^2 of each (N, 3) velocity row."""
+    return 0.5 * mass * np.einsum("ij,ij->i", velocity, velocity)
 
 
-def collision_count_metric(per_particle_counts, b: float, b_c: float) -> float:
+def collision_count_metric(total, b: float, b_c: float) -> float:
     """Total particle-voxel impacts normalised by burst count and base cycles."""
-    if b < 1 or b_c < 1:
-        raise ValueError("burst count and base cycle count must be at least 1")
-    return float(np.sum(np.asarray(per_particle_counts, dtype=np.float64))) / (b * b_c)
+    return float(total) / (b * b_c)
 
 
 # --- geometry ----------------------------------------------------------------
@@ -417,9 +415,10 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
             break
         pos += vel * config.dt
         loc = pos - placed.origin
-        cell = np.floor(loc[:, :2] / placed.voxel_size).astype(np.intp)
+        cell = np.floor(loc[:, :2] / placed.voxel_size)
         cell += placed.pad
         np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
+        cell = cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
         near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
         hit = _bounce(burst, loc[near], near, placed, heatmap) if near.size else None
         if hit is not None:
@@ -550,7 +549,7 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     rows, speeds = stepper(burst, placed, heatmap, config.max_steps - t)
     owner = rows // max(n, 1)   # a burst of 0 particles makes no contacts
     with np.errstate(over="ignore", invalid="ignore"):   # SimResult rejects an overflow
-        ke = 0.5 * config.particle_mass * np.einsum("ij,ij->i", burst.velocity, burst.velocity)
+        ke = kinetic_energy(config.particle_mass, burst.velocity)
         drag = drag_force(config.fluid_density, speeds, config.drag_coefficient,
                           math.pi * config.particle_radius ** 2)
         # each burst's impacts in time order and its particles pairwise, then
@@ -561,7 +560,7 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
         return SimResult(
             drag_force=drag_total / b,
             kinetic_energy=ke_total / (n * b) if n else 0.0,
-            collision_count=collision_count_metric([heatmap.sum()], b, config.base_cycle_count),
+            collision_count=collision_count_metric(heatmap.sum(), b, config.base_cycle_count),
             heightmap_sum=float(heightmap_sum(grid)),
             heatmap=heatmap,
         )

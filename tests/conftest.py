@@ -163,7 +163,7 @@ def stepped_simulation(grid, config):
     return SimResult(
         drag_force=drag_total / b,
         kinetic_energy=ke_total / (n * b) if n else 0.0,
-        collision_count=collision_count_metric([heatmap.sum()], b, config.base_cycle_count),
+        collision_count=collision_count_metric(heatmap.sum(), b, config.base_cycle_count),
         heightmap_sum=float(heightmap_sum(grid)),
         heatmap=heatmap,
     ), burst

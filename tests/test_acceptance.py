@@ -75,8 +75,8 @@ def desk_run_config_json():
 def test_criterion_1_formula_fidelity():
     drag = drag_force(1.225, 10.0, 0.47, math.pi * 0.05 ** 2)
     ok_drag = abs(drag - 0.2261) <= 1e-4
-    ok_ke = kinetic_energy(2.0, 3.0) == 9.0
-    ok_count = collision_count_metric([100.0], 2, 10) == 5.0
+    ok_ke = kinetic_energy(2.0, np.array([[3.0, 0.0, 0.0]]))[0] == 9.0
+    ok_count = collision_count_metric(100.0, 2, 10) == 5.0
     grid = VoxelGrid(np.array([[1, 2], [3, 4]]), 8, 0.1)
     ok_sum = heightmap_sum(grid) == 10
     ok = ok_drag and ok_ke and ok_count and ok_sum

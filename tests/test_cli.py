@@ -452,6 +452,16 @@ class TestMetricOverflow(CappedRun):
         self.assert_one_line(proc, 3, "train: tunnel: ")
         assert not (tmp_path / "train").exists()
 
+    def test_zero_step_train_exits_3(self, tmp_path, field):
+        # the baseline is measured even when no step is trained
+        doc = base_config()
+        doc["tunnel"][field] = 1e308
+        doc["ppo"]["max_training_steps"] = 0
+        proc = self.run_capped(tmp_path, "train", "--config",
+                               write_config(tmp_path / "run.json", doc), "--out", "train")
+        self.assert_one_line(proc, 3, "train: tunnel: ")
+        assert not (tmp_path / "train").exists()
+
 
 @pytest.mark.parametrize("voxel_size", ["nan", "inf"])
 class TestNonFiniteVoxelSize:
