@@ -8,23 +8,30 @@ Times, in microseconds per call:
   every call is the fixed cost;
 - one contact query (`_query` over `PlacedGrid.padded`, as the steppers
   call it) of 30 spheres around the wedge's surface, and, in turn, of the
-  first 1, 2, 3 and 4 of them: 42% of the queries of desk-scale training
-  hold at most 4 spheres;
+  first 1, 2, 3 and 4 of them: 44% of the near sets of desk-scale training
+  hold at most 4 spheres, and near sets of at most SMALL_BATCH rows skip
+  this query, so the small case is the cost that skipping saves;
+- the scalar core (`_best_overlap`) on each of those 30 spheres in turn,
+  which is what a near row costs in Python floats instead;
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
   the wedge and on an agent-reshaped wedge: eight uniform random actions
   applied as `WindTunnelEnv.act` applies them, from a fixed seed. Such
   designs keep particles near the surface until `max_steps`, with about 2.4
   times the wedge's contact queries, as the designs of desk-scale training do;
+- one `_step_batch` call over every dt of that desk simulation on the
+  agent-reshaped wedge, from the spawned burst, without the inlet lead-in:
+  the numpy stepper alone, whose near sets of at most SMALL_BATCH rows go
+  through the scalar core;
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
-- one desk simulation of a single burst of 1, 4, 5 and 16 particles, on both
+- one desk simulation of a single burst of 1, 8, 9 and 16 particles, on both
   sides of SMALL_BATCH, where `run_simulation` switches from stepping rows in
   Python floats (`_step_each`) to numpy (`_step_batch`);
 - building the desk `PlacedGrid`, the near test's table included.
 
-A case runs only when every tree has what it calls. `step_empty_us` needs
-`_step_batch`, which trees from before the one stepper contract lack; every
-other case runs on those trees too.
+A case runs only when every tree has what it calls. `step_empty_us` and
+`step_batch_agent_ms` need `_step_batch`, which trees from before the one
+stepper contract lack; every other case runs on those trees too.
 
 Each tree is imported under its own package name, and the trees' samples
 interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
@@ -35,6 +42,7 @@ and upper quartiles.
 """
 
 import argparse
+import copy
 import itertools
 import json
 from time import perf_counter
@@ -66,7 +74,7 @@ def cases(tree):
                             domain_size=(3.2, 1.8, 0.9), seed=7)
     burst_of = {m: wt.TunnelConfig(air_speed=10.0, particle_count=m, burst_count=1,
                                    max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
-                for m in (1, 4, 5, 16)}
+                for m in (1, 8, 9, 16)}
     placed = wt.PlacedGrid(grid, config)
     rng = np.random.default_rng(0)
     upstream = np.column_stack([np.full(192, 0.5), rng.uniform(0, 1.8, 192),
@@ -80,9 +88,12 @@ def cases(tree):
     centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
     r, padded, vs = config.particle_radius, placed.padded, 0.1
     few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
+    heights = padded.tolist()
+    spheres = itertools.cycle(centers.tolist())
     out = {
         "query_30_us": (lambda: wt._query(centers, r, padded, vs), 100),
         "query_1_to_4_us": (lambda: wt._query(next(few), r, padded, vs), 100),
+        "best_overlap_us": (lambda: wt._best_overlap(*next(spheres), r, heights, vs), 300),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
         "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
@@ -92,6 +103,11 @@ def cases(tree):
         out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
     if hasattr(wt, "_step_batch"):
         out["step_empty_us"] = (lambda: wt._step_batch(burst, placed, heatmap, 1), 200)
+        agent = wt.PlacedGrid(reshaped, config)
+        spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
+        out["step_batch_agent_ms"] = (
+            lambda: wt._step_batch(copy.deepcopy(spawned), agent, np.zeros_like(heatmap),
+                                   config.max_steps), 1)
     return out
 
 

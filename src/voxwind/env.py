@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .schema import check_fields, setting
 from .voxel import VoxelGrid, VoxelMask, apply_height_delta
-from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, run_simulation
+from .windtunnel import METRIC_NAMES, SimResult, TunnelConfig, run_simulation, tunnel_result
 
 
 class ObjectiveMode(Enum):
@@ -39,15 +39,17 @@ class RewardWeights:
 
 
 def measure_baseline(grid: VoxelGrid, tunnel: TunnelConfig, n_seeds: int) -> SimResult:
-    """The SimResult of the untouched design, averaged over consecutive seeds."""
+    """The SimResult of the untouched design, averaged over consecutive seeds.
+    A mean can overflow float64 where every seed's metric is finite; that
+    raises ConfigError, as an overflowing metric of one simulation does."""
     if n_seeds < 1:
         raise ValueError("n_seeds must be at least 1")
     results = [run_simulation(grid, replace(tunnel, seed=tunnel.seed + i))
                for i in range(n_seeds)]
-    return SimResult(
-        **{name: float(np.mean([getattr(r, name) for r in results])) for name in METRIC_NAMES},
-        heatmap=np.mean([r.heatmap for r in results], axis=0),
-    )
+    with np.errstate(over="ignore"):   # tunnel_result rejects an overflow
+        means = {name: float(np.mean([getattr(r, name) for r in results]))
+                 for name in METRIC_NAMES}
+    return tunnel_result(heatmap=np.mean([r.heatmap for r in results], axis=0), **means)
 
 
 def reward(result: SimResult, baseline: SimResult, mode: ObjectiveMode,

@@ -85,6 +85,17 @@ class SimResult:
         return {name: float(getattr(self, name)) for name in METRIC_NAMES}
 
 
+def tunnel_result(heatmap, **metrics) -> SimResult:
+    """The SimResult of the tunnel's `metrics`. A metric that is not finite
+    overflowed float64, and raises ConfigError naming the settings that
+    scale it."""
+    try:
+        return SimResult(heatmap=heatmap, **metrics)
+    except ValueError as exc:
+        raise ConfigError(f"tunnel: {exc}; particle_mass, fluid_density or drag_coefficient "
+                          "is too large") from exc
+
+
 def _checked_metric(name: str, value):
     """`value`, once it is a finite, non-negative reading of metric `name`."""
     if not 0 <= value < math.inf:
@@ -177,9 +188,10 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
 
 
 # Bursts of up to this many rows step one row at a time in Python floats
-# (`_step_each`): below it the per-call cost of numpy outweighs its per-row
-# saving.
-SMALL_BATCH = 4
+# (`_step_each`), and so do near sets of up to this many rows inside the
+# numpy stepper (`_bounce_each`): below it the per-call cost of numpy
+# outweighs its per-row saving.
+SMALL_BATCH = 8
 
 # Most candidate voxels one batched query evaluates at once; larger batches
 # go in chunks, which bounds its temporaries when a sphere spans many voxels.
@@ -188,47 +200,57 @@ MAX_CANDIDATES = 1 << 16
 
 
 def _best_overlap(cx: float, cy: float, cz: float, radius: float, heights: list, vs: float):
-    """Scalar core of the contact query, one sphere in Python floats, as
-    `_step_each` takes it: the minimal (closest-point distance squared,
-    x, y, z) tuple over the candidate voxels, or None. `heights` is the
-    column heights from the grid's (0, 0) corner on as nested lists,
-    `heights[ix][iy]`; any columns past the grid's are empty and skipped.
+    """Scalar core of the contact query, one sphere in Python floats: the
+    minimal (closest-point distance squared, x, y, z) tuple over the
+    candidate voxels, or None. `heights` is the column heights from the
+    grid's (0, 0) corner on as nested lists, `heights[ix][iy]`; any columns
+    past the grid's are empty and skipped.
 
-    Only voxels whose axis slabs overlap the sphere are scanned; the
-    lexicographic key breaks distance ties toward the lowest index. Squares
-    are products, as in numpy; Python's float `** 2` can differ in the last bit.
+    Only voxels whose axis slabs overlap the sphere are scanned, in
+    increasing (x, y, z), and only a strictly smaller distance replaces the
+    best, which starts at r * r: so distance ties break toward the lowest
+    index, and a distance of r or more is no contact. Float addition of
+    non-negative terms is monotone, so a voxel whose partial sum already
+    reaches the best cannot beat it, and its row or column is skipped. Each
+    axis distance is the one the clamp min(max(c, b0), b0 + vs) gives;
+    squares are products, as in numpy.
     """
-    x_lo = max(int(math.floor((cx - radius) / vs)), 0)
-    x_hi = min(int(math.floor((cx + radius) / vs)), len(heights) - 1)
-    y_lo = max(int(math.floor((cy - radius) / vs)), 0)
-    y_hi = min(int(math.floor((cy + radius) / vs)), len(heights[0]) - 1)
-    if x_lo > x_hi or y_lo > y_hi:
+    x_lo = max(math.floor((cx - radius) / vs), 0)
+    x_hi = min(math.floor((cx + radius) / vs), len(heights) - 1)
+    y_lo = max(math.floor((cy - radius) / vs), 0)
+    y_hi = min(math.floor((cy + radius) / vs), len(heights[0]) - 1)
+    z_lo = max(math.floor((cz - radius) / vs), 0)
+    z_hi = math.floor((cz + radius) / vs)
+    if x_lo > x_hi or y_lo > y_hi or z_lo > z_hi:
         return None
-    z_lo = max(int(math.floor((cz - radius) / vs)), 0)
-    z_hi_raw = int(math.floor((cz + radius) / vs))
-    best = None
+    dz = []
+    for iz in range(z_lo, z_hi + 1):
+        bz0 = iz * vs
+        e = cz - bz0 if cz < bz0 else cz - (bz0 + vs) if cz > bz0 + vs else 0.0
+        dz.append(e * e)
+    best = radius * radius
+    found = None
     for ix in range(x_lo, x_hi + 1):
         bx0 = ix * vs
-        ex = cx - min(max(cx, bx0), bx0 + vs)
-        ddx = ex * ex
+        e = cx - bx0 if cx < bx0 else cx - (bx0 + vs) if cx > bx0 + vs else 0.0
+        ddx = e * e
+        if ddx >= best:
+            continue
         column = heights[ix]
         for iy in range(y_lo, y_hi + 1):
             h = column[iy]
-            if h == 0:
+            if h <= z_lo:
                 continue
             by0 = iy * vs
-            ey = cy - min(max(cy, by0), by0 + vs)
-            ddy = ddx + ey * ey
-            for iz in range(z_lo, min(z_hi_raw, h - 1) + 1):
-                bz0 = iz * vs
-                ez = cz - min(max(cz, bz0), bz0 + vs)
-                d2 = ddy + ez * ez
-                key = (d2, ix, iy, iz)
-                if best is None or key < best:
-                    best = key
-    if best is None or best[0] >= radius * radius:
-        return None
-    return best
+            e = cy - by0 if cy < by0 else cy - (by0 + vs) if cy > by0 + vs else 0.0
+            ddy = ddx + e * e
+            if ddy >= best:
+                continue
+            for iz in range(z_lo, min(z_hi, h - 1) + 1):
+                d2 = ddy + dz[iz - z_lo]
+                if d2 < best:
+                    best, found = d2, (ix, iy, iz)
+    return None if found is None else (best, *found)
 
 
 def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
@@ -238,14 +260,13 @@ def _face_normal(cx: float, cy: float, cz: float, ix: int, iy: int, iz: int,
     Returns (axis, sign, penetration); axis ties break to the lowest index,
     the sign points toward the sphere center.
     """
-    dx = cx - (ix + 0.5) * vs
-    dy = cy - (iy + 0.5) * vs
-    dz = cz - (iz + 0.5) * vs
     half = radius + 0.5 * vs
-    pens = (half - abs(dx), half - abs(dy), half - abs(dz))
-    axis = min(range(3), key=lambda k: pens[k])
-    sign = 1.0 if (dx, dy, dz)[axis] >= 0 else -1.0
-    return axis, sign, pens[axis]
+    axis, d = 0, cx - (ix + 0.5) * vs
+    pen = half - abs(d)
+    for k, dk in ((1, cy - (iy + 0.5) * vs), (2, cz - (iz + 0.5) * vs)):
+        if half - abs(dk) < pen:
+            axis, d, pen = k, dk, half - abs(dk)
+    return axis, 1.0 if d >= 0 else -1.0, pen
 
 
 @functools.lru_cache(maxsize=8)
@@ -345,7 +366,8 @@ class PlacedGrid:
     outer ring. The table therefore admits every row that can touch a voxel,
     and maybe some that cannot. (The argument holds in exact arithmetic.)
     `padded` is the zero-padded heights the table is built over, seen from
-    the grid's (0, 0) corner, as `_query_batch` and `_best_overlap` read them.
+    the grid's (0, 0) corner, as `_query_batch` reads them; `heights` is the
+    same table as nested lists, as `_best_overlap` reads it.
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
@@ -357,6 +379,7 @@ class PlacedGrid:
         self.pad = (self.reach.shape[0] - grid.width) // 2
         margin = (padded.shape[0] - grid.width) // 2
         self.padded = padded[margin:, margin:]
+        self.heights = self.padded.tolist()
         self.cell_max = np.array(self.reach.shape) - 1
 
 
@@ -385,6 +408,34 @@ def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
     return i, speed
 
 
+def _bounce_each(p: list, v: list, lx: float, ly: float, lz: float, placed: PlacedGrid,
+                 heatmap: np.ndarray):
+    """`_bounce` for one near row in Python floats: reflect and pop out the
+    sphere at grid-local (lx, ly, lz), whose world position and velocity are
+    the lists `p` and `v`, if it touches a voxel while moving into it, and
+    tally it into `heatmap`. Returns its impact speed, or None.
+
+    The contact comes from the scalar core (`_best_overlap`, `_face_normal`),
+    which `_query_batch` matches bit for bit, and the float operations are
+    `_bounce`'s, in its order, so the row ends as `_bounce` leaves it.
+    """
+    config = placed.config
+    r, vs = config.particle_radius, placed.voxel_size
+    best = _best_overlap(lx, ly, lz, r, placed.heights, vs)
+    if best is None:
+        return None
+    _, ix, iy, iz = best
+    axis, sign, pen = _face_normal(lx, ly, lz, ix, iy, iz, r, vs)
+    vn = sign * v[axis]
+    if not vn < 0.0:   # a separating contact gets no impulse and no row
+        return None
+    speed = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])   # read before the bounce
+    v[axis] -= (1.0 + config.restitution) * vn * sign
+    p[axis] += sign * pen
+    heatmap[ix, iy] += 1
+    return speed
+
+
 def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
     """Advance the burst up to `steps` dt, stopping early once no particle is
     alive, the whole burst at once in numpy. Returns the contacts' burst rows
@@ -395,9 +446,13 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     until a contact reflects the velocity about the face normal scaled by the
     restitution. A live particle is near when its height is below the
     `placed.reach` entry of its column cell, one table lookup per row; the
-    table admits every row that can touch a voxel (see `PlacedGrid`). The
-    near particles take one contact query (`_query`) with the one particle
-    radius over `placed.padded`, and `_bounce` resolves its rows. One contact
+    table admits every row that can touch a voxel (see `PlacedGrid`). More
+    than SMALL_BATCH near particles take one contact query (`_query`) with
+    the one particle radius over `placed.padded`, and `_bounce` resolves
+    their rows. At most SMALL_BATCH go one row at a time through
+    `_bounce_each` in Python floats, which leaves each row, the heatmap and
+    the returns bit for bit as `_bounce` would: rows do not interact within
+    a step. One contact
     at most per particle per dt; contacts tally into `heatmap`. Particles
     leaving the domain are marked dead. Dead particles drift on but are never
     near, so they never collide again and their velocity, from which
@@ -420,15 +475,22 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
         cell = cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
         near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
-        hit = _bounce(burst, loc[near], near, placed, heatmap) if near.size else None
-        if hit is not None:
-            rows.append(hit[0])
-            speeds.append(hit[1])
+        if near.size > SMALL_BATCH:
+            hit = _bounce(burst, loc[near], near, placed, heatmap)
+            if hit is not None:
+                rows += hit[0].tolist()
+                speeds += hit[1].tolist()
+        elif near.size:
+            for j, (lx, ly, lz), p, v in zip(near.tolist(), loc[near].tolist(),
+                                             pos[near].tolist(), vel[near].tolist()):
+                speed = _bounce_each(p, v, lx, ly, lz, placed, heatmap)
+                if speed is not None:
+                    pos[j], vel[j] = p, v
+                    rows.append(j)
+                    speeds.append(speed)
         inside = (pos >= 0.0) & (pos <= placed.domain)
         alive &= inside[:, 0] & inside[:, 1] & inside[:, 2]  # faster than .all(axis=1)
-    if not rows:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    return np.concatenate(rows), np.concatenate(speeds)
+    return np.array(rows, dtype=np.intp), np.array(speeds, dtype=np.float64)
 
 
 def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
@@ -436,17 +498,14 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     arguments, returns and effects. The burst's final state is written back.
 
     For bursts of at most SMALL_BATCH rows. Each row makes the float
-    operations of `_step_batch` and `_bounce`, in their order, and takes its
-    contact from the scalar core (`_best_overlap`, `_face_normal`), which
-    `_query_batch`, the query `_step_batch` takes, matches bit for bit. Rows
-    do not interact within a step, so every output is bit for bit
-    `_step_batch`'s. A column cell outside `placed.reach` clamps onto its
-    -inf outer ring, so such a row, like a NaN or infinite one, is not near.
+    operations of `_step_batch`'s drift, near and exit tests, in their order,
+    and a near row goes through `_bounce_each`, as a small near set of
+    `_step_batch` does. Rows do not interact within a step, so every output
+    is bit for bit `_step_batch`'s. A column cell outside `placed.reach`
+    clamps onto its -inf outer ring, so such a row, like a NaN or infinite
+    one, is not near.
     """
-    config = placed.config
-    dt, r, vs = config.dt, config.particle_radius, placed.voxel_size
-    heights = placed.padded.tolist()
-    bounce = 1.0 + config.restitution
+    dt, vs = placed.config.dt, placed.voxel_size
     ox, oy, oz = placed.origin.tolist()
     dx, dy, dz = placed.domain.tolist()
     reach, pad = placed.reach.tolist(), placed.pad
@@ -469,17 +528,10 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
             qx, qy = lx / vs, ly / vs
             if (-pad <= qx < end_x and -pad <= qy < end_y
                     and lz < reach[math.floor(qx) + pad][math.floor(qy) + pad]):
-                best = _best_overlap(lx, ly, lz, r, heights, vs)
-                if best is not None:
-                    _, ix, iy, iz = best
-                    axis, sign, pen = _face_normal(lx, ly, lz, ix, iy, iz, r, vs)
-                    vn = sign * v[axis]
-                    if vn < 0.0:
-                        speeds.append(math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]))
-                        v[axis] -= bounce * vn * sign
-                        p[axis] += sign * pen
-                        heatmap[ix, iy] += 1
-                        rows.append(j)
+                speed = _bounce_each(p, v, lx, ly, lz, placed, heatmap)
+                if speed is not None:
+                    rows.append(j)
+                    speeds.append(speed)
             if not (0.0 <= p[0] <= dx and 0.0 <= p[1] <= dy and 0.0 <= p[2] <= dz):
                 alive[j] = False
                 live -= 1
@@ -548,7 +600,7 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     stepper = _step_each if len(burst) <= SMALL_BATCH else _step_batch
     rows, speeds = stepper(burst, placed, heatmap, config.max_steps - t)
     owner = rows // max(n, 1)   # a burst of 0 particles makes no contacts
-    with np.errstate(over="ignore", invalid="ignore"):   # SimResult rejects an overflow
+    with np.errstate(over="ignore", invalid="ignore"):   # tunnel_result rejects an overflow
         ke = kinetic_energy(config.particle_mass, burst.velocity)
         drag = drag_force(config.fluid_density, speeds, config.drag_coefficient,
                           math.pi * config.particle_radius ** 2)
@@ -556,17 +608,13 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
         # the bursts' sums added left to right
         per_burst = (np.bincount(owner, weights=drag, minlength=b), ke.reshape(b, n).sum(axis=1))
         drag_total, ke_total = np.cumsum(per_burst, axis=1)[:, -1].tolist()
-    try:
-        return SimResult(
-            drag_force=drag_total / b,
-            kinetic_energy=ke_total / (n * b) if n else 0.0,
-            collision_count=collision_count_metric(heatmap.sum(), b, config.base_cycle_count),
-            heightmap_sum=float(heightmap_sum(grid)),
-            heatmap=heatmap,
-        )
-    except ValueError as exc:   # a metric is not finite: it overflowed float64
-        raise ConfigError(f"tunnel: {exc}; particle_mass, fluid_density or drag_coefficient "
-                          "is too large") from exc
+    return tunnel_result(
+        drag_force=drag_total / b,
+        kinetic_energy=ke_total / (n * b) if n else 0.0,
+        collision_count=collision_count_metric(heatmap.sum(), b, config.base_cycle_count),
+        heightmap_sum=float(heightmap_sum(grid)),
+        heatmap=heatmap,
+    )
 
 
 # --- exports -------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from voxwind import windtunnel
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
     PlacedGrid,
@@ -34,26 +36,32 @@ def desk_tunnel(seed=7, particle_count=64, burst_count=2, max_steps=140,
     )
 
 
-def exhaustive_contact(position, radius, grid):
-    """Brute-force contact oracle: rank every occupied voxel in the grid by
-    closest-point distance with the same lexicographic tie-break, no
-    candidate windowing; squares are products, as in the contact query.
-    Returns ((x, y, z), normal) or None."""
+def voxel_distances(position, grid):
+    """The (closest-point distance squared, x, y, z) key of every occupied
+    voxel in the grid, no candidate windowing; squares are products, as in
+    the contact query."""
     cx, cy, cz = (float(v) for v in position)
     vs = grid.voxel_size
-    best = None
+    keys = []
     for x in range(grid.width):
         for y in range(grid.length):
             for z in range(int(grid.column_heights[x, y])):
                 ex = cx - min(max(cx, x * vs), (x + 1) * vs)
                 ey = cy - min(max(cy, y * vs), (y + 1) * vs)
                 ez = cz - min(max(cz, z * vs), (z + 1) * vs)
-                d2 = ex * ex + ey * ey + ez * ez
-                key = (d2, x, y, z)
-                if best is None or key < best:
-                    best = key
+                keys.append((ex * ex + ey * ey + ez * ez, x, y, z))
+    return keys
+
+
+def exhaustive_contact(position, radius, grid):
+    """Brute-force contact oracle: the voxel of the least `voxel_distances`
+    key, so distance ties break lexicographically, if it lies strictly
+    within `radius`. Returns ((x, y, z), normal) or None."""
+    best = min(voxel_distances(position, grid), default=None)
     if best is None or best[0] >= radius * radius:
         return None
+    cx, cy, cz = (float(v) for v in position)
+    vs = grid.voxel_size
     d2, x, y, z = best
     dx = cx - (x + 0.5) * vs
     dy = cy - (y + 0.5) * vs
@@ -137,6 +145,13 @@ def contacts_per_sphere(found, m):
         normal[axis] = sign
         out[row] = (tuple(int(v) for v in voxel), normal)
     return out
+
+
+def step_batch_only(burst, placed, heatmap, steps):
+    """`_step_batch` with its small near-set branch forced off (SMALL_BATCH
+    patched to 0), so every near set takes the batched query."""
+    with mock.patch.object(windtunnel, "SMALL_BATCH", 0):
+        return _step_batch(burst, placed, heatmap, steps)
 
 
 def stepped_simulation(grid, config):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,7 +27,7 @@ from voxwind.voxel import (
     voxelise,
     write_heightmap_pgm,
 )
-from voxwind.windtunnel import TunnelConfig, simresult_from_csv
+from voxwind.windtunnel import TunnelConfig, run_simulation, simresult_from_csv
 
 from conftest import read_checkpoint
 
@@ -429,7 +430,10 @@ class TestGridAgainstTunnel(CappedRun):
         assert not (tmp_path / "g.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["particle_mass", "fluid_density", "drag_coefficient"])
+# each tunnel setting that scales a metric
+SCALES = pytest.mark.parametrize("field", ["particle_mass", "fluid_density", "drag_coefficient"])
+
+
 class TestMetricOverflow(CappedRun):
     # A tunnel setting so large that a metric overflows float64 fails as a
     # config error in one line, with no numpy warning before it.
@@ -439,6 +443,7 @@ class TestMetricOverflow(CappedRun):
         doc["tunnel"][field] = 1e308
         return write_config(tmp_path / "run.json", doc)
 
+    @SCALES
     def test_simulate_exits_3(self, tmp_path, field):
         proc = self.run_capped(tmp_path, "simulate", "--grid", write_wedge_grid(tmp_path / "g.csv"),
                                "--config", self.overflowing_config(tmp_path, field),
@@ -446,12 +451,14 @@ class TestMetricOverflow(CappedRun):
         self.assert_one_line(proc, 3, "simulate: tunnel: ")
         assert not (tmp_path / "sim").exists()
 
+    @SCALES
     def test_train_exits_3(self, tmp_path, field):
         proc = self.run_capped(tmp_path, "train", "--config",
                                self.overflowing_config(tmp_path, field), "--out", "train")
         self.assert_one_line(proc, 3, "train: tunnel: ")
         assert not (tmp_path / "train").exists()
 
+    @SCALES
     def test_zero_step_train_exits_3(self, tmp_path, field):
         # the baseline is measured even when no step is trained
         doc = base_config()
@@ -460,6 +467,23 @@ class TestMetricOverflow(CappedRun):
         proc = self.run_capped(tmp_path, "train", "--config",
                                write_config(tmp_path / "run.json", doc), "--out", "train")
         self.assert_one_line(proc, 3, "train: tunnel: ")
+        assert not (tmp_path / "train").exists()
+
+    def test_baseline_mean_exits_3(self, tmp_path):
+        # Each baseline seed's kinetic energy is finite, but their sum, from
+        # which np.mean takes the mean, overflows. One particle keeps a
+        # seed's own mean from overflowing first.
+        doc = {"tunnel": {"particle_count": 1, "burst_count": 1, "max_steps": 240,
+                          "particle_mass": 1.5e307},
+               "ppo": {"max_training_steps": 0},
+               "env": {"synth": {"shape": "wedge"}, "baseline_seeds": 3}}
+        grid = voxelise(synth_heightmap("wedge", 16, 16, 1.0), 8, 0.1)
+        energies = [run_simulation(grid, TunnelConfig(**doc["tunnel"], seed=seed)).kinetic_energy
+                    for seed in range(3)]
+        assert sum(energies) == math.inf
+        proc = self.run_capped(tmp_path, "train", "--config",
+                               write_config(tmp_path / "run.json", doc), "--out", "train")
+        self.assert_one_line(proc, 3, "train: tunnel: kinetic_energy")
         assert not (tmp_path / "train").exists()
 
 

@@ -2,9 +2,11 @@
 
 The configs come from `scripts/diff_trees.py`'s `draw_config`: 10-120 mph,
 particle radius 0.1-3 voxels, restitution 0-1, three `dt` values and burst
-row counts on both sides of SMALL_BATCH. The final-state properties are
-checked through both steppers, from t = 0 at the inlet; the metric property
-through `run_simulation`.
+row counts on both sides of SMALL_BATCH. The state properties are checked
+through both steppers, from t = 0 at the inlet, and through `_step_batch`
+with its small near-set branch forced off, so near sets on both sides of
+SMALL_BATCH take both of its branches; the metric property through
+`run_simulation`.
 """
 
 import copy
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voxwind import windtunnel
@@ -26,6 +28,8 @@ from voxwind.windtunnel import (
     run_simulation,
     spawn_burst,
 )
+
+from conftest import step_batch_only
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
@@ -46,20 +50,26 @@ def drawn(seed: int, **tunnel):
     return grid, TunnelConfig(**{**config["tunnel"], **tunnel})
 
 
+def stepped_bursts(grid, config):
+    """The spawned burst, and (stepper, own copy of the burst) for each
+    stepper: the whole burst for `_step_batch` with and without its small
+    near-set branch, its first EACH_ROWS rows for `_step_each`."""
+    streams = np.random.SeedSequence(config.seed).spawn(config.burst_count)
+    burst = spawn_burst(config, [np.random.default_rng(s) for s in streams])
+    head = ParticleBurst(burst.position[:EACH_ROWS], burst.velocity[:EACH_ROWS])
+    return burst, [(stepper, copy.deepcopy(rows)) for stepper, rows in (
+        (windtunnel._step_batch, burst), (step_batch_only, burst), (windtunnel._step_each, head))]
+
+
 def final_bursts(grid, config):
     """The spawned burst's inlet velocities, and the final burst of each
     stepper run from t = 0 over max_steps dt."""
-    streams = np.random.SeedSequence(config.seed).spawn(config.burst_count)
-    burst = spawn_burst(config, [np.random.default_rng(s) for s in streams])
     placed = PlacedGrid(grid, config)
-    head = ParticleBurst(burst.position[:EACH_ROWS], burst.velocity[:EACH_ROWS])
-    finals = []
-    for stepper, rows in ((windtunnel._step_batch, burst), (windtunnel._step_each, head)):
-        own = copy.deepcopy(rows)
+    burst, runs = stepped_bursts(grid, config)
+    for stepper, own in runs:
         stepper(own, placed, np.zeros((grid.width, grid.length), dtype=np.int64),
                 config.max_steps)
-        finals.append(own)
-    return burst.velocity.copy(), finals
+    return burst.velocity.copy(), [own for _, own in runs]
 
 
 @given(seed=seeds)
@@ -90,3 +100,52 @@ def test_heatmap_total_is_the_collision_count_times_its_divisors(seed, base_cycl
     total = int(result.heatmap.sum())
     impacts = result.collision_count * config.burst_count * base_cycle_count
     assert math.isclose(impacts, total, rel_tol=1e-9)
+
+
+@given(seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_an_empty_grid_gives_no_contacts(seed):
+    grid, config = drawn(seed)
+    empty = VoxelGrid(np.zeros_like(grid.column_heights), grid.h_max, grid.voxel_size)
+    placed = PlacedGrid(empty, config)
+    burst, runs = stepped_bursts(empty, config)
+    for stepper, own in runs:
+        heatmap = np.zeros((empty.width, empty.length), dtype=np.int64)
+        rows, speeds = stepper(own, placed, heatmap, config.max_steps)
+        assert len(rows) == len(speeds) == heatmap.sum() == 0
+        np.testing.assert_array_equal(own.velocity, burst.velocity[:len(own)])
+
+
+@given(seed=seeds)
+@example(seed=29)   # 687 contacts, near sets on both sides of SMALL_BATCH
+@settings(max_examples=20, deadline=None)
+def test_a_contact_reverses_only_a_component_into_the_face(seed):
+    # Stepped one dt at a time: a row without a contact only drifts. A
+    # contact changes one velocity component, which pointed into the face:
+    # it ends reversed or zero, and the row is popped out against it, along
+    # the face's outward normal.
+    grid, config = drawn(seed)
+    placed = PlacedGrid(grid, config)
+    _, runs = stepped_bursts(grid, config)
+    for stepper, own in runs:
+        heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
+        for _ in range(config.max_steps):
+            if not own.alive.any():
+                break
+            v0 = own.velocity.copy()
+            drifted = own.position + v0 * config.dt
+            rows, _ = stepper(own, placed, heatmap, 1)
+            moved = np.zeros(len(own), dtype=bool)
+            moved[rows] = True
+            np.testing.assert_array_equal(own.velocity[~moved], v0[~moved])
+            np.testing.assert_array_equal(own.position[~moved], drifted[~moved])
+            changed = own.velocity[rows] != v0[rows]
+            assert (changed.sum(axis=1) == 1).all()
+            axis = changed.argmax(axis=1)
+            n = np.arange(len(rows))
+            before, after = v0[rows, axis], own.velocity[rows, axis]
+            assert (before * after <= 0.0).all() and (np.abs(after) <= np.abs(before)).all()
+            assert (before * (own.position[rows, axis] - drifted[rows, axis]) <= 0.0).all()
+            kept = own.position[rows] == drifted[rows]
+            kept[n, axis] = True
+            assert kept.all()

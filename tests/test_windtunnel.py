@@ -42,7 +42,9 @@ from conftest import (
     oracle_agrees,
     random_contact_batches,
     scalar_contact,
+    step_batch_only,
     stepped_simulation,
+    voxel_distances,
 )
 
 
@@ -173,20 +175,22 @@ def assert_same_contacts(got, want):
 
 
 def step_both(burst, placed, shape, steps):
-    """Both steppers over `steps` dt, each on its own copy of `burst` and a
-    zero (W, L) = `shape` heatmap, asserted equal in their rows and speeds
-    (values and dtypes), their heatmaps and their final bursts. Returns
+    """Both steppers over `steps` dt, and `_step_batch` with its small
+    near-set branch forced off, each on its own copy of `burst` and a zero
+    (W, L) = `shape` heatmap, asserted equal in their rows and speeds (values
+    and dtypes), their heatmaps and their final bursts. Returns
     `_step_batch`'s (rows, speeds), heatmap and burst."""
     runs = []
-    for stepper in (windtunnel._step_batch, windtunnel._step_each):
+    for stepper in (windtunnel._step_batch, step_batch_only, windtunnel._step_each):
         own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
         runs.append((stepper(own, placed, hm, steps), hm, own))
-    (got, got_hm, got_burst), (want, want_hm, want_burst) = runs
-    assert_same_contacts(got, want)
+    got, got_hm, got_burst = runs[0]
     assert got[0].dtype == np.intp and got[1].dtype == np.float64
-    np.testing.assert_array_equal(got_hm, want_hm)
-    for name in ("position", "velocity", "alive"):
-        np.testing.assert_array_equal(getattr(got_burst, name), getattr(want_burst, name))
+    for want, want_hm, want_burst in runs[1:]:
+        assert_same_contacts(got, want)
+        np.testing.assert_array_equal(got_hm, want_hm)
+        for name in ("position", "velocity", "alive"):
+            np.testing.assert_array_equal(getattr(got_burst, name), getattr(want_burst, name))
     return runs[0]
 
 
@@ -500,6 +504,71 @@ class TestQueryBatchProperty:
             assert len(rows) == hits == hm[1, 1], r
 
 
+# Binary-fraction voxel sizes, radii and centre coordinates: every distance
+# the scalar core and the oracle compute is then exact, so equal distances
+# are real ties, and a centre can sit exactly r from a voxel face.
+DYADIC_VS = (0.125, 0.25, 0.5)
+
+
+@st.composite
+def dyadic_spheres(draw):
+    """(vs, r, (W, L) heights, centre): a grid of at most 5^3 and one
+    sphere, r in 1/8 voxel steps from 1/8 to 3 voxels, each centre
+    coordinate in 1/8 voxel steps out to 3 voxels past the grid."""
+    vs = draw(st.sampled_from(DYADIC_VS))
+    r = draw(st.integers(1, 24)) * vs / 8
+    w, l, h_max = (draw(st.integers(1, 5)) for _ in range(3))
+    heights = np.array(draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                     max_size=w * l))).reshape(w, l)
+    center = tuple(draw(st.integers(-24, 8 * (n + 3))) * vs / 8 for n in (w, l, h_max))
+    return vs, r, heights, center
+
+
+@st.composite
+def tied_spheres(draw):
+    """(vs, r, (W, L) heights, centre): a sphere whose closest voxels are
+    at least two at one distance below r. The centre sits on a plane, edge
+    or corner shared by columns of one height, level with a voxel boundary
+    or with their top, so two to eight voxels are equally close."""
+    vs = draw(st.sampled_from(DYADIC_VS))
+    h = draw(st.integers(1, 4))
+    w, l = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    heights = np.full((w, l), h)
+    x = draw(st.integers(1, w - 1)) * vs        # between columns x - 1 and x
+    y = draw(st.sampled_from([draw(st.integers(1, l - 1)) * vs,     # between columns
+                              (draw(st.integers(0, l - 1)) + 0.5) * vs]))   # mid column
+    z = draw(st.sampled_from([draw(st.integers(1, h)) * vs,          # between voxels, or on top
+                              (draw(st.integers(0, h - 1)) + 0.5) * vs,
+                              h * vs + draw(st.integers(1, 7)) * vs / 8]))   # above the top
+    r = (z - h * vs if z > h * vs else 0.0) + draw(st.integers(1, 16)) * vs / 8
+    return vs, r, heights, (x, y, z)
+
+
+class TestScalarCoreOracle:
+    @given(case=dyadic_spheres() | tied_spheres())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_exhaustive_search(self, case):
+        # the scalar core finds the oracle's voxel, distance and face normal,
+        # with and without the zero columns `PlacedGrid.heights` pads with
+        vs, r, heights, center = case
+        grid = VoxelGrid(heights, int(heights.max(initial=0)) or 1, vs)
+        best = _best_overlap(*center, r, heights.tolist(), vs)
+        padded = np.pad(heights, ((0, 3), (0, 3))).tolist()
+        assert _best_overlap(*center, r, padded, vs) == best
+        keys = voxel_distances(center, grid)
+        if best is not None:
+            assert best == min(keys)
+        assert oracle_agrees(scalar_contact(center, r, grid), grid, center, r)
+
+    @given(case=tied_spheres())
+    @settings(max_examples=50, deadline=None)
+    def test_ties_are_built(self, case):
+        # each tied case holds two or more closest voxels, all within r
+        vs, r, heights, center = case
+        keys = sorted(voxel_distances(center, VoxelGrid(heights, int(heights.max()), vs)))
+        assert keys[0][0] == keys[1][0] < r * r
+
+
 class TestStrictRadius:
     # vs = 0.5 and r = 0.25 are binary fractions, so a sphere exactly r from
     # a voxel face has closest-point distance squared exactly r * r
@@ -716,10 +785,58 @@ class TestStepEach:
                 run_simulation(wedge_grid, replace(cfg, particle_count=SMALL_BATCH + 1))
 
 
+def near_rows_burst(placed, near, far):
+    """A burst at rest of `near` rows inside the desk wedge's low columns,
+    which the near test admits, then `far` rows at the inlet, which it does
+    not."""
+    loc = [[0.15 + 0.1 * (k % 14), 0.05 + 0.1 * (k // 14), 0.05] for k in range(near)]
+    pos = np.vstack([placed.origin + np.array(loc).reshape(-1, 3),
+                     np.tile([0.0, 0.9, 0.45], (far, 1))])
+    return ParticleBurst(pos, np.zeros_like(pos))
+
+
+class TestSmallNearSets:
+    """In `_step_batch`, a step's near set of at most SMALL_BATCH rows goes
+    one row at a time through the scalar core (`_bounce_each`); a larger one
+    takes the batched query (`_query`)."""
+
+    def test_selected_by_near_rows(self, wedge_grid):
+        def no_query(*args):
+            raise AssertionError("batched query called")
+
+        placed = PlacedGrid(wedge_grid, desk_tunnel())
+        hm = np.zeros((16, 16), dtype=np.int64)
+        each = mock.Mock(wraps=windtunnel._bounce_each)
+        with mock.patch.object(windtunnel, "_query", no_query), \
+                mock.patch.object(windtunnel, "_bounce_each", each):
+            _step_batch(near_rows_burst(placed, SMALL_BATCH, 20), placed, hm, 1)
+            assert each.call_count == SMALL_BATCH
+            with pytest.raises(AssertionError, match="batched query"):
+                _step_batch(near_rows_burst(placed, SMALL_BATCH + 1, 20), placed, hm, 1)
+
+    def test_near_set_sizes_on_desk_bursts(self, wedge_grid):
+        # a desk burst's steps hold near sets on both sides of SMALL_BATCH,
+        # so `TestSteppersAgree`'s desk case takes both branches
+        cfg = desk_tunnel(particle_count=40, burst_count=1, max_steps=160)
+        burst = spawn_burst(cfg, [np.random.default_rng(10)])
+        sizes = []
+        query = windtunnel._query
+
+        def counted(centers, *args):
+            sizes.append(len(centers))
+            return query(centers, *args)
+
+        with mock.patch.object(windtunnel, "_query", counted):
+            step_batch_only(burst, PlacedGrid(wedge_grid, cfg),
+                            np.zeros((16, 16), dtype=np.int64), cfg.max_steps)
+        assert min(sizes) <= SMALL_BATCH < max(sizes)
+
+
 class TestSteppersAgree:
-    """`_step_batch` and `_step_each` on copies of one burst over the same
-    number of dt give the same rows, speeds, heatmap and final burst, on
-    either side of SMALL_BATCH."""
+    """`_step_batch`, `_step_batch` with its small near-set branch forced
+    off, and `_step_each`, on copies of one burst over the same number of dt,
+    give the same rows, speeds, heatmap and final burst, on either side of
+    SMALL_BATCH."""
 
     @pytest.mark.parametrize("low, high", [(1, SMALL_BATCH), (SMALL_BATCH + 1, 40)])
     @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
