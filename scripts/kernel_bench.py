@@ -8,9 +8,7 @@ Times, in microseconds per call:
   every call is the fixed cost;
 - one contact query (`_query` over `PlacedGrid.padded`, as the steppers
   call it) of 30 spheres around the wedge's surface, and, in turn, of the
-  first 1, 2, 3 and 4 of them: 44% of the near sets of desk-scale training
-  hold at most 4 spheres, and near sets of at most SMALL_BATCH rows skip
-  this query, so the small case is the cost that skipping saves;
+  first 1, 2, 3 and 4 of them, where the query's fixed cost shows;
 - the scalar core (`_best_overlap`) on each of those 30 spheres in turn,
   which is what a near row costs in Python floats instead;
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
@@ -20,13 +18,17 @@ Times, in microseconds per call:
   times the wedge's contact queries, as the designs of desk-scale training do;
 - one `_step_batch` call over every dt of that desk simulation on the
   agent-reshaped wedge, from the spawned burst, without the inlet lead-in:
-  the numpy stepper alone, whose near sets of at most SMALL_BATCH rows go
-  through the scalar core;
+  the numpy stepper alone;
+- two simulations shaped like perfbench sim_sweep's (256 x 2 particles,
+  `max_steps` 240): the 32x32 half-cylinder at 0.05 m and 60 mph, whose
+  particles crawl along the surface with a contact every few dt, so it
+  bounds how far `_step_batch` may look ahead, and the 16x16 box at 0.1 m
+  and 10 mph, where looking further ahead lost;
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
-- one desk simulation of a single burst of 1, 8, 9 and 16 particles, on both
-  sides of SMALL_BATCH, where `run_simulation` switches from stepping rows in
-  Python floats (`_step_each`) to numpy (`_step_batch`);
+- one desk simulation of a single burst of 1, 8, 9, 16, 24 and 32
+  particles, around SMALL_BATCH, where `run_simulation` switches from
+  stepping rows in Python floats (`_step_each`) to numpy (`_step_batch`);
 - building the desk `PlacedGrid`, the near test's table included.
 
 A case runs only when every tree has what it calls. `step_empty_us` and
@@ -45,6 +47,7 @@ import argparse
 import copy
 import itertools
 import json
+from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -74,7 +77,11 @@ def cases(tree):
                             domain_size=(3.2, 1.8, 0.9), seed=7)
     burst_of = {m: wt.TunnelConfig(air_speed=10.0, particle_count=m, burst_count=1,
                                    max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
-                for m in (1, 8, 9, 16)}
+                for m in (1, 8, 9, 16, 24, 32)}
+    sweep = wt.TunnelConfig(particle_count=256, burst_count=2, max_steps=240,
+                            domain_size=(3.2, 1.8, 0.9), seed=7)
+    hcyl32 = vx.voxelise(vx.synth_heightmap("half-cylinder", 32, 32, 1.0), 16, 0.05)
+    box16 = vx.voxelise(vx.synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
     placed = wt.PlacedGrid(grid, config)
     rng = np.random.default_rng(0)
     upstream = np.column_stack([np.full(192, 0.5), rng.uniform(0, 1.8, 192),
@@ -96,6 +103,8 @@ def cases(tree):
         "best_overlap_us": (lambda: wt._best_overlap(*next(spheres), r, heights, vs), 300),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
         "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
+        "hcyl32_60mph_ms": (lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)), 1),
+        "box16_10mph_ms": (lambda: wt.run_simulation(box16, sweep), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
         "placed_grid_us": (lambda: wt.PlacedGrid(grid, config), 200),
     }

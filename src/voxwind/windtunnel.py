@@ -34,7 +34,9 @@ class TunnelConfig:
     particle_count: int = setting(256, ge=0, le=100_000)     # particles per burst
     burst_count: int = setting(2, ge=1, le=100)              # simulation runs per iteration
     base_cycle_count: float = setting(10.0, ge=1.0)          # collision-count normaliser
-    dt: float = setting(1.0 / 120.0, gt=0.0)                 # seconds
+    # a particle moves at most 120 mph = 53.6448 m/s, so over at most 1e5
+    # steps |v| * dt * max_steps <= 5.4e306 m and its positions stay finite
+    dt: float = setting(1.0 / 120.0, gt=0.0, le=1e300)       # seconds
     max_steps: int = setting(240, ge=1, le=100_000)          # integration steps per burst
     fluid_density: float = setting(1.225, gt=0.0)            # kg/m^3
     particle_mass: float = setting(0.01, gt=0.0)             # kg
@@ -188,10 +190,13 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
 
 
 # Bursts of up to this many rows step one row at a time in Python floats
-# (`_step_each`), and so do near sets of up to this many rows inside the
-# numpy stepper (`_bounce_each`): below it the per-call cost of numpy
-# outweighs its per-row saving.
-SMALL_BATCH = 8
+# (`_step_each`), larger ones in numpy (`_step_batch`): a desk simulation of
+# one 24-row burst took 2.15 ms in Python floats against 2.31 ms in numpy,
+# one of 32 rows 2.81 against 2.28 ms (`kernel_bench.py`).
+SMALL_BATCH = 24
+
+# Most dt one row looks ahead in one round of `_step_batch`.
+LOOKAHEAD = 8
 
 # Most candidate voxels one batched query evaluates at once; larger batches
 # go in chunks, which bounds its temporaries when a sphere spans many voxels.
@@ -383,41 +388,16 @@ class PlacedGrid:
         self.cell_max = np.array(self.reach.shape) - 1
 
 
-def _bounce(burst: ParticleBurst, centers: np.ndarray, rows: np.ndarray,
-            placed: PlacedGrid, heatmap: np.ndarray):
-    """Reflect and pop out the spheres at `centers` (burst rows `rows`) that
-    touch a voxel while moving into it; tally them into `heatmap`. Returns
-    their burst rows and impact speeds, in row order, or None."""
-    config = placed.config
-    found = _query(centers, config.particle_radius, placed.padded, placed.voxel_size)
-    if found is None:
-        return None
-    touching, voxel, axis, sign, pen = found
-    i = rows[touching]
-    vn = sign * burst.velocity[i, axis]
-    hit = (vn < 0.0).nonzero()[0]  # separating contacts get no impulse and no row
-    if hit.size == 0:
-        return None
-    if hit.size < len(i):
-        i, voxel, axis, sign, pen, vn = (a[hit] for a in (i, voxel, axis, sign, pen, vn))
-    v = burst.velocity[i]   # the impact speed is read before the bounce
-    speed = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
-    burst.velocity[i, axis] -= (1.0 + config.restitution) * vn * sign
-    burst.position[i, axis] += sign * pen  # pop out of the face
-    np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
-    return i, speed
-
-
 def _bounce_each(p: list, v: list, lx: float, ly: float, lz: float, placed: PlacedGrid,
                  heatmap: np.ndarray):
-    """`_bounce` for one near row in Python floats: reflect and pop out the
-    sphere at grid-local (lx, ly, lz), whose world position and velocity are
-    the lists `p` and `v`, if it touches a voxel while moving into it, and
-    tally it into `heatmap`. Returns its impact speed, or None.
+    """`_step_batch`'s bounce for one near row in Python floats: reflect and
+    pop out the sphere at grid-local (lx, ly, lz), whose world position and
+    velocity are the lists `p` and `v`, if it touches a voxel while moving
+    into it, and tally it into `heatmap`. Returns its impact speed, or None.
 
     The contact comes from the scalar core (`_best_overlap`, `_face_normal`),
     which `_query_batch` matches bit for bit, and the float operations are
-    `_bounce`'s, in its order, so the row ends as `_bounce` leaves it.
+    `_step_batch`'s, in its order, so the row ends as `_step_batch` leaves it.
     """
     config = placed.config
     r, vs = config.particle_radius, placed.voxel_size
@@ -445,52 +425,98 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
     restitution. A live particle is near when its height is below the
-    `placed.reach` entry of its column cell, one table lookup per row; the
-    table admits every row that can touch a voxel (see `PlacedGrid`). More
-    than SMALL_BATCH near particles take one contact query (`_query`) with
-    the one particle radius over `placed.padded`, and `_bounce` resolves
-    their rows. At most SMALL_BATCH go one row at a time through
-    `_bounce_each` in Python floats, which leaves each row, the heatmap and
-    the returns bit for bit as `_bounce` would: rows do not interact within
-    a step. One contact
-    at most per particle per dt; contacts tally into `heatmap`. Particles
-    leaving the domain are marked dead. Dead particles drift on but are never
-    near, so they never collide again and their velocity, from which
-    `run_simulation` reads the exit energy, stays as it was when they left.
-    Mutates `burst` and `heatmap`.
-    `run_simulation` leaves out the inlet lead-in, the dt before any
-    particle can come near the grid, in which a step would only add the
-    shared x drift to every position.
+    `placed.reach` entry of its column cell; the table admits every row that
+    can touch a voxel (see `PlacedGrid`). One contact at most per particle
+    per dt; contacts tally into `heatmap`. Particles leaving the domain are
+    marked dead; they drift on but are never near again, so their velocity,
+    from which `run_simulation` reads the exit energy, stays as it was when
+    they left. Mutates `burst` and `heatmap`.
+
+    Rows do not interact and only drift between contacts, so the dt go in
+    rounds over look-ahead windows. In a round each live row drifts through
+    its own window by the same `+= velocity * dt` additions a step makes; the
+    near and exit tests run once over the (dt, row) block, and its near pairs
+    take one contact query (`_query`), whose answer for a sphere does not
+    depend on its batch. Each row then moves to its first contact moving into
+    a face, bounced, popped out, tallied and exit-tested as in a step, or
+    else to its exit or its window's last dt. A first window is LOOKAHEAD // 2
+    dt, a later one twice the dt the row last advanced, at most LOOKAHEAD.
+    `run_simulation` leaves out the inlet lead-in, the dt before any particle
+    can come near the grid, in which a step would only add the shared x drift
+    to every position.
     """
     config = placed.config
+    dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
     pos, vel, alive = burst.position, burst.velocity, burst.alive
-    rows, speeds = [], []
-    for _ in range(steps):
-        if not alive.any():
-            break
-        pos += vel * config.dt
-        loc = pos - placed.origin
-        cell = np.floor(loc[:, :2] / placed.voxel_size)
+    taken = np.zeros(len(pos), dtype=np.intp)   # dt each row has taken
+    live = alive.nonzero()[0] if steps > 0 else np.zeros(0, dtype=np.intp)
+    # per live row: the dt it has taken, and its next window
+    done, window = taken[live], np.full(len(live), LOOKAHEAD // 2)
+    found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]   # (dt, row, speed)
+    while live.size:
+        n = np.arange(len(live))
+        w = np.minimum(window, steps - done)
+        ahead = np.arange(int(w.max()))[:, None]
+        v = vel[live]
+        drift = v * dt
+        path = np.empty((len(ahead), len(live), 3))
+        np.add(pos[live], drift, out=path[0])
+        for j in range(1, len(ahead)):
+            np.add(path[j - 1], drift, out=path[j])
+        cell = path[..., :2] - placed.origin[:2]
+        cell /= vs
+        np.floor(cell, out=cell)
         cell += placed.pad
         np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max, out=cell)
         cell = cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
-        near = (alive & (loc[:, 2] < placed.reach[cell[:, 0], cell[:, 1]])).nonzero()[0]
-        if near.size > SMALL_BATCH:
-            hit = _bounce(burst, loc[near], near, placed, heatmap)
-            if hit is not None:
-                rows += hit[0].tolist()
-                speeds += hit[1].tolist()
-        elif near.size:
-            for j, (lx, ly, lz), p, v in zip(near.tolist(), loc[near].tolist(),
-                                             pos[near].tolist(), vel[near].tolist()):
-                speed = _bounce_each(p, v, lx, ly, lz, placed, heatmap)
-                if speed is not None:
-                    pos[j], vel[j] = p, v
-                    rows.append(j)
-                    speeds.append(speed)
-        inside = (pos >= 0.0) & (pos <= placed.domain)
-        alive &= inside[:, 0] & inside[:, 1] & inside[:, 2]  # faster than .all(axis=1)
-    return np.array(rows, dtype=np.intp), np.array(speeds, dtype=np.float64)
+        near = path[..., 2] - placed.origin[2] < placed.reach[cell[..., 0], cell[..., 1]]
+        inside = (path >= 0.0) & (path <= placed.domain)
+        gone = ~(inside[..., 0] & inside[..., 1] & inside[..., 2])  # faster than .all(axis=-1)
+        end = (gone | (ahead >= w - 1)).argmax(axis=0)   # first exit, or the window's last dt
+        near &= ahead <= end
+        k, j = near.T.nonzero()   # near pairs in row order, then dt order
+        contacts = _query(path[j, k] - placed.origin, r, placed.padded, vs) if k.size else None
+        if contacts is not None:
+            touching, voxel, axis, sign, pen = contacts
+            k, j = k[touching], j[touching]
+            vn = sign * v[k, axis]
+            hit = (vn < 0.0).nonzero()[0]  # separating contacts get no impulse and no row
+            first = np.ones(hit.size, dtype=bool)   # a row's first contact in dt order
+            np.not_equal(k[hit[1:]], k[hit[:-1]], out=first[1:])
+            hit = hit[first]
+            k, j, voxel, axis, sign, pen, vn = (a[hit] for a in (k, j, voxel, axis, sign, pen, vn))
+            end[k] = j
+        at, out = path[end, n], gone[end, n]
+        if contacts is not None and k.size:
+            u = v[k]   # the impact speed is read before the bounce
+            speed = np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2])
+            v[k, axis] -= (1.0 + config.restitution) * vn * sign
+            at[k, axis] += sign * pen  # pop out of the face
+            inside = (at[k] >= 0.0) & (at[k] <= placed.domain)
+            out[k] = ~(inside[:, 0] & inside[:, 1] & inside[:, 2])
+            np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
+            found.append((done[k] + j, live[k], speed))
+            vel[live] = v
+        pos[live] = at
+        done += end + 1
+        window = np.minimum(2 * (end + 1), LOOKAHEAD)
+        stop = out | (done == steps)
+        if stop.any():
+            alive[live[out]] = False
+            taken[live[stop]] = done[stop]
+            live, done, window = live[~stop], done[~stop], window[~stop]
+    # dead rows drift on to the last dt any row took, as a suffix sorted by lag
+    lag = taken.max(initial=0) - taken
+    behind = lag.nonzero()[0]
+    if behind.size:
+        behind = behind[np.argsort(lag[behind])]
+        drifted, drift = pos[behind], vel[behind] * dt
+        for start in np.searchsorted(lag[behind], np.arange(lag.max()), side="right").tolist():
+            drifted[start:] += drift[start:]
+        pos[behind] = drifted
+    t, rows, speeds = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((rows, t))
+    return rows[order], speeds[order]
 
 
 def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
@@ -498,12 +524,11 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     arguments, returns and effects. The burst's final state is written back.
 
     For bursts of at most SMALL_BATCH rows. Each row makes the float
-    operations of `_step_batch`'s drift, near and exit tests, in their order,
-    and a near row goes through `_bounce_each`, as a small near set of
-    `_step_batch` does. Rows do not interact within a step, so every output
-    is bit for bit `_step_batch`'s. A column cell outside `placed.reach`
-    clamps onto its -inf outer ring, so such a row, like a NaN or infinite
-    one, is not near.
+    operations of `_step_batch`'s drift, near and exit tests and bounce, in
+    their order, one dt at a time. Rows do not interact, so every output is
+    bit for bit `_step_batch`'s. A column cell outside `placed.reach` clamps
+    onto its -inf outer ring, so such a row, like a NaN or infinite one, is
+    not near.
     """
     dt, vs = placed.config.dt, placed.voxel_size
     ox, oy, oz = placed.origin.tolist()

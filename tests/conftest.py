@@ -1,12 +1,10 @@
 import json
 import math
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from voxwind import windtunnel
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
     PlacedGrid,
@@ -145,13 +143,6 @@ def contacts_per_sphere(found, m):
         normal[axis] = sign
         out[row] = (tuple(int(v) for v in voxel), normal)
     return out
-
-
-def step_batch_only(burst, placed, heatmap, steps):
-    """`_step_batch` with its small near-set branch forced off (SMALL_BATCH
-    patched to 0), so every near set takes the batched query."""
-    with mock.patch.object(windtunnel, "SMALL_BATCH", 0):
-        return _step_batch(burst, placed, heatmap, steps)
 
 
 def stepped_simulation(grid, config):

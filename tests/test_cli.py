@@ -430,6 +430,25 @@ class TestGridAgainstTunnel(CappedRun):
         assert not (tmp_path / "g.csv").exists()
 
 
+class TestHugeStep(CappedRun):
+    # A dt so long that a particle's drift over max_steps would overflow its
+    # position is refused before any simulation, in one line; the longest
+    # dt accepted runs with no numpy warning on stderr.
+
+    @pytest.mark.parametrize("dt, code", [(1e308, 3), (1e300, 0)])
+    def test_simulate(self, tmp_path, dt, code):
+        doc = base_config()
+        doc["tunnel"]["dt"] = dt
+        proc = self.run_capped(tmp_path, "simulate", "--grid", write_wedge_grid(tmp_path / "g.csv"),
+                               "--config", write_config(tmp_path / "run.json", doc),
+                               "--out", "sim")
+        if code:
+            self.assert_one_line(proc, code, "simulate: tunnel.dt: ", "<= 1e+300")
+        else:
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert (tmp_path / "sim").exists() == (code == 0)
+
+
 # each tunnel setting that scales a metric
 SCALES = pytest.mark.parametrize("field", ["particle_mass", "fluid_density", "drag_coefficient"])
 

@@ -3,9 +3,7 @@
 The configs come from `scripts/diff_trees.py`'s `draw_config`: 10-120 mph,
 particle radius 0.1-3 voxels, restitution 0-1, three `dt` values and burst
 row counts on both sides of SMALL_BATCH. The state properties are checked
-through both steppers, from t = 0 at the inlet, and through `_step_batch`
-with its small near-set branch forced off, so near sets on both sides of
-SMALL_BATCH take both of its branches; the metric property through
+through both steppers, from t = 0 at the inlet; the metric property through
 `run_simulation`.
 """
 
@@ -29,8 +27,6 @@ from voxwind.windtunnel import (
     spawn_burst,
 )
 
-from conftest import step_batch_only
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
 
@@ -52,13 +48,13 @@ def drawn(seed: int, **tunnel):
 
 def stepped_bursts(grid, config):
     """The spawned burst, and (stepper, own copy of the burst) for each
-    stepper: the whole burst for `_step_batch` with and without its small
-    near-set branch, its first EACH_ROWS rows for `_step_each`."""
+    stepper: the whole burst for `_step_batch`, its first EACH_ROWS rows for
+    `_step_each`."""
     streams = np.random.SeedSequence(config.seed).spawn(config.burst_count)
     burst = spawn_burst(config, [np.random.default_rng(s) for s in streams])
     head = ParticleBurst(burst.position[:EACH_ROWS], burst.velocity[:EACH_ROWS])
     return burst, [(stepper, copy.deepcopy(rows)) for stepper, rows in (
-        (windtunnel._step_batch, burst), (step_batch_only, burst), (windtunnel._step_each, head))]
+        (windtunnel._step_batch, burst), (windtunnel._step_each, head))]
 
 
 def final_bursts(grid, config):
@@ -117,7 +113,7 @@ def test_an_empty_grid_gives_no_contacts(seed):
 
 
 @given(seed=seeds)
-@example(seed=29)   # 687 contacts, near sets on both sides of SMALL_BATCH
+@example(seed=29)   # 687 contacts
 @settings(max_examples=20, deadline=None)
 def test_a_contact_reverses_only_a_component_into_the_face(seed):
     # Stepped one dt at a time: a row without a contact only drifts. A

@@ -12,6 +12,7 @@ from voxwind import windtunnel
 from voxwind.errors import ConfigError
 from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
 from voxwind.windtunnel import (
+    LOOKAHEAD,
     SMALL_BATCH,
     ParticleBurst,
     _best_overlap,
@@ -42,7 +43,6 @@ from conftest import (
     oracle_agrees,
     random_contact_batches,
     scalar_contact,
-    step_batch_only,
     stepped_simulation,
     voxel_distances,
 )
@@ -175,13 +175,12 @@ def assert_same_contacts(got, want):
 
 
 def step_both(burst, placed, shape, steps):
-    """Both steppers over `steps` dt, and `_step_batch` with its small
-    near-set branch forced off, each on its own copy of `burst` and a zero
-    (W, L) = `shape` heatmap, asserted equal in their rows and speeds (values
-    and dtypes), their heatmaps and their final bursts. Returns
+    """Both steppers over `steps` dt, each on its own copy of `burst` and a
+    zero (W, L) = `shape` heatmap, asserted equal in their rows and speeds
+    (values and dtypes), their heatmaps and their final bursts. Returns
     `_step_batch`'s (rows, speeds), heatmap and burst."""
     runs = []
-    for stepper in (windtunnel._step_batch, step_batch_only, windtunnel._step_each):
+    for stepper in (windtunnel._step_batch, windtunnel._step_each):
         own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
         runs.append((stepper(own, placed, hm, steps), hm, own))
     got, got_hm, got_burst = runs[0]
@@ -785,60 +784,13 @@ class TestStepEach:
                 run_simulation(wedge_grid, replace(cfg, particle_count=SMALL_BATCH + 1))
 
 
-def near_rows_burst(placed, near, far):
-    """A burst at rest of `near` rows inside the desk wedge's low columns,
-    which the near test admits, then `far` rows at the inlet, which it does
-    not."""
-    loc = [[0.15 + 0.1 * (k % 14), 0.05 + 0.1 * (k // 14), 0.05] for k in range(near)]
-    pos = np.vstack([placed.origin + np.array(loc).reshape(-1, 3),
-                     np.tile([0.0, 0.9, 0.45], (far, 1))])
-    return ParticleBurst(pos, np.zeros_like(pos))
-
-
-class TestSmallNearSets:
-    """In `_step_batch`, a step's near set of at most SMALL_BATCH rows goes
-    one row at a time through the scalar core (`_bounce_each`); a larger one
-    takes the batched query (`_query`)."""
-
-    def test_selected_by_near_rows(self, wedge_grid):
-        def no_query(*args):
-            raise AssertionError("batched query called")
-
-        placed = PlacedGrid(wedge_grid, desk_tunnel())
-        hm = np.zeros((16, 16), dtype=np.int64)
-        each = mock.Mock(wraps=windtunnel._bounce_each)
-        with mock.patch.object(windtunnel, "_query", no_query), \
-                mock.patch.object(windtunnel, "_bounce_each", each):
-            _step_batch(near_rows_burst(placed, SMALL_BATCH, 20), placed, hm, 1)
-            assert each.call_count == SMALL_BATCH
-            with pytest.raises(AssertionError, match="batched query"):
-                _step_batch(near_rows_burst(placed, SMALL_BATCH + 1, 20), placed, hm, 1)
-
-    def test_near_set_sizes_on_desk_bursts(self, wedge_grid):
-        # a desk burst's steps hold near sets on both sides of SMALL_BATCH,
-        # so `TestSteppersAgree`'s desk case takes both branches
-        cfg = desk_tunnel(particle_count=40, burst_count=1, max_steps=160)
-        burst = spawn_burst(cfg, [np.random.default_rng(10)])
-        sizes = []
-        query = windtunnel._query
-
-        def counted(centers, *args):
-            sizes.append(len(centers))
-            return query(centers, *args)
-
-        with mock.patch.object(windtunnel, "_query", counted):
-            step_batch_only(burst, PlacedGrid(wedge_grid, cfg),
-                            np.zeros((16, 16), dtype=np.int64), cfg.max_steps)
-        assert min(sizes) <= SMALL_BATCH < max(sizes)
-
-
 class TestSteppersAgree:
-    """`_step_batch`, `_step_batch` with its small near-set branch forced
-    off, and `_step_each`, on copies of one burst over the same number of dt,
-    give the same rows, speeds, heatmap and final burst, on either side of
-    SMALL_BATCH."""
+    """`_step_batch` and `_step_each`, on copies of one burst over the same
+    number of dt, give the same rows, speeds, heatmap and final burst. Both
+    are called directly, so burst sizes on either side of SMALL_BATCH go
+    through both; few rows and many are drawn as often."""
 
-    @pytest.mark.parametrize("low, high", [(1, SMALL_BATCH), (SMALL_BATCH + 1, 40)])
+    @pytest.mark.parametrize("low, high", [(1, 8), (9, 40)])
     @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
            vs=st.sampled_from([0.05, 0.1, 0.2]), dt=st.sampled_from([1 / 500, 1 / 120, 1 / 30]),
            restitution=st.floats(0.0, 1.0), steps=st.integers(1, 60),
@@ -867,17 +819,23 @@ class TestSteppersAgree:
         burst.alive[rng.uniform(size=m) < 0.2] = False
         step_both(burst, placed, (w, l), steps)
 
-    @pytest.mark.parametrize("rows", [1, SMALL_BATCH, SMALL_BATCH + 1, 40])
+    @pytest.mark.parametrize("rows", [1, 8, 9, 40])
     def test_equal_on_desk_bursts(self, wedge_grid, rows):
-        # spawned bursts from the inlet, over every dt of a desk run
+        # spawned bursts from the inlet, over every dt of a desk run on the
+        # wedge and the box. At 60 and 120 mph some particles crawl through
+        # the solid columns to max_steps, touching them about ten times each
+        # (`_step_each` of 40 rows: 50 contacts on the box at 60 mph, 4 rows
+        # still alive at the end), and each contact cuts a look-ahead short
+        box = voxelise(synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
         impacts = 0
-        for mph in (10.0, 60.0, 120.0):
-            cfg = desk_tunnel(particle_count=rows, burst_count=1, max_steps=160)
-            cfg = replace(cfg, air_speed=mph)
-            burst = spawn_burst(cfg, [np.random.default_rng(int(mph))])
-            (hits, _), _, _ = step_both(burst, PlacedGrid(wedge_grid, cfg),
-                                        (wedge_grid.width, wedge_grid.length), cfg.max_steps)
-            impacts += len(hits)
+        for grid in (wedge_grid, box):
+            for mph in (10.0, 60.0, 120.0):
+                cfg = desk_tunnel(particle_count=rows, burst_count=1, max_steps=240)
+                cfg = replace(cfg, air_speed=mph)
+                burst = spawn_burst(cfg, [np.random.default_rng(int(mph))])
+                (hits, _), _, _ = step_both(burst, PlacedGrid(grid, cfg),
+                                            (grid.width, grid.length), cfg.max_steps)
+                impacts += len(hits)
         assert impacts > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -891,6 +849,113 @@ class TestSteppersAgree:
         (hits, _), _, _ = step_both(burst, PlacedGrid(wedge_grid, cfg),
                                     (wedge_grid.width, wedge_grid.length), cfg.max_steps)
         assert not np.isin([1, 2], hits).any()
+
+
+def contact_steps(burst, placed, shape, steps):
+    """`_step_each` on a copy of `burst`, one dt at a time, as the per-dt
+    reference: the (dt, row) of every contact, and the dt taken before no
+    row was alive or `steps` ran out."""
+    own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
+    found, t = [], 0
+    while t < steps and own.alive.any():
+        found += [(t, int(row)) for row in windtunnel._step_each(own, placed, hm, 1)[0]]
+        t += 1
+    return found, t
+
+
+# A wall across the flow: column x = 7 of an 8 x 2 grid at 0.1 m, 4 voxels
+# tall, in a domain the grid fills, so its -x face is at x = 0.7 m
+WALL = VoxelGrid(np.array([[0, 0]] * 7 + [[4, 4]]), 4, 0.1)
+WALL_TUNNEL = TunnelConfig(domain_size=(0.8, 0.2, 0.4), dt=0.01, restitution=0.5)
+
+
+def wall_rows(n, speed=1.0):
+    """Rows flying at the wall in +x at `speed`, row i meeting its face on
+    dt n[i], counted from 0: half a drift inside the radius, so rounding
+    cannot move the dt."""
+    d = speed * WALL_TUNNEL.dt
+    x = 0.7 - WALL_TUNNEL.particle_radius - (np.asarray(n) + 0.5) * d
+    pos = np.column_stack([x, np.full(len(x), 0.1), np.full(len(x), 0.2)])
+    return ParticleBurst(pos, np.tile([speed, 0.0, 0.0], (len(x), 1)))
+
+
+class TestLookahead:
+    """`_step_batch` takes each row's dt in rounds over its own look-ahead
+    window, LOOKAHEAD // 2 dt first, then twice what it advanced, at most
+    LOOKAHEAD; `_step_each` stepped one dt at a time is the reference. A row
+    that never touches the wall has windows [0, 4), [4, 12), [12, 20), ...
+    for a LOOKAHEAD of 8."""
+
+    @pytest.mark.parametrize("steps", sorted({1, 2, LOOKAHEAD // 2 - 1, LOOKAHEAD // 2,
+                                              LOOKAHEAD // 2 + 1, LOOKAHEAD, 3 * LOOKAHEAD + 4}))
+    def test_a_contact_on_each_dt_of_the_first_windows(self, steps):
+        # row t touches the wall on dt t: on the first and the last dt of each
+        # of its first windows, and between; `steps` cuts windows short
+        placed = PlacedGrid(WALL, WALL_TUNNEL)
+        burst = wall_rows(range(3 * LOOKAHEAD))
+        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        assert found == [(t, t) for t in range(min(steps, 3 * LOOKAHEAD))]
+        assert taken == steps
+        (rows, _), hm, _ = step_both(burst, placed, (8, 2), steps)
+        assert rows.tolist() == [row for _, row in found] and hm.sum() == len(found)
+
+    def test_a_row_touching_a_wall_on_consecutive_dt(self):
+        # a slot one voxel wide between two walls: the row crosses it in y in
+        # less than a dt and bounces elastically, so it touches a wall on
+        # every dt and looks ahead 2 dt at a time, while a row resting in the
+        # slot, which touches nothing, looks ahead LOOKAHEAD dt
+        slot = VoxelGrid(np.array([[5, 0, 5]]), 5, 0.1)
+        cfg = TunnelConfig(particle_radius=0.04, domain_size=(0.1, 0.3, 0.5), dt=0.01,
+                           restitution=1.0)
+        placed = PlacedGrid(slot, cfg)
+        burst = ParticleBurst(np.tile([0.05, 0.15, 0.25], (2, 1)), [[0.0, 3.0, 0.0], [0.0] * 3])
+        steps = 3 * LOOKAHEAD + 1
+        found, _ = contact_steps(burst, placed, (1, 3), steps)
+        assert found == [(t, 0) for t in range(steps)]
+        (_, _), hm, _ = step_both(burst, placed, (1, 3), steps)
+        assert hm[0, 0] + hm[0, 2] == steps and hm[0, 0] > 0 and hm[0, 2] > 0
+
+    def test_steps_cut_one_window_while_another_row_looks_further(self):
+        # row 0 touches nothing and has taken 4 + 8 + 8 dt after three
+        # rounds (LOOKAHEAD 8); row 1 touches the wall on its first dt and
+        # then has taken 1 + 2 + 4 dt, its next window 8 long. With 23 steps,
+        # row 0's fourth window is 3 dt, inside a block of 8
+        steps = LOOKAHEAD // 2 + 2 * LOOKAHEAD + 3
+        placed = PlacedGrid(WALL, WALL_TUNNEL)
+        burst = wall_rows([steps + 10, 0])
+        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        assert found == [(0, 1)] and taken == steps
+        _, _, final = step_both(burst, placed, (8, 2), steps)
+        assert final.alive.all()
+
+    def test_the_run_stops_when_the_last_row_exits_mid_window(self):
+        # rows leave through the inlet face mid-window on dt 3, 9 and 20, and
+        # one after bouncing off the wall on dt 2; a row dead on entry drifts
+        # with them until the last one exits, far short of `steps`, and so do
+        # the rows that exited before
+        placed = PlacedGrid(WALL, replace(WALL_TUNNEL, restitution=1.0))
+        d = WALL_TUNNEL.dt
+        out = np.array([3, 9, 20])
+        pos = np.column_stack([(out + 0.5) * d, np.full(3, 0.1), np.full(3, 0.2)])
+        burst = ParticleBurst(
+            np.vstack([pos, wall_rows([2]).position, [[0.4, 0.1, 0.1]]]),
+            np.vstack([np.tile([-1.0, 0.0, 0.0], (3, 1)), [[1.0, 0.0, 0.0], [0.3, 0.2, 0.1]]]))
+        burst.alive[4] = False
+        steps = 400
+        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        assert found == [(2, 3)] and 20 < taken < steps
+        _, _, final = step_both(burst, placed, (8, 2), steps)
+        assert not final.alive.any()
+        dead = burst.position[4].copy()
+        for _ in range(taken):
+            dead += burst.velocity[4] * d
+        np.testing.assert_array_equal(final.position[4], dead)
+
+    def test_rows_that_all_enter_dead_do_not_move(self):
+        burst = wall_rows([2, 7])
+        burst.alive[:] = False
+        _, _, final = step_both(burst, PlacedGrid(WALL, WALL_TUNNEL), (8, 2), 10)
+        np.testing.assert_array_equal(final.position, burst.position)
 
 
 def edge_ring_reach(grid, r):
