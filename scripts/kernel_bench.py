@@ -16,6 +16,9 @@ Times, in microseconds per call:
   applied as `WindTunnelEnv.act` applies them, from a fixed seed. Such
   designs keep particles near the surface until `max_steps`, with about 2.4
   times the wedge's contact queries, as the designs of desk-scale training do;
+- the same agent-reshaped desk simulation at 60 mph, where a few rows crawl
+  through the solid columns with a contact on almost every dt until
+  `max_steps`;
 - one `_step_batch` call over every dt of that desk simulation on the
   agent-reshaped wedge, from the spawned burst, without the inlet lead-in:
   the numpy stepper alone;
@@ -26,7 +29,7 @@ Times, in microseconds per call:
   and 10 mph, where looking further ahead lost;
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
-- one desk simulation of a single burst of 1, 8, 9, 16, 24 and 32
+- one desk simulation of a single burst of 1, 8, 16, 24, 32, 40 and 48
   particles, around SMALL_BATCH, where `run_simulation` switches from
   stepping rows in Python floats (`_step_each`) to numpy (`_step_batch`);
 - building the desk `PlacedGrid`, the near test's table included.
@@ -77,7 +80,7 @@ def cases(tree):
                             domain_size=(3.2, 1.8, 0.9), seed=7)
     burst_of = {m: wt.TunnelConfig(air_speed=10.0, particle_count=m, burst_count=1,
                                    max_steps=160, domain_size=(3.2, 1.8, 0.9), seed=7)
-                for m in (1, 8, 9, 16, 24, 32)}
+                for m in (1, 8, 16, 24, 32, 40, 48)}
     sweep = wt.TunnelConfig(particle_count=256, burst_count=2, max_steps=240,
                             domain_size=(3.2, 1.8, 0.9), seed=7)
     hcyl32 = vx.voxelise(vx.synth_heightmap("half-cylinder", 32, 32, 1.0), 16, 0.05)
@@ -103,6 +106,8 @@ def cases(tree):
         "best_overlap_us": (lambda: wt._best_overlap(*next(spheres), r, heights, vs), 300),
         "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
         "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
+        "agent_60mph_ms": (lambda: wt.run_simulation(reshaped, replace(config, air_speed=60.0)),
+                           1),
         "hcyl32_60mph_ms": (lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)), 1),
         "box16_10mph_ms": (lambda: wt.run_simulation(box16, sweep), 1),
         "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),

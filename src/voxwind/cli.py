@@ -10,6 +10,7 @@ as config_echo.json beside their outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -248,7 +249,10 @@ def cmd_report(args) -> None:
 # --- entry point ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="voxwind",
         description="Voxel wind-tunnel shape optimisation pipeline.",

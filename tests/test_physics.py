@@ -100,6 +100,21 @@ def test_heatmap_total_is_the_collision_count_times_its_divisors(seed, base_cycl
 
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None)
+def test_rows_keep_their_spawned_y_and_z(seed):
+    # every row moves along x, so a bounce can only be off an x face: the
+    # steppers rely on each row's y and z staying as spawned
+    grid, config = drawn(seed)
+    placed = PlacedGrid(grid, config)
+    burst, runs = stepped_bursts(grid, config)
+    for stepper, own in runs:
+        stepper(own, placed, np.zeros((grid.width, grid.length), dtype=np.int64),
+                config.max_steps)
+        np.testing.assert_array_equal(own.position[:, 1:], burst.position[:len(own), 1:])
+        assert not own.velocity[:, 1:].any()
+
+
+@given(seed=seeds)
+@settings(max_examples=30, deadline=None)
 def test_an_empty_grid_gives_no_contacts(seed):
     grid, config = drawn(seed)
     empty = VoxelGrid(np.zeros_like(grid.column_heights), grid.h_max, grid.voxel_size)

@@ -154,6 +154,17 @@ class TestSpawnBurst:
             np.testing.assert_array_equal(stacked.velocity[7 * k:7 * (k + 1)], alone.velocity)
 
 
+class TestParticleBurst:
+    @pytest.mark.parametrize("velocity", [[1.0, 1e-300, 0.0], [0.0, 0.0, -2.0],
+                                          [-3.0, math.nan, 0.0], [0.0, 0.0, math.inf]])
+    def test_rejects_off_axis_velocity(self, velocity):
+        # the one check of the x-only contract both steppers rely on
+        rows = [[1.0, 0.0, 0.0], velocity]
+        with pytest.raises(ValueError, match="along x"):
+            ParticleBurst(np.zeros((2, 3)), rows)
+        ParticleBurst(np.zeros((2, 3)), [[1.0, 0.0, 0.0], [-3.0, -0.0, 0.0]])
+
+
 def single_contact(pos, radius, grid):
     """The contact query for one sphere as ((x, y, z), normal) or None."""
     return contacts_per_sphere(grid_query(pos, radius, grid), 1)[0]
@@ -231,8 +242,8 @@ class TestSphereVoxelContact:
         assert grid_query(centers, 0.03, grid)[0].tolist() == [1, 3, 5]
 
     def test_impact_speed_is_velocity_norm(self):
-        *_, speeds, _ = head_on_step(1.0, velocity=(3.0, 4.0, 0.0))
-        assert speeds.tolist() == [pytest.approx(5.0)]
+        *_, speeds, _ = head_on_step(1.0, velocity=(5.0, 0.0, 0.0))
+        assert speeds.tolist() == [5.0]
 
     def test_matches_exhaustive_oracle_sample(self, monkeypatch):
         # 240 spheres, 12 per grid: as one batch (the vectorised query), in
@@ -303,6 +314,7 @@ class TestStep:
         n = 400
         pos = placed.origin + rng.uniform(-0.1, 0.5, size=(n, 3)) * [1, 1, 1.4]
         vel = rng.normal(0.0, 3.0, size=(n, 3))
+        vel[:, 1:] = 0.0   # every row moves along x, in +x or -x
         was_alive = np.arange(n) % 7 != 0
         burst = ParticleBurst(pos.copy(), vel.copy())
         burst.alive[:] = was_alive
@@ -375,6 +387,7 @@ class TestNearTable:
             rows = np.arange(n // 3)
             pos[rows, faces] = np.where(far, domain[faces], 0.0) + rng.uniform(-r, r, n // 3)
             vel = rng.normal(0.0, 1.5 * vs / cfg.dt / 3, size=(n, 3))
+            vel[:, 1:] = 0.0   # every row moves along x, in +x or -x
             burst = ParticleBurst(pos, vel)
             burst.alive[rng.uniform(size=n) < 0.2] = False
             ref = ParticleBurst(pos.copy(), vel.copy())
@@ -483,24 +496,32 @@ class TestQueryBatchProperty:
 
     def test_exact_touch_is_no_contact_everywhere(self):
         # the scalar core, the batched query, the exhaustive oracle and both
-        # steppers agree that TOUCH_CENTER touches nothing, and that a radius
-        # one ulp larger touches voxel (1, 1, 0)
+        # steppers agree that a sphere exactly TOUCH_R from a voxel touches
+        # nothing, and that a radius one ulp larger touches it. The queries
+        # take TOUCH_CENTER below voxel (1, 1, 0). The steppers' rows move
+        # along x, so theirs meets the -x face of voxel (0, 1, 0), which lies
+        # on x = 0: its distance squared is again (-r) * (-r) = r * r
         assert (-TOUCH_R) ** 2 < TOUCH_R * TOUCH_R
         grid = VoxelGrid(TOUCH_HEIGHTS, 1, TOUCH_VS)
-        velocity = np.array([0.0, 0.0, 1.0])    # up into the voxel's base
-        start = np.array(TOUCH_CENTER) - velocity * 0.25
-        assert tuple(start + velocity * 0.25) == TOUCH_CENTER    # one dt lands on it
+        beside = np.zeros_like(TOUCH_HEIGHTS)
+        beside[0, 1] = 1
+        wall = VoxelGrid(beside, 1, TOUCH_VS)
+        center = (-TOUCH_R, 0.3, 0.1)
+        velocity = np.array([1.0, 0.0, 0.0])    # in +x, into the voxel's -x face
+        start = np.array(center) - velocity * 0.25
+        assert tuple(start + velocity * 0.25) == center    # one dt lands on it
         for r, hits in ((TOUCH_R, 0), (float(np.nextafter(TOUCH_R, 1.0)), 1)):
             best = _best_overlap(*TOUCH_CENTER, r, TOUCH_HEIGHTS.tolist(), TOUCH_VS)
             assert (best is not None) == hits
             assert (batch_query([TOUCH_CENTER], r, TOUCH_HEIGHTS, TOUCH_VS) is not None) == hits
             assert (exhaustive_contact(TOUCH_CENTER, r, grid) is not None) == hits
+            assert (exhaustive_contact(center, r, wall) is not None) == hits
             cfg = TunnelConfig(particle_radius=r, domain_size=(6 * TOUCH_VS, 6 * TOUCH_VS, 1.0),
                                dt=0.25)
-            placed = PlacedGrid(grid, cfg)
+            placed = PlacedGrid(wall, cfg)
             assert not placed.origin.any()
             (rows, _), hm, _ = step_both(lone_burst(start, velocity), placed, (6, 6), 1)
-            assert len(rows) == hits == hm[1, 1], r
+            assert len(rows) == hits == hm[0, 1], r
 
 
 # Binary-fraction voxel sizes, radii and centre coordinates: every distance
@@ -600,18 +621,20 @@ class TestStrictRadius:
         assert (tuple(voxel[0]), found_axis[0], found_sign[0]) == ((1, 1, 0), axis, sign)
 
     # the numpy stepper, and the row-at-a-time stepper of bursts of at most
-    # SMALL_BATCH rows, which takes the scalar core
+    # SMALL_BATCH rows, which takes the scalar core. Rows move along x, one
+    # dt from the center: into the -x face, which bounces a row one ulp
+    # inside r and not one at r, and past the -y and top faces, which give
+    # a row moving along x no impulse, so neither of its centers is a contact
     @pytest.mark.parametrize("stepper", ["_step_batch", "_step_each"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_step_is_strict(self, center, toward, axis, sign, stepper):
         cfg = TunnelConfig(particle_radius=self.R, domain_size=(1.5, 1.5, 1.5), dt=0.25)
         placed = PlacedGrid(self.GRID, cfg)
         assert not placed.origin.any()
-        velocity = np.zeros(3)
-        velocity[axis] = -sign     # into the face, one dt from the center
+        velocity = np.array([1.0, 0.0, 0.0])
         voxel_center = np.array([0.75, 0.75, 0.25])   # of voxel (1, 1, 0)
         for target, hits in ((np.array(center), 0),
-                             (np.nextafter(center, toward), 1)):
+                             (np.nextafter(center, toward), int(axis == 0))):
             burst = lone_burst(target - velocity * cfg.dt, velocity)
             hm = np.zeros((3, 3), dtype=np.int64)
             found = len(getattr(windtunnel, stepper)(burst, placed, hm, 1)[0])
@@ -798,8 +821,8 @@ class TestSteppersAgree:
     @settings(max_examples=150, deadline=None)
     def test_equal_on_random_bursts(self, low, high, data, mph, ratio, vs, dt, restitution,
                                     steps, seed):
-        # rows around the grid, a few dead, flying in any direction at the
-        # air speed; some start outside the domain
+        # rows around the grid, a few dead, flying in +x or -x at random
+        # speeds up to the air speed; some start outside the domain
         w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
         heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
                                               max_size=w * l))).reshape(w, l)
@@ -813,9 +836,9 @@ class TestSteppersAgree:
         rng = np.random.default_rng(seed)
         m = data.draw(st.integers(low, high))
         pos = placed.origin + rng.uniform(-r - vs, extent + r + vs, size=(m, 3))
-        direction = rng.normal(size=(m, 3))
-        speed = mph_to_mps(mph) / np.linalg.norm(direction, axis=1)
-        burst = ParticleBurst(pos, direction * speed[:, None])
+        vel = np.zeros((m, 3))
+        vel[:, 0] = rng.uniform(-1.0, 1.0, size=m) * mph_to_mps(mph)
+        burst = ParticleBurst(pos, vel)
         burst.alive[rng.uniform(size=m) < 0.2] = False
         step_both(burst, placed, (w, l), steps)
 
@@ -883,8 +906,8 @@ class TestLookahead:
     """`_step_batch` takes each row's dt in rounds over its own look-ahead
     window, LOOKAHEAD // 2 dt first, then twice what it advanced, at most
     LOOKAHEAD; `_step_each` stepped one dt at a time is the reference. A row
-    that never touches the wall has windows [0, 4), [4, 12), [12, 20), ...
-    for a LOOKAHEAD of 8."""
+    that never touches the wall has windows [0, 6), [6, 18), [18, 30), ...
+    for a LOOKAHEAD of 12."""
 
     @pytest.mark.parametrize("steps", sorted({1, 2, LOOKAHEAD // 2 - 1, LOOKAHEAD // 2,
                                               LOOKAHEAD // 2 + 1, LOOKAHEAD, 3 * LOOKAHEAD + 4}))
@@ -900,25 +923,25 @@ class TestLookahead:
         assert rows.tolist() == [row for _, row in found] and hm.sum() == len(found)
 
     def test_a_row_touching_a_wall_on_consecutive_dt(self):
-        # a slot one voxel wide between two walls: the row crosses it in y in
+        # a slot one voxel wide between two walls: the row crosses it in x in
         # less than a dt and bounces elastically, so it touches a wall on
         # every dt and looks ahead 2 dt at a time, while a row resting in the
         # slot, which touches nothing, looks ahead LOOKAHEAD dt
-        slot = VoxelGrid(np.array([[5, 0, 5]]), 5, 0.1)
-        cfg = TunnelConfig(particle_radius=0.04, domain_size=(0.1, 0.3, 0.5), dt=0.01,
+        slot = VoxelGrid(np.array([[5], [0], [5]]), 5, 0.1)
+        cfg = TunnelConfig(particle_radius=0.04, domain_size=(0.3, 0.1, 0.5), dt=0.01,
                            restitution=1.0)
         placed = PlacedGrid(slot, cfg)
-        burst = ParticleBurst(np.tile([0.05, 0.15, 0.25], (2, 1)), [[0.0, 3.0, 0.0], [0.0] * 3])
+        burst = ParticleBurst(np.tile([0.15, 0.05, 0.25], (2, 1)), [[3.0, 0.0, 0.0], [0.0] * 3])
         steps = 3 * LOOKAHEAD + 1
-        found, _ = contact_steps(burst, placed, (1, 3), steps)
+        found, _ = contact_steps(burst, placed, (3, 1), steps)
         assert found == [(t, 0) for t in range(steps)]
-        (_, _), hm, _ = step_both(burst, placed, (1, 3), steps)
-        assert hm[0, 0] + hm[0, 2] == steps and hm[0, 0] > 0 and hm[0, 2] > 0
+        (_, _), hm, _ = step_both(burst, placed, (3, 1), steps)
+        assert hm[0, 0] + hm[2, 0] == steps and hm[0, 0] > 0 and hm[2, 0] > 0
 
     def test_steps_cut_one_window_while_another_row_looks_further(self):
-        # row 0 touches nothing and has taken 4 + 8 + 8 dt after three
-        # rounds (LOOKAHEAD 8); row 1 touches the wall on its first dt and
-        # then has taken 1 + 2 + 4 dt, its next window 8 long. With 23 steps,
+        # row 0 touches nothing and has taken 6 + 12 + 12 dt after three
+        # rounds (LOOKAHEAD 12); row 1 touches the wall on its first dt and
+        # then has taken 1 + 2 + 4 dt, its next window 8 long. With 33 steps,
         # row 0's fourth window is 3 dt, inside a block of 8
         steps = LOOKAHEAD // 2 + 2 * LOOKAHEAD + 3
         placed = PlacedGrid(WALL, WALL_TUNNEL)
@@ -939,7 +962,7 @@ class TestLookahead:
         pos = np.column_stack([(out + 0.5) * d, np.full(3, 0.1), np.full(3, 0.2)])
         burst = ParticleBurst(
             np.vstack([pos, wall_rows([2]).position, [[0.4, 0.1, 0.1]]]),
-            np.vstack([np.tile([-1.0, 0.0, 0.0], (3, 1)), [[1.0, 0.0, 0.0], [0.3, 0.2, 0.1]]]))
+            np.vstack([np.tile([-1.0, 0.0, 0.0], (3, 1)), [[1.0, 0.0, 0.0], [0.3, 0.0, 0.0]]]))
         burst.alive[4] = False
         steps = 400
         found, taken = contact_steps(burst, placed, (8, 2), steps)
