@@ -909,7 +909,7 @@ class TestLookahead:
     that never touches the wall has windows [0, 6), [6, 18), [18, 30), ...
     for a LOOKAHEAD of 12."""
 
-    @pytest.mark.parametrize("steps", sorted({1, 2, LOOKAHEAD // 2 - 1, LOOKAHEAD // 2,
+    @pytest.mark.parametrize("steps", sorted({1, 2, 3, LOOKAHEAD // 2 - 1, LOOKAHEAD // 2,
                                               LOOKAHEAD // 2 + 1, LOOKAHEAD, 3 * LOOKAHEAD + 4}))
     def test_a_contact_on_each_dt_of_the_first_windows(self, steps):
         # row t touches the wall on dt t: on the first and the last dt of each
