@@ -243,7 +243,7 @@ def voxelise(hm: HeightMap, h_max: int, voxel_size: float) -> VoxelGrid:
 def apply_height_delta(grid: VoxelGrid, deltas, mask: VoxelMask | None = None) -> VoxelGrid:
     """Return a new grid with per-column deltas applied.
 
-    Unmasked columns become clamp(round(height + delta), 0, h_max); masked
+    Unmasked columns become round(clamp(height + delta, 0, h_max)); masked
     columns are untouched. Value semantics: the input grid is never mutated.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
@@ -257,7 +257,8 @@ def apply_height_delta(grid: VoxelGrid, deltas, mask: VoxelMask | None = None) -
             f"mask shape {mask.frozen.shape} does not match grid "
             f"({grid.width}, {grid.length})"
         )
-    new_heights = np.clip(round_half_away(grid.column_heights + deltas), 0, grid.h_max)
+    # clamped before the cast to int64, which a sum past its range would overflow
+    new_heights = round_half_away(np.clip(grid.column_heights + deltas, 0, grid.h_max))
     if mask is not None:
         new_heights = np.where(mask.frozen, grid.column_heights, new_heights)
     return VoxelGrid(new_heights, grid.h_max, grid.voxel_size)
@@ -315,9 +316,16 @@ def _read_table(text: str, kind: str, header: str, dim_types, cell, dtype):
     return dims, np.array(values, dtype=dtype).reshape(width, length)
 
 
+def _grid_cell(c: str) -> int:
+    value = int(c)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"cell {c!r} is outside the int64 range")
+    return value
+
+
 def grid_from_csv(text: str) -> VoxelGrid:
     (_, _, h_max, voxel_size), heights = _read_table(
-        text, "grid", GRID_CSV_HEADER, (int, int, int, float), int, np.int64)
+        text, "grid", GRID_CSV_HEADER, (int, int, int, float), _grid_cell, np.int64)
     return VoxelGrid(heights, h_max, voxel_size)
 
 

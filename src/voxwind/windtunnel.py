@@ -412,10 +412,11 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     restitution. A live particle is near when its height is below the
     `placed.reach` entry of its column cell; the table admits every row that
     can touch a voxel (see `PlacedGrid`). One contact at most per particle
-    per dt; contacts tally into `heatmap`. Particles leaving the domain are
-    marked dead; they drift on but are never near again, so their velocity,
-    from which `run_simulation` reads the exit energy, stays as it was when
-    they left. Mutates `burst` and `heatmap`.
+    per dt; contacts tally into `heatmap`. A particle leaving the domain is
+    marked dead and stops: its position, velocity and `alive` no longer
+    change, so each row's final state depends on that row alone, and
+    `run_simulation` reads the exit energy from the velocity it left with.
+    Mutates `burst` and `heatmap`.
 
     Every row moves along x (see the module docstring), so only its x and x
     velocity change; its y and z, its column-row cell of the near table and
@@ -445,10 +446,9 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     cy += placed.pad
     cy = np.minimum(np.maximum(cy, 0), placed.cell_max[1]).astype(np.intp)
     side = (pos[:, 1] >= 0.0) & (pos[:, 1] <= dy) & (pos[:, 2] >= 0.0) & (pos[:, 2] <= dz)
-    taken = np.zeros(len(pos), dtype=np.intp)   # dt each row has taken
     live = alive.nonzero()[0] if steps > 0 else np.zeros(0, dtype=np.intp)
     # per live row: the dt it has taken, and its next window
-    done, window = taken[live], np.full(len(live), LOOKAHEAD // 2)
+    done, window = np.zeros(len(live), dtype=np.intp), np.full(len(live), LOOKAHEAD // 2)
     found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]   # (dt, row, speed)
     while live.size:
         n = np.arange(len(live))
@@ -504,17 +504,7 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         stop = out | (done == steps)
         if stop.any():
             alive[live[out]] = False
-            taken[live[stop]] = done[stop]
             live, done, window = live[~stop], done[~stop], window[~stop]
-    # dead rows drift on to the last dt any row took, as a suffix sorted by lag
-    lag = taken.max(initial=0) - taken
-    behind = lag.nonzero()[0]
-    if behind.size:
-        behind = behind[np.argsort(lag[behind])]
-        drifted, drift = x[behind], vx[behind] * dt
-        for start in np.searchsorted(lag[behind], np.arange(lag.max()), side="right").tolist():
-            drifted[start:] += drift[start:]
-        x[behind] = drifted
     t, rows, speeds = (np.concatenate(a) for a in zip(*found))
     order = np.lexsort((rows, t))
     return rows[order], speeds[order]
@@ -529,11 +519,11 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     drift, near and exit tests and bounce, in their order, on its x alone; its
     reach column, the near table at its fixed column-row cell, is read once.
     The contact comes from the scalar core (`_best_overlap`, `_face_normal`),
-    which `_query_batch` matches bit for bit. Rows do not interact, so once
-    the contacts are in dt order and the dead rows have drifted on to the
-    last dt any row took, every output is bit for bit `_step_batch`'s. A
-    column cell outside `placed.reach` clamps onto its -inf outer ring, so
-    such a row, like a NaN or infinite one, is not near.
+    which `_query_batch` matches bit for bit. Rows do not interact, and a row
+    stops at its exit, so once the contacts are in dt order every output is
+    bit for bit `_step_batch`'s. A column cell outside `placed.reach` clamps
+    onto its -inf outer ring, so such a row, like a NaN or infinite one, is
+    not near.
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
@@ -544,7 +534,6 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     end_x, end_y = (int(c) + 1 - pad for c in placed.cell_max)
     x, vx = burst.position[:, 0].tolist(), burst.velocity[:, 0].tolist()
     alive = burst.alive.tolist()
-    taken = [0] * len(x)   # dt each row has taken
     found = []   # (dt, row, impact speed)
     for j, (y, z) in enumerate(burst.position[:, 1:].tolist()):
         if not alive[j]:
@@ -574,12 +563,7 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
             if not (0.0 <= p <= dx and side):
                 alive[j] = False
                 break
-        x[j], vx[j], taken[j] = p, v, t
-    last = max(taken, default=0)
-    for j, t in enumerate(taken):
-        drift = vx[j] * dt
-        for _ in range(last - t):
-            x[j] += drift
+        x[j], vx[j] = p, v
     found.sort()
     burst.position[:, 0], burst.velocity[:, 0], burst.alive[:] = x, vx, alive
     return (np.array([row for _, row, _ in found], dtype=np.intp),
@@ -612,7 +596,8 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     drag_force: per-burst sum of per-impact drag (impact speed, sphere
     cross-section) averaged over bursts. kinetic_energy: mean per-particle
     energy at domain exit or at max_steps, read once after the last step from
-    the final velocities, which stay frozen from a particle's exit on.
+    the final velocities: a particle stops at its exit, so its velocity is
+    the one it left with.
     collision_count: total impacts over all bursts normalised by
     burst_count * base_cycle_count.
     Deterministic for a fixed config.seed: each burst draws from its own

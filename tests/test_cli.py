@@ -547,6 +547,39 @@ class TestNonFiniteVoxelSize:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", [str(10 ** 20), str(-10 ** 20)])
+class TestGridCellPastInt64:
+    # A grid CSV cell outside int64 is bad input: each command that reads a
+    # grid rejects it by row and column, before it writes or simulates anything.
+    def write_grid(self, tmp_path, cell):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"width,length,h_max,voxel_size\n1,2,1,0.1\n1,{cell}\n")
+        return str(grid)
+
+    def message(self, cell):
+        return f"grid csv: row 0 column 1: cell '{cell}' is outside the int64 range"
+
+    def test_simulate_exits_2(self, tmp_path, capsys, cell):
+        grid = self.write_grid(tmp_path, cell)
+        config = write_config(tmp_path / "run.json", base_config())
+        out = tmp_path / "sim"
+        assert main(["simulate", "--grid", grid, "--config", config,
+                     "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"simulate: cannot load grid {grid}: {self.message(cell)}\n")
+        assert not out.exists()
+
+    def test_train_exits_3(self, tmp_path, capsys, cell):
+        doc = base_config()
+        del doc["env"]["synth"]
+        doc["env"]["grid_csv"] = self.write_grid(tmp_path, cell)
+        out = tmp_path / "train"
+        assert main(["train", "--config", write_config(tmp_path / "run.json", doc),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"train: env.grid_csv: {self.message(cell)}\n"
+        assert not out.exists()
+
+
 def refuse(monkeypatch, name):
     """Make `voxwind.cli.<name>` fail the test if it is called."""
     def refused(*args, **kwargs):

@@ -31,8 +31,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
 
 # `_step_each` steps one row at a time in Python floats, so it takes only
-# the burst's first rows; rows do not interact, so these are rows of the
-# same run
+# the burst's first rows; a row's final state depends on that row alone
+# (`test_each_row_ends_as_it_does_stepped_alone`), so these rows end as they
+# do in the whole burst
 EACH_ROWS = 24
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -114,6 +115,25 @@ def test_rows_keep_their_spawned_y_and_z(seed):
 
 
 @given(seed=seeds)
+@example(seed=0)   # rows exit on different dt
+@settings(max_examples=20, deadline=None)
+def test_each_row_ends_as_it_does_stepped_alone(seed):
+    # a row stops at its exit, so its final position, velocity and `alive`
+    # do not depend on when the rows it steps with stop
+    grid, config = drawn(seed)
+    placed = PlacedGrid(grid, config)
+    burst, runs = stepped_bursts(grid, config)
+    heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
+    for stepper, own in runs:
+        stepper(own, placed, heatmap, config.max_steps)
+        for i in range(len(own)):
+            one = ParticleBurst(burst.position[i:i + 1].copy(), burst.velocity[i:i + 1].copy())
+            stepper(one, placed, heatmap, config.max_steps)
+            for name in ("position", "velocity", "alive"):
+                np.testing.assert_array_equal(getattr(own, name)[i], getattr(one, name)[0])
+
+
+@given(seed=seeds)
 @settings(max_examples=30, deadline=None)
 def test_an_empty_grid_gives_no_contacts(seed):
     grid, config = drawn(seed)
@@ -131,10 +151,10 @@ def test_an_empty_grid_gives_no_contacts(seed):
 @example(seed=29)   # 687 contacts
 @settings(max_examples=20, deadline=None)
 def test_a_contact_reverses_only_a_component_into_the_face(seed):
-    # Stepped one dt at a time: a row without a contact only drifts. A
-    # contact changes one velocity component, which pointed into the face:
-    # it ends reversed or zero, and the row is popped out against it, along
-    # the face's outward normal.
+    # Stepped one dt at a time: a live row without a contact only drifts,
+    # and a dead row does not move. A contact changes one velocity
+    # component, which pointed into the face: it ends reversed or zero, and
+    # the row is popped out against it, along the face's outward normal.
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
     _, runs = stepped_bursts(grid, config)
@@ -143,13 +163,14 @@ def test_a_contact_reverses_only_a_component_into_the_face(seed):
         for _ in range(config.max_steps):
             if not own.alive.any():
                 break
-            v0 = own.velocity.copy()
-            drifted = own.position + v0 * config.dt
+            p0, v0, live = own.position.copy(), own.velocity.copy(), own.alive.copy()
+            drifted = p0 + v0 * config.dt
             rows, _ = stepper(own, placed, heatmap, 1)
             moved = np.zeros(len(own), dtype=bool)
             moved[rows] = True
             np.testing.assert_array_equal(own.velocity[~moved], v0[~moved])
-            np.testing.assert_array_equal(own.position[~moved], drifted[~moved])
+            np.testing.assert_array_equal(own.position[~moved & live], drifted[~moved & live])
+            np.testing.assert_array_equal(own.position[~live], p0[~live])
             changed = own.velocity[rows] != v0[rows]
             assert (changed.sum(axis=1) == 1).all()
             axis = changed.argmax(axis=1)

@@ -197,6 +197,15 @@ class TestApplyHeightDelta:
         out = apply_height_delta(grid, np.array([[-5.0]]))
         assert out.column_heights[0, 0] == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("delta", [1e19, 1e30])
+    def test_clamps_deltas_past_the_int64_range(self, delta):
+        # height + delta is clamped before it is rounded and cast to int64
+        grid = VoxelGrid(np.array([[2], [5]]), 8, 0.1)
+        up, down = (apply_height_delta(grid, np.full((2, 1), d)).column_heights.tolist()
+                    for d in (delta, -delta))
+        assert up == [[8], [8]] and down == [[0], [0]]
+
     def test_input_not_mutated(self, wedge_grid):
         before = wedge_grid.column_heights.copy()
         apply_height_delta(wedge_grid, np.full((16, 16), 2.0))

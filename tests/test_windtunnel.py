@@ -331,20 +331,18 @@ class TestStep:
         alone_rows = []
         alone_hm = np.zeros_like(hm)
         for i in range(n):
-            if not was_alive[i]:
-                # a burst of one dead row would not step at all; in a batch
-                # such a row drifts on
-                np.testing.assert_array_equal(burst.position[i], pos[i] + vel[i] * cfg.dt)
-                continue
             one = lone_burst(pos[i], vel[i])
+            one.alive[0] = was_alive[i]
             alone_rows += [i] * len(_step_batch(one, placed, alone_hm, 1)[0])
             np.testing.assert_array_equal(burst.position[i], one.position[0])
             np.testing.assert_array_equal(burst.velocity[i], one.velocity[0])
             assert burst.alive[i] == one.alive[0]
         assert rows.tolist() == alone_rows
         np.testing.assert_array_equal(hm, alone_hm)
-        # dead particles stay dead with the velocity their exit energy is read from
+        # dead particles stay dead where they were, with the velocity their
+        # exit energy is read from
         assert not burst.alive[~was_alive].any()
+        np.testing.assert_array_equal(burst.position[~was_alive], pos[~was_alive])
         np.testing.assert_array_equal(burst.velocity[~was_alive], vel[~was_alive])
 
 
@@ -953,9 +951,9 @@ class TestLookahead:
 
     def test_the_run_stops_when_the_last_row_exits_mid_window(self):
         # rows leave through the inlet face mid-window on dt 3, 9 and 20, and
-        # one after bouncing off the wall on dt 2; a row dead on entry drifts
-        # with them until the last one exits, far short of `steps`, and so do
-        # the rows that exited before
+        # one after bouncing off the wall on dt 2; the run stops when the last
+        # one exits, far short of `steps`. Each row stays at its exit x, and a
+        # row dead on entry stays where it was
         placed = PlacedGrid(WALL, replace(WALL_TUNNEL, restitution=1.0))
         d = WALL_TUNNEL.dt
         out = np.array([3, 9, 20])
@@ -969,10 +967,15 @@ class TestLookahead:
         assert found == [(2, 3)] and 20 < taken < steps
         _, _, final = step_both(burst, placed, (8, 2), steps)
         assert not final.alive.any()
-        dead = burst.position[4].copy()
-        for _ in range(taken):
-            dead += burst.velocity[4] * d
-        np.testing.assert_array_equal(final.position[4], dead)
+        for row, n in enumerate(out):
+            x = burst.position[row, 0]
+            for _ in range(n + 1):
+                x += burst.velocity[row, 0] * d
+            assert x < 0.0 and final.position[row, 0] == x
+        _, _, alone = step_both(ParticleBurst(burst.position[3:4], burst.velocity[3:4]),
+                                placed, (8, 2), steps)
+        assert final.position[3, 0] == alone.position[0, 0] < 0.0
+        np.testing.assert_array_equal(final.position[4], burst.position[4])
 
     def test_rows_that_all_enter_dead_do_not_move(self):
         burst = wall_rows([2, 7])
