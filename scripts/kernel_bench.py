@@ -4,11 +4,12 @@
 Times, in microseconds per call:
 
 - one dt of `_step_batch` with no near rows: the desk burst (96 x 2
-  particles) held upstream of the 16x16 wedge at 0.1 m, velocity zero, so
+  particles) held upstream of the 16x16 wedge at 0.1 m, x velocity zero, so
   every call is the fixed cost;
-- one contact query (`_query` over `PlacedGrid.padded`, as the steppers
-  call it) of 30 spheres around the wedge's surface, and, in turn, of the
-  first 1, 2, 3 and 4 of them, where the query's fixed cost shows;
+- one contact query (`_query` over `PlacedGrid.padded`, the column heights
+  with one zero column past each high edge, as the steppers call it) of 30
+  spheres around the wedge's surface, and, in turn, of the first 1, 2, 3
+  and 4 of them, where the query's fixed cost shows;
 - the scalar core (`_best_overlap`) on each of those 30 spheres in turn,
   which is what a near row costs in Python floats instead;
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
@@ -36,7 +37,10 @@ Times, in microseconds per call:
 
 A case runs only when every tree has what it calls. `step_empty_us` and
 `step_batch_agent_ms` need `_step_batch`, which trees from before the one
-stepper contract lack; every other case runs on those trees too.
+stepper contract lack, and `step_empty_us` also the burst layout of x, vx,
+y and z arrays (`ParticleBurst(x, vx, y, z)`), which trees whose bursts
+hold (N, 3) positions and velocities lack; every other case runs on those
+trees too.
 
 Each tree is imported under its own package name, and the trees' samples
 interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
@@ -48,6 +52,7 @@ and upper quartiles.
 
 import argparse
 import copy
+import inspect
 import itertools
 import json
 from dataclasses import replace
@@ -87,9 +92,8 @@ def cases(tree):
     box16 = vx.voxelise(vx.synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
     placed = wt.PlacedGrid(grid, config)
     rng = np.random.default_rng(0)
-    upstream = np.column_stack([np.full(192, 0.5), rng.uniform(0, 1.8, 192),
-                                rng.uniform(0, 0.9, 192)])
-    burst = wt.ParticleBurst(upstream, np.zeros((192, 3)))
+    upstream = (np.full(192, 0.5), np.zeros(192), rng.uniform(0, 1.8, 192),
+                rng.uniform(0, 0.9, 192))   # x, vx, y, z
     heatmap = np.zeros((16, 16), dtype=np.int64)
     # centers over the footprint within a voxel of each column's top
     top = grid.column_heights * 0.1
@@ -115,8 +119,10 @@ def cases(tree):
     }
     for m, cfg in burst_of.items():
         out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
-    if hasattr(wt, "_step_batch"):
+    if hasattr(wt, "_step_batch") and "vx" in inspect.signature(wt.ParticleBurst).parameters:
+        burst = wt.ParticleBurst(*upstream)
         out["step_empty_us"] = (lambda: wt._step_batch(burst, placed, heatmap, 1), 200)
+    if hasattr(wt, "_step_batch"):
         agent = wt.PlacedGrid(reshaped, config)
         spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
         out["step_batch_agent_ms"] = (

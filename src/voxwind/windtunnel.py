@@ -9,8 +9,9 @@ count, and the grid's height sum.
 Every particle moves along x for the whole run. It enters at (v, 0, 0), and
 a bounce changes only the velocity component along the face normal, and
 only while the particle moves into the face, so only x faces ever bounce
-it. Its y and z therefore stay as spawned, and the steppers move x alone.
-`ParticleBurst` checks the contract.
+it. Its y and z therefore stay as spawned, inside the domain, and a particle
+can leave only through an x face. `ParticleBurst` stores that layout: each
+row's x and x velocity, which the steppers move, and its fixed y and z.
 """
 
 from __future__ import annotations
@@ -59,24 +60,21 @@ class TunnelConfig:
 
 
 class ParticleBurst:
-    """Struct-of-arrays state of every particle in one simulation.
+    """Struct-of-arrays state of every particle in one simulation: one
+    float64 entry per row in each of `x` and `vx`, which the steppers move,
+    and `y` and `z`, which nothing moves (see the module docstring); `alive`
+    is False once the row has left the domain.
 
     Burst k owns the block of rows k * n .. (k + 1) * n, where n is the
     per-burst particle count, so all bursts advance together.
-
-    Every row moves along x: a velocity with a y or z component other than
-    zero raises ValueError, the one check of the contract the steppers rely on.
     """
 
-    def __init__(self, position: np.ndarray, velocity: np.ndarray):
-        self.position = np.asarray(position, dtype=np.float64)
-        self.velocity = np.asarray(velocity, dtype=np.float64)
-        if self.velocity[:, 1:].any():
-            raise ValueError("ParticleBurst: every velocity must be along x, with y and z 0")
-        self.alive = np.ones(len(self.position), dtype=bool)
+    def __init__(self, x, vx, y, z):
+        self.x, self.vx, self.y, self.z = (np.asarray(a, dtype=np.float64) for a in (x, vx, y, z))
+        self.alive = np.ones(len(self.x), dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.position)
+        return len(self.x)
 
 
 @dataclass
@@ -130,7 +128,7 @@ def drag_force(rho: float, v: float, c_d: float, area: float):
 
 
 def kinetic_energy(mass: float, velocity: np.ndarray) -> np.ndarray:
-    """Kinetic energy 0.5 * m * |v|^2 of each (N, 3) velocity row."""
+    """Kinetic energy 0.5 * m * |v|^2 of each row of an (N, d) velocity array."""
     return 0.5 * mass * np.einsum("ij,ij->i", velocity, velocity)
 
 
@@ -150,19 +148,18 @@ def grid_origin(grid: VoxelGrid, config: TunnelConfig) -> np.ndarray:
     return np.array([ox, oy, 0.0])
 
 
-def _zero_padded(heights: np.ndarray, margin: int) -> np.ndarray:
-    """The (W, L) column heights with `margin` zero columns on every side."""
+def _zero_padded(heights: np.ndarray, before: int, after: int) -> np.ndarray:
+    """The (W, L) column heights with `before` zero rows and columns ahead of
+    its first and `after` past its last."""
     w, l = heights.shape
-    z = np.zeros((w + 2 * margin, l + 2 * margin), dtype=np.int64)
-    z[margin:margin + w, margin:margin + l] = heights
+    z = np.zeros((before + w + after, before + l + after), dtype=np.int64)
+    z[before:before + w, before:before + l] = heights
     return z
 
 
-def neighborhood_reach(grid: VoxelGrid, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
     """The near test's table, one cell per column over the grid grown by
-    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1;
-    and the zero-padded heights it is built over, a margin of m = 2k + 1
-    zero columns on every side.
+    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1.
 
     A cell holds `radius` above the tallest column within k columns of it,
     or -inf where that window holds no voxel, as the outer ring's never does.
@@ -173,7 +170,7 @@ def neighborhood_reach(grid: VoxelGrid, radius: float) -> tuple[np.ndarray, np.n
     k = math.ceil(radius / vs)
     w, l = grid.width, grid.length
     m = 2 * k + 1   # the window's width, and the zero margin on each side
-    z = _zero_padded(grid.column_heights, m)
+    z = _zero_padded(grid.column_heights, m, m)
     tw, tl = w + m + 1, l + m + 1   # the grid grown by k + 1 columns a side
     along_x = z[:tw].copy()
     for s in range(1, m):
@@ -181,23 +178,20 @@ def neighborhood_reach(grid: VoxelGrid, radius: float) -> tuple[np.ndarray, np.n
     top = along_x[:, :tl].copy()
     for s in range(1, m):
         np.maximum(top, along_x[:, s:s + tl], out=top)
-    return np.where(top > 0, top * vs + radius, -np.inf), z
+    return np.where(top > 0, top * vs + radius, -np.inf)
 
 
 def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
     """particle_count particles per generator in `rngs`, one block of rows
-    each, on the x = 0 inlet plane, jittered over the cross-section, all
-    moving at the configured air speed in +x."""
-    n = config.particle_count
+    each, on the x = 0 inlet plane, all moving at the configured air speed in
+    +x. Each row's y and z are a uniform u in [0, 1) times dy and dz, so
+    they lie in [0, dy] and [0, dz]: fl(u * d) <= d."""
     _, dy, dz = config.domain_size
-    pos = np.zeros((len(rngs) * n, 3), dtype=np.float64)
-    for k, rng in enumerate(rngs):
-        jitter = rng.uniform(0.0, 1.0, size=(n, 2))
-        pos[k * n:(k + 1) * n, 1] = jitter[:, 0] * dy
-        pos[k * n:(k + 1) * n, 2] = jitter[:, 1] * dz
-    vel = np.zeros_like(pos)
-    vel[:, 0] = mph_to_mps(config.air_speed)
-    return ParticleBurst(pos, vel)
+    jitter = np.concatenate([rng.uniform(0.0, 1.0, size=(config.particle_count, 2))
+                             for rng in rngs])
+    rows = len(jitter)
+    return ParticleBurst(np.zeros(rows), np.full(rows, mph_to_mps(config.air_speed)),
+                         jitter[:, 0] * dy, jitter[:, 1] * dz)
 
 
 # Bursts of up to this many rows step one row at a time in Python floats
@@ -377,28 +371,38 @@ class PlacedGrid:
     against, computed once per simulation.
 
     `reach` is the near test's table (`neighborhood_reach`), indexed by a
-    center's column cell floor(loc_xy / vs) shifted by `pad` and clamped. A
-    center can touch only the columns within ceil(r / vs) of its own, so at
-    or above its cell's entry it is at least r from every voxel and the
-    strict contact test finds none; every farther cell clamps onto the -inf
-    outer ring. The table therefore admits every row that can touch a voxel,
-    and maybe some that cannot. (The argument holds in exact arithmetic.)
-    `padded` is the zero-padded heights the table is built over, seen from
-    the grid's (0, 0) corner, as `_query_batch` reads them; `heights` is the
-    same table as nested lists, as `_best_overlap` reads it.
+    center's column cell (`cells`). A center can touch only the columns
+    within k = ceil(r / vs) of its own, so at or above its cell's entry it is
+    at least r from every voxel and the strict contact test finds none;
+    every farther cell clamps onto the -inf outer ring. The table therefore
+    admits every row that can touch a voxel, and maybe some that cannot.
+    (The argument holds in exact arithmetic.) `padded` is the column heights
+    from the grid's (0, 0) corner with one zero column past its last x and y
+    column, as `_query_batch` reads them; `heights` is the same table as
+    nested lists, as `_best_overlap` reads it.
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
         self.config = config
         self.voxel_size = grid.voxel_size
         self.origin = grid_origin(grid, config)
-        self.domain = np.array(config.domain_size)
-        self.reach, padded = neighborhood_reach(grid, config.particle_radius)
-        self.pad = (self.reach.shape[0] - grid.width) // 2
-        margin = (padded.shape[0] - grid.width) // 2
-        self.padded = padded[margin:, margin:]
+        self.reach = neighborhood_reach(grid, config.particle_radius)
+        self.pad = math.ceil(config.particle_radius / grid.voxel_size) + 1
+        self.padded = _zero_padded(grid.column_heights, 0, 1)
         self.heights = self.padded.tolist()
         self.cell_max = np.array(self.reach.shape) - 1
+
+    def cells(self, coord: np.ndarray, axis: int) -> np.ndarray:
+        """The `reach` index along `axis` (0 for x, 1 for y) of each world
+        coordinate in `coord`: its column cell floor((coord - origin) / vs),
+        shifted by `pad` and clamped onto the table, so a cell off the table,
+        however far, reads the -inf outer ring and is never near."""
+        cell = coord - self.origin[axis]
+        cell /= self.voxel_size
+        np.floor(cell, out=cell)
+        cell += self.pad
+        np.minimum(np.maximum(cell, 0, out=cell), self.cell_max[axis], out=cell)
+        return cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
 
 
 def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
@@ -419,8 +423,8 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     Mutates `burst` and `heatmap`.
 
     Every row moves along x (see the module docstring), so only its x and x
-    velocity change; its y and z, its column-row cell of the near table and
-    its y and z exit tests are computed once.
+    velocity change, it can leave only through an x face, and its column-row
+    cell of the near table is computed once.
 
     Rows do not interact and only drift between contacts, so the dt go in
     rounds over look-ahead windows. In a round each live row drifts through
@@ -437,15 +441,11 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
-    pos, vel, alive = burst.position, burst.velocity, burst.alive
+    x, vx, alive = burst.x, burst.vx, burst.alive
     ox, oy, oz = placed.origin.tolist()
-    dx, dy, dz = placed.domain.tolist()
-    x, vx = pos[:, 0], vel[:, 0]   # views: the one moving coordinate
-    ly, lz = pos[:, 1] - oy, pos[:, 2] - oz
-    cy = np.floor(ly / vs)
-    cy += placed.pad
-    cy = np.minimum(np.maximum(cy, 0), placed.cell_max[1]).astype(np.intp)
-    side = (pos[:, 1] >= 0.0) & (pos[:, 1] <= dy) & (pos[:, 2] >= 0.0) & (pos[:, 2] <= dz)
+    dx = float(config.domain_size[0])
+    ly, lz = burst.y - oy, burst.z - oz
+    cy = placed.cells(burst.y, 1)
     live = alive.nonzero()[0] if steps > 0 else np.zeros(0, dtype=np.intp)
     # per live row: the dt it has taken, and its next window
     done, window = np.zeros(len(live), dtype=np.intp), np.full(len(live), LOOKAHEAD // 2)
@@ -460,14 +460,8 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         np.add(x[live], drift, out=path[0])
         for j in range(1, len(ahead)):
             np.add(path[j - 1], drift, out=path[j])
-        cell = path - ox
-        cell /= vs
-        np.floor(cell, out=cell)
-        cell += placed.pad
-        np.minimum(np.maximum(cell, 0, out=cell), placed.cell_max[0], out=cell)
-        cell = cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
-        near = lz[live] < placed.reach[cell, cy[live]]
-        gone = ~((path >= 0.0) & (path <= dx) & side[live])
+        near = lz[live] < placed.reach[placed.cells(path, 0), cy[live]]
+        gone = ~((path >= 0.0) & (path <= dx))
         end = (gone | (ahead >= w - 1)).argmax(axis=0)   # first exit, or the window's last dt
         near &= ahead <= end
         k, j = near.T.nonzero()   # near pairs in row order, then dt order
@@ -494,7 +488,7 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
             speed = np.sqrt(u * u)
             v[k] -= (1.0 + config.restitution) * vn * sign
             at[k] += sign * pen  # pop out of the face
-            out[k] = ~((at[k] >= 0.0) & (at[k] <= dx) & side[live[k]])
+            out[k] = ~((at[k] >= 0.0) & (at[k] <= dx))
             np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
             found.append((done[k] + j, live[k], speed))
             vx[live] = v
@@ -517,39 +511,35 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     For bursts of at most SMALL_BATCH rows. Each live row steps on its own to
     its exit or to `steps`, making the float operations of `_step_batch`'s
     drift, near and exit tests and bounce, in their order, on its x alone; its
-    reach column, the near table at its fixed column-row cell, is read once.
-    The contact comes from the scalar core (`_best_overlap`, `_face_normal`),
-    which `_query_batch` matches bit for bit. Rows do not interact, and a row
-    stops at its exit, so once the contacts are in dt order every output is
-    bit for bit `_step_batch`'s. A column cell outside `placed.reach` clamps
-    onto its -inf outer ring, so such a row, like a NaN or infinite one, is
-    not near.
+    reach column, the near table at its fixed column-row cell
+    (`PlacedGrid.cells`), is read once. The contact comes from the scalar
+    core (`_best_overlap`, `_face_normal`), which `_query_batch` matches bit
+    for bit. Rows do not interact, and a row stops at its exit, so once the
+    contacts are in dt order every output is bit for bit `_step_batch`'s. An
+    x cell off the table reads its -inf outer ring, as in `PlacedGrid.cells`,
+    so such a row, like a NaN or infinite one, is not near.
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
     ox, oy, oz = placed.origin.tolist()
-    dx, dy, dz = placed.domain.tolist()
+    dx = float(config.domain_size[0])
     columns, pad, heights = placed.reach.T.tolist(), placed.pad, placed.heights
-    # -pad <= floor(l / vs) < end_x (end_y) is a cell of the table
-    end_x, end_y = (int(c) + 1 - pad for c in placed.cell_max)
-    x, vx = burst.position[:, 0].tolist(), burst.velocity[:, 0].tolist()
-    alive = burst.alive.tolist()
+    end_x = int(placed.cell_max[0]) + 1 - pad   # -pad <= floor(lx / vs) < end_x is on the table
+    x, vx, alive = burst.x.tolist(), burst.vx.tolist(), burst.alive.tolist()
+    rows = zip(placed.cells(burst.y, 1).tolist(), (burst.y - oy).tolist(), (burst.z - oz).tolist())
     found = []   # (dt, row, impact speed)
-    for j, (y, z) in enumerate(burst.position[:, 1:].tolist()):
+    for j, (cy, ly, lz) in enumerate(rows):
         if not alive[j]:
             continue
         p, v = x[j], vx[j]
-        ly, lz = y - oy, z - oz
-        qy = ly / vs
-        reach = columns[math.floor(qy) + pad] if -pad <= qy < end_y else None
-        side = 0.0 <= y <= dy and 0.0 <= z <= dz
+        reach = columns[cy]
         t = 0
         while t < steps:
             p += v * dt
             t += 1
             lx = p - ox
             qx = lx / vs
-            if reach is not None and -pad <= qx < end_x and lz < reach[math.floor(qx) + pad]:
+            if -pad <= qx < end_x and lz < reach[math.floor(qx) + pad]:
                 best = _best_overlap(lx, ly, lz, r, heights, vs)
                 if best is not None:
                     _, ix, iy, iz = best
@@ -560,12 +550,12 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
                         v -= (1.0 + config.restitution) * vn * sign
                         p += sign * pen
                         heatmap[ix, iy] += 1
-            if not (0.0 <= p <= dx and side):
+            if not 0.0 <= p <= dx:
                 alive[j] = False
                 break
         x[j], vx[j] = p, v
     found.sort()
-    burst.position[:, 0], burst.velocity[:, 0], burst.alive[:] = x, vx, alive
+    burst.x[:], burst.vx[:], burst.alive[:] = x, vx, alive
     return (np.array([row for _, row, _ in found], dtype=np.intp),
             np.array([speed for *_, speed in found], dtype=np.float64))
 
@@ -576,12 +566,12 @@ def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:
     MAX_CANDIDATES; that also keeps k = ceil(r / vs) of the near test's table
     within 19."""
     vs, r = grid.voxel_size, config.particle_radius
-    dx, dy, dz = config.domain_size
-    if (grid.width * vs > dx + 1e-9 or grid.length * vs > dy + 1e-9
-            or grid.h_max * vs > dz + 1e-9):
-        raise ConfigError(
-            f"tunnel.domain_size: grid extent ({grid.width * vs}, {grid.length * vs}, "
-            f"{grid.h_max * vs}) does not fit inside domain {config.domain_size}")
+    extent = (grid.width * vs, grid.length * vs, grid.h_max * vs)
+    # an extent that fits can pass its side by rounding, as n * (d / n) can
+    # pass d, so the slack is a share of the extent, whatever its scale
+    if any(e * (1.0 - 1e-9) > d for e, d in zip(extent, config.domain_size)):
+        raise ConfigError(f"tunnel.domain_size: grid extent {extent} does not fit inside "
+                          f"domain {config.domain_size}")
     span = 2.0 * r / vs
     if not span < math.inf or (math.ceil(span) + 2) ** 3 > MAX_CANDIDATES:
         raise ConfigError(
@@ -627,12 +617,12 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     while t < config.max_steps and (x + d) - ox <= -r:
         x += d
         t += 1
-    burst.position[:, 0] = x
+    burst.x[:] = x
     stepper = _step_each if len(burst) <= SMALL_BATCH else _step_batch
     rows, speeds = stepper(burst, placed, heatmap, config.max_steps - t)
     owner = rows // max(n, 1)   # a burst of 0 particles makes no contacts
     with np.errstate(over="ignore", invalid="ignore"):   # tunnel_result rejects an overflow
-        ke = kinetic_energy(config.particle_mass, burst.velocity)
+        ke = kinetic_energy(config.particle_mass, burst.vx[:, None])
         drag = drag_force(config.fluid_density, speeds, config.drag_coefficient,
                           math.pi * config.particle_radius ** 2)
         # each burst's impacts in time order and its particles pairwise, then

@@ -7,6 +7,7 @@ import pytest
 
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
+    ParticleBurst,
     PlacedGrid,
     SimResult,
     TunnelConfig,
@@ -19,6 +20,23 @@ from voxwind.windtunnel import (
     drag_force,
     spawn_burst,
 )
+
+
+# the arrays of a `ParticleBurst`, in its constructor's order, then `alive`
+BURST_FIELDS = ("x", "vx", "y", "z", "alive")
+
+
+def burst_rows(burst, rows):
+    """A new burst of copies of `burst`'s `rows` (a slice), `alive` included."""
+    part = ParticleBurst(*(getattr(burst, name)[rows].copy() for name in BURST_FIELDS[:4]))
+    part.alive[:] = burst.alive[rows]
+    return part
+
+
+def assert_same_bursts(got, want):
+    """Two bursts equal array by array, `alive` included."""
+    for name in BURST_FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 def desk_tunnel(seed=7, particle_count=64, burst_count=2, max_steps=140,
@@ -124,7 +142,8 @@ def batch_query(centers, radius, heights, vs):
 
 
 def grid_query(centers, radius, grid):
-    """`_query`, chunked, over the `PlacedGrid.padded` heights of `grid`, as
+    """`_query`, chunked, over `PlacedGrid.padded`, the heights of `grid`
+    with the one zero column past each high edge that `batch_query` adds, as
     a stepper calls it: the `_query_batch` tuple, or None."""
     padded = PlacedGrid(grid, TunnelConfig(particle_radius=radius)).padded
     return _query(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius, padded,
@@ -160,8 +179,7 @@ def stepped_simulation(grid, config):
     for row, speed in zip(rows, speeds):
         drag[row // n] += drag_force(config.fluid_density, speed, config.drag_coefficient, area)
     # a particle's velocity stays frozen from its exit on
-    ke = np.array([0.5 * config.particle_mass * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-                   for v in burst.velocity])
+    ke = np.array([0.5 * config.particle_mass * (v * v) for v in burst.vx.tolist()])
     drag_total = ke_total = 0.0
     for k in range(b):
         drag_total += drag[k]

@@ -176,6 +176,20 @@ class TestSimulate:
         assert code == 3
         assert "tunnel.air_speed" in capsys.readouterr().err
 
+    def test_grid_wider_than_a_tiny_domain_exits_3(self, tmp_path, capsys):
+        # a 16 x 16 box of 1e-10 m voxels is 1.6e-9 m wide: in a 1e-9 m cube
+        # its origin would land at -3e-10 m, outside the domain
+        grid = tmp_path / "grid.csv"
+        rows = "\n".join(",".join(["1"] * 16) for _ in range(16))
+        grid.write_text(f"width,length,h_max,voxel_size\n16,16,1,1e-10\n{rows}\n")
+        doc = base_config()
+        doc["tunnel"].update(domain_size=[1e-9] * 3, particle_radius=5e-11)
+        code = main(["simulate", "--grid", str(grid), "--config",
+                     write_config(tmp_path / "run.json", doc), "--out", str(tmp_path / "sim")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("simulate: tunnel.domain_size: ")
+        assert not (tmp_path / "sim").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         doc = base_config()
         doc["tunnel"]["air_sped"] = 60.0

@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 from voxwind import windtunnel
 from voxwind.voxel import VoxelGrid
 from voxwind.windtunnel import (
-    ParticleBurst,
     PlacedGrid,
     TunnelConfig,
     kinetic_energy,
     run_simulation,
     spawn_burst,
 )
+
+from conftest import assert_same_bursts, burst_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
@@ -53,20 +54,20 @@ def stepped_bursts(grid, config):
     `_step_each`."""
     streams = np.random.SeedSequence(config.seed).spawn(config.burst_count)
     burst = spawn_burst(config, [np.random.default_rng(s) for s in streams])
-    head = ParticleBurst(burst.position[:EACH_ROWS], burst.velocity[:EACH_ROWS])
+    head = burst_rows(burst, slice(0, EACH_ROWS))
     return burst, [(stepper, copy.deepcopy(rows)) for stepper, rows in (
         (windtunnel._step_batch, burst), (windtunnel._step_each, head))]
 
 
 def final_bursts(grid, config):
-    """The spawned burst's inlet velocities, and the final burst of each
+    """The spawned burst's inlet x velocities, and the final burst of each
     stepper run from t = 0 over max_steps dt."""
     placed = PlacedGrid(grid, config)
     burst, runs = stepped_bursts(grid, config)
     for stepper, own in runs:
         stepper(own, placed, np.zeros((grid.width, grid.length), dtype=np.int64),
                 config.max_steps)
-    return burst.velocity.copy(), [own for _, own in runs]
+    return burst.vx.copy(), [own for _, own in runs]
 
 
 @given(seed=seeds)
@@ -77,7 +78,7 @@ def test_no_particle_ends_faster_than_it_entered(seed):
     m = config.particle_mass
     for final in finals:
         rows = len(final)
-        assert (kinetic_energy(m, final.velocity) <= kinetic_energy(m, inlet[:rows])).all()
+        assert (kinetic_energy(m, final.vx[:, None]) <= kinetic_energy(m, inlet[:rows, None])).all()
 
 
 @given(seed=seeds)
@@ -86,7 +87,7 @@ def test_elastic_bounces_keep_every_component_up_to_sign(seed):
     grid, config = drawn(seed, restitution=1.0)
     inlet, finals = final_bursts(grid, config)
     for final in finals:
-        np.testing.assert_array_equal(np.abs(final.velocity), np.abs(inlet[:len(final)]))
+        np.testing.assert_array_equal(np.abs(final.vx), np.abs(inlet[:len(final)]))
 
 
 @given(seed=seeds, base_cycle_count=st.floats(1.0, 1e6))
@@ -101,17 +102,20 @@ def test_heatmap_total_is_the_collision_count_times_its_divisors(seed, base_cycl
 
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None)
-def test_rows_keep_their_spawned_y_and_z(seed):
-    # every row moves along x, so a bounce can only be off an x face: the
-    # steppers rely on each row's y and z staying as spawned
+def test_a_row_ends_alive_exactly_while_inside_x_and_keeps_y_and_z(seed):
+    # a row spawns inside the domain and moves along x alone, so it can
+    # leave only through an x face, where it stops: after a run it is alive
+    # exactly when its x lies in [0, dx], and its y and z are as spawned
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
     burst, runs = stepped_bursts(grid, config)
     for stepper, own in runs:
         stepper(own, placed, np.zeros((grid.width, grid.length), dtype=np.int64),
                 config.max_steps)
-        np.testing.assert_array_equal(own.position[:, 1:], burst.position[:len(own), 1:])
-        assert not own.velocity[:, 1:].any()
+        np.testing.assert_array_equal(own.alive,
+                                      (0.0 <= own.x) & (own.x <= config.domain_size[0]))
+        np.testing.assert_array_equal(own.y, burst.y[:len(own)])
+        np.testing.assert_array_equal(own.z, burst.z[:len(own)])
 
 
 @given(seed=seeds)
@@ -127,10 +131,9 @@ def test_each_row_ends_as_it_does_stepped_alone(seed):
     for stepper, own in runs:
         stepper(own, placed, heatmap, config.max_steps)
         for i in range(len(own)):
-            one = ParticleBurst(burst.position[i:i + 1].copy(), burst.velocity[i:i + 1].copy())
+            one = burst_rows(burst, slice(i, i + 1))
             stepper(one, placed, heatmap, config.max_steps)
-            for name in ("position", "velocity", "alive"):
-                np.testing.assert_array_equal(getattr(own, name)[i], getattr(one, name)[0])
+            assert_same_bursts(burst_rows(own, slice(i, i + 1)), one)
 
 
 @given(seed=seeds)
@@ -144,7 +147,7 @@ def test_an_empty_grid_gives_no_contacts(seed):
         heatmap = np.zeros((empty.width, empty.length), dtype=np.int64)
         rows, speeds = stepper(own, placed, heatmap, config.max_steps)
         assert len(rows) == len(speeds) == heatmap.sum() == 0
-        np.testing.assert_array_equal(own.velocity, burst.velocity[:len(own)])
+        np.testing.assert_array_equal(own.vx, burst.vx[:len(own)])
 
 
 @given(seed=seeds)
@@ -152,9 +155,9 @@ def test_an_empty_grid_gives_no_contacts(seed):
 @settings(max_examples=20, deadline=None)
 def test_a_contact_reverses_only_a_component_into_the_face(seed):
     # Stepped one dt at a time: a live row without a contact only drifts,
-    # and a dead row does not move. A contact changes one velocity
-    # component, which pointed into the face: it ends reversed or zero, and
-    # the row is popped out against it, along the face's outward normal.
+    # and a dead row does not move. A contact changes the x velocity, which
+    # pointed into the face: it ends reversed or zero, and the row is popped
+    # out against it, along the face's outward normal.
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
     _, runs = stepped_bursts(grid, config)
@@ -163,21 +166,15 @@ def test_a_contact_reverses_only_a_component_into_the_face(seed):
         for _ in range(config.max_steps):
             if not own.alive.any():
                 break
-            p0, v0, live = own.position.copy(), own.velocity.copy(), own.alive.copy()
-            drifted = p0 + v0 * config.dt
+            x0, v0, live = own.x.copy(), own.vx.copy(), own.alive.copy()
+            drifted = x0 + v0 * config.dt
             rows, _ = stepper(own, placed, heatmap, 1)
             moved = np.zeros(len(own), dtype=bool)
             moved[rows] = True
-            np.testing.assert_array_equal(own.velocity[~moved], v0[~moved])
-            np.testing.assert_array_equal(own.position[~moved & live], drifted[~moved & live])
-            np.testing.assert_array_equal(own.position[~live], p0[~live])
-            changed = own.velocity[rows] != v0[rows]
-            assert (changed.sum(axis=1) == 1).all()
-            axis = changed.argmax(axis=1)
-            n = np.arange(len(rows))
-            before, after = v0[rows, axis], own.velocity[rows, axis]
+            np.testing.assert_array_equal(own.vx[~moved], v0[~moved])
+            np.testing.assert_array_equal(own.x[~moved & live], drifted[~moved & live])
+            np.testing.assert_array_equal(own.x[~live], x0[~live])
+            before, after = v0[rows], own.vx[rows]
+            assert (before != after).all()
             assert (before * after <= 0.0).all() and (np.abs(after) <= np.abs(before)).all()
-            assert (before * (own.position[rows, axis] - drifted[rows, axis]) <= 0.0).all()
-            kept = own.position[rows] == drifted[rows]
-            kept[n, axis] = True
-            assert kept.all()
+            assert (before * (own.x[rows] - drifted[rows]) <= 0.0).all()
