@@ -5,7 +5,7 @@ Times, in microseconds per call:
 
 - one dt of `_step_batch` with no near rows: the desk burst (96 x 2
   particles) held upstream of the 16x16 wedge at 0.1 m, x velocity zero, so
-  every call is the fixed cost;
+  every call is the fixed cost, the build of the burst's lanes included;
 - one contact query (`_query` over `PlacedGrid.padded`, the column heights
   with one zero column past each high edge, as the steppers call it) of 30
   spheres around the wedge's surface, and, in turn, of the first 1, 2, 3
@@ -33,19 +33,25 @@ Times, in microseconds per call:
 - one desk simulation of a single burst of 1, 8, 16, 24, 32, 40 and 48
   particles, around SMALL_BATCH, where `run_simulation` switches from
   stepping rows in Python floats (`_step_each`) to numpy (`_step_batch`);
-- building the desk `PlacedGrid`, the near test's table included.
+- building the desk `PlacedGrid`: its origin and zero-padded column
+  heights, as an array and as nested lists;
+- building the near test's lanes (`PlacedGrid.lanes`) of the desk burst and
+  of a 4-row burst, the once-per-stepper-call cost that the steppers pay.
 
 A case runs only when every tree has what it calls. `step_empty_us` and
 `step_batch_agent_ms` need `_step_batch`, which trees from before the one
 stepper contract lack, and `step_empty_us` also the burst layout of x, vx,
 y and z arrays (`ParticleBurst(x, vx, y, z)`), which trees whose bursts
-hold (N, 3) positions and velocities lack; every other case runs on those
-trees too.
+hold (N, 3) positions and velocities lack; the lane cases need
+`PlacedGrid.lanes`, which trees with a reach table lack. Every other case
+runs on those trees too.
 
-Each tree is imported under its own package name, and the trees' samples
-interleave, so a drift in CPU speed hits both sides alike. Prints one JSON
-object: per tree and case, the median of `--repeats` samples and its lower
-and upper quartiles.
+Each sample calls its case until MIN_SAMPLE_S seconds have passed and
+reports the mean per call, so no case's sample is only a few microseconds
+of work. Each tree is imported under its own package name, and the
+trees' samples interleave, so a drift in CPU speed hits both sides alike.
+Prints one JSON object: per tree and case, the median of `--repeats`
+samples and its lower and upper quartiles.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py --tree new=src --tree old=../old/src
 """
@@ -62,6 +68,10 @@ import numpy as np
 
 from trees import parse_trees
 
+# Least wall time of one sample, in seconds; a case faster than this is
+# called repeatedly within the sample.
+MIN_SAMPLE_S = 0.02
+
 
 def agent_design(tree, grid, seed=4, actions=8):
     """`grid` after `actions` uniform random 4 x 4 actions, upsampled and
@@ -75,7 +85,7 @@ def agent_design(tree, grid, seed=4, actions=8):
 
 
 def cases(tree):
-    """name -> (callable, calls per sample) for one tree."""
+    """name -> callable for one tree."""
     wt, vx = tree.windtunnel, tree.voxel
     grid = vx.voxelise(vx.synth_heightmap("wedge", 16, 16, 1.0), 8, 0.1)
     reshaped = agent_design(tree, grid)
@@ -105,37 +115,45 @@ def cases(tree):
     heights = padded.tolist()
     spheres = itertools.cycle(centers.tolist())
     out = {
-        "query_30_us": (lambda: wt._query(centers, r, padded, vs), 100),
-        "query_1_to_4_us": (lambda: wt._query(next(few), r, padded, vs), 100),
-        "best_overlap_us": (lambda: wt._best_overlap(*next(spheres), r, heights, vs), 300),
-        "desk_simulation_ms": (lambda: wt.run_simulation(grid, config), 1),
-        "agent_simulation_ms": (lambda: wt.run_simulation(reshaped, config), 1),
-        "agent_60mph_ms": (lambda: wt.run_simulation(reshaped, replace(config, air_speed=60.0)),
-                           1),
-        "hcyl32_60mph_ms": (lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)), 1),
-        "box16_10mph_ms": (lambda: wt.run_simulation(box16, sweep), 1),
-        "small_simulation_ms": (lambda: wt.run_simulation(grid, small), 20),
-        "placed_grid_us": (lambda: wt.PlacedGrid(grid, config), 200),
+        "query_30_us": lambda: wt._query(centers, r, padded, vs),
+        "query_1_to_4_us": lambda: wt._query(next(few), r, padded, vs),
+        "best_overlap_us": lambda: wt._best_overlap(*next(spheres), r, heights, vs),
+        "desk_simulation_ms": lambda: wt.run_simulation(grid, config),
+        "agent_simulation_ms": lambda: wt.run_simulation(reshaped, config),
+        "agent_60mph_ms": lambda: wt.run_simulation(reshaped, replace(config, air_speed=60.0)),
+        "hcyl32_60mph_ms": lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)),
+        "box16_10mph_ms": lambda: wt.run_simulation(box16, sweep),
+        "small_simulation_ms": lambda: wt.run_simulation(grid, small),
+        "placed_grid_us": lambda: wt.PlacedGrid(grid, config),
     }
     for m, cfg in burst_of.items():
-        out[f"simulation_{m}_rows_ms"] = (lambda cfg=cfg: wt.run_simulation(grid, cfg), 5)
-    if hasattr(wt, "_step_batch") and "vx" in inspect.signature(wt.ParticleBurst).parameters:
+        out[f"simulation_{m}_rows_ms"] = lambda cfg=cfg: wt.run_simulation(grid, cfg)
+    if "vx" in inspect.signature(wt.ParticleBurst).parameters:
         burst = wt.ParticleBurst(*upstream)
-        out["step_empty_us"] = (lambda: wt._step_batch(burst, placed, heatmap, 1), 200)
+        if hasattr(wt, "_step_batch"):
+            out["step_empty_us"] = lambda: wt._step_batch(burst, placed, heatmap, 1)
+        if hasattr(wt.PlacedGrid, "lanes"):
+            four = wt.ParticleBurst(*(a[:4] for a in upstream))
+            out["lanes_desk_us"] = lambda: placed.lanes(burst)
+            out["lanes_4_rows_us"] = lambda: placed.lanes(four)
     if hasattr(wt, "_step_batch"):
         agent = wt.PlacedGrid(reshaped, config)
         spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
-        out["step_batch_agent_ms"] = (
-            lambda: wt._step_batch(copy.deepcopy(spawned), agent, np.zeros_like(heatmap),
-                                   config.max_steps), 1)
+        out["step_batch_agent_ms"] = lambda: wt._step_batch(
+            copy.deepcopy(spawned), agent, np.zeros_like(heatmap), config.max_steps)
     return out
 
 
-def sample(fn, calls: int, unit: float) -> float:
-    t0 = perf_counter()
-    for _ in range(calls):
+def sample(fn, unit: float) -> float:
+    """The mean time per call of `fn` in seconds times `unit`, over as many
+    calls as take at least MIN_SAMPLE_S."""
+    calls, t0 = 0, perf_counter()
+    while True:
         fn()
-    return (perf_counter() - t0) / calls * unit
+        calls += 1
+        elapsed = perf_counter() - t0
+        if elapsed >= MIN_SAMPLE_S:
+            return elapsed / calls * unit
 
 
 def main():
@@ -154,8 +172,7 @@ def main():
         for name in names:
             unit = 1e3 if name.endswith("_ms") else 1e6
             for label in order:
-                fn, calls = trees[label][name]
-                samples[label][name].append(sample(fn, calls, unit))
+                samples[label][name].append(sample(trees[label][name], unit))
     print(json.dumps({label: {name: dict(zip(("q1", "median", "q3"),
                                              np.percentile(v, [25, 50, 75]).tolist()))
                               for name, v in per.items()}

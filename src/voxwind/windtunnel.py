@@ -11,7 +11,9 @@ a bounce changes only the velocity component along the face normal, and
 only while the particle moves into the face, so only x faces ever bounce
 it. Its y and z therefore stay as spawned, inside the domain, and a particle
 can leave only through an x face. `ParticleBurst` stores that layout: each
-row's x and x velocity, which the steppers move, and its fixed y and z.
+row's x and x velocity, which the steppers move, and its fixed y and z. The
+contact query's y and z windows around a row are fixed with them, so the
+steppers' near test is the query's own window (`PlacedGrid.lanes`).
 """
 
 from __future__ import annotations
@@ -146,39 +148,6 @@ def grid_origin(grid: VoxelGrid, config: TunnelConfig) -> np.ndarray:
     ox = 0.5 * (dx - grid.width * grid.voxel_size)
     oy = 0.5 * (dy - grid.length * grid.voxel_size)
     return np.array([ox, oy, 0.0])
-
-
-def _zero_padded(heights: np.ndarray, before: int, after: int) -> np.ndarray:
-    """The (W, L) column heights with `before` zero rows and columns ahead of
-    its first and `after` past its last."""
-    w, l = heights.shape
-    z = np.zeros((before + w + after, before + l + after), dtype=np.int64)
-    z[before:before + w, before:before + l] = heights
-    return z
-
-
-def neighborhood_reach(grid: VoxelGrid, radius: float) -> np.ndarray:
-    """The near test's table, one cell per column over the grid grown by
-    k + 1 columns a side, k = ceil(radius / vs): cell c is column c - k - 1.
-
-    A cell holds `radius` above the tallest column within k columns of it,
-    or -inf where that window holds no voxel, as the outer ring's never does.
-    The argument for it is in `PlacedGrid`; it holds in exact arithmetic.
-    Built as a separable window max over the zero-padded heights.
-    """
-    vs = grid.voxel_size
-    k = math.ceil(radius / vs)
-    w, l = grid.width, grid.length
-    m = 2 * k + 1   # the window's width, and the zero margin on each side
-    z = _zero_padded(grid.column_heights, m, m)
-    tw, tl = w + m + 1, l + m + 1   # the grid grown by k + 1 columns a side
-    along_x = z[:tw].copy()
-    for s in range(1, m):
-        np.maximum(along_x, z[s:s + tw], out=along_x)
-    top = along_x[:, :tl].copy()
-    for s in range(1, m):
-        np.maximum(top, along_x[:, s:s + tl], out=top)
-    return np.where(top > 0, top * vs + radius, -np.inf)
 
 
 def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
@@ -368,41 +337,54 @@ def _query(centers, radius, padded, vs):
 
 class PlacedGrid:
     """A grid placed in the tunnel: the constants both steppers test
-    against, computed once per simulation.
+    against, computed once per simulation, and the near test's lanes of a
+    burst (`lanes`), built once per stepper call.
 
-    `reach` is the near test's table (`neighborhood_reach`), indexed by a
-    center's column cell (`cells`). A center can touch only the columns
-    within k = ceil(r / vs) of its own, so at or above its cell's entry it is
-    at least r from every voxel and the strict contact test finds none;
-    every farther cell clamps onto the -inf outer ring. The table therefore
-    admits every row that can touch a voxel, and maybe some that cannot.
-    (The argument holds in exact arithmetic.) `padded` is the column heights
-    from the grid's (0, 0) corner with one zero column past its last x and y
-    column, as `_query_batch` reads them; `heights` is the same table as
-    nested lists, as `_best_overlap` reads it.
+    `padded` is the column heights from the grid's (0, 0) corner with one
+    zero column past its last x and y column, as `_query_batch` reads them;
+    `heights` is the same table as nested lists, as `_best_overlap` reads it.
     """
 
     def __init__(self, grid: VoxelGrid, config: TunnelConfig):
         self.config = config
         self.voxel_size = grid.voxel_size
         self.origin = grid_origin(grid, config)
-        self.reach = neighborhood_reach(grid, config.particle_radius)
-        self.pad = math.ceil(config.particle_radius / grid.voxel_size) + 1
-        self.padded = _zero_padded(grid.column_heights, 0, 1)
+        w, l = grid.column_heights.shape
+        self.padded = np.zeros((w + 1, l + 1), dtype=np.int64)
+        self.padded[:w, :l] = grid.column_heights
         self.heights = self.padded.tolist()
-        self.cell_max = np.array(self.reach.shape) - 1
 
-    def cells(self, coord: np.ndarray, axis: int) -> np.ndarray:
-        """The `reach` index along `axis` (0 for x, 1 for y) of each world
-        coordinate in `coord`: its column cell floor((coord - origin) / vs),
-        shifted by `pad` and clamped onto the table, so a cell off the table,
-        however far, reads the -inf outer ring and is never near."""
-        cell = coord - self.origin[axis]
-        cell /= self.voxel_size
-        np.floor(cell, out=cell)
-        cell += self.pad
-        np.minimum(np.maximum(cell, 0, out=cell), self.cell_max[axis], out=cell)
-        return cell.astype(np.intp)   # after the clamp: a cell past the int range would not cast
+    def lanes(self, burst: ParticleBurst) -> np.ndarray:
+        """The near test's table: per burst row, its lane, the x columns that
+        hold a voxel of the row's y and z windows, as (W + 1) entries: entry
+        c is the first lane column at or after c, or inf past the last one.
+
+        A row never leaves its spawned y and z, so these are the contact
+        query's own windows, from its float expressions, max(floor((c - r) /
+        vs), 0) to floor((c + r) / vs), with y clipped onto the zero column
+        as the query clips it. The query at grid-local x scans a voxel
+        exactly when lane[min(max(floor((x - r) / vs), 0), W)] <= (x + r) /
+        vs, as an integer is at most floor(q) exactly when it is at most q.
+        """
+        r, vs = self.config.particle_radius, self.voxel_size
+        w, l = self.padded.shape
+        c = np.array((burst.y, burst.z))
+        c -= self.origin[1:, None]
+        lo = np.floor((c - r) / vs)
+        np.maximum(lo, 0.0, out=lo)
+        hi = np.floor((c + r) / vs)
+        z_lo = lo[1]
+        z_lo[(lo > hi).any(axis=0)] = np.inf   # an empty y or z window holds no voxel
+        # y indices clipped in floats, so a window past the int range casts;
+        # past the end of its own window a row reads its last column again
+        first = np.minimum(lo[0], l - 1).astype(np.intp)
+        last = np.minimum(np.maximum(hi[0], 0.0), l - 1).astype(np.intp)
+        top = self.padded[:, first]   # per column and row, the y window's tallest
+        for s in range(1, int((last - first).max(initial=0)) + 1):
+            np.maximum(top, self.padded[:, np.minimum(first + s, last)], out=top)
+        lane = np.where(top.T > z_lo[:, None], np.arange(w, dtype=np.float64), np.inf)
+        np.minimum.accumulate(lane[:, ::-1], axis=1, out=lane[:, ::-1])
+        return lane
 
 
 def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
@@ -413,18 +395,17 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     Each dt: integrate, resolve voxel contacts, retire exited particles.
     Semi-implicit Euler with no body forces, so the update is a pure drift
     until a contact reflects the velocity about the face normal scaled by the
-    restitution. A live particle is near when its height is below the
-    `placed.reach` entry of its column cell; the table admits every row that
-    can touch a voxel (see `PlacedGrid`). One contact at most per particle
-    per dt; contacts tally into `heatmap`. A particle leaving the domain is
-    marked dead and stops: its position, velocity and `alive` no longer
-    change, so each row's final state depends on that row alone, and
-    `run_simulation` reads the exit energy from the velocity it left with.
-    Mutates `burst` and `heatmap`.
+    restitution. A live particle is near when the contact query would scan
+    at least one voxel for it: its lane (`PlacedGrid.lanes`) holds a column
+    of its x window. One contact at most per particle per dt; contacts tally
+    into `heatmap`. A particle leaving the domain is marked dead and stops:
+    its position, velocity and `alive` no longer change, so each row's final
+    state depends on that row alone, and `run_simulation` reads the exit
+    energy from the velocity it left with. Mutates `burst` and `heatmap`.
 
     Every row moves along x (see the module docstring), so only its x and x
-    velocity change, it can leave only through an x face, and its column-row
-    cell of the near table is computed once.
+    velocity change, it can leave only through an x face, and its lane is
+    built once.
 
     Rows do not interact and only drift between contacts, so the dt go in
     rounds over look-ahead windows. In a round each live row drifts through
@@ -445,7 +426,8 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     ox, oy, oz = placed.origin.tolist()
     dx = float(config.domain_size[0])
     ly, lz = burst.y - oy, burst.z - oz
-    cy = placed.cells(burst.y, 1)
+    lanes = placed.lanes(burst)
+    zero_column = lanes.shape[1] - 1
     live = alive.nonzero()[0] if steps > 0 else np.zeros(0, dtype=np.intp)
     # per live row: the dt it has taken, and its next window
     done, window = np.zeros(len(live), dtype=np.intp), np.full(len(live), LOOKAHEAD // 2)
@@ -460,7 +442,15 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         np.add(x[live], drift, out=path[0])
         for j in range(1, len(ahead)):
             np.add(path[j - 1], drift, out=path[j])
-        near = lz[live] < placed.reach[placed.cells(path, 0), cy[live]]
+        lx = path - ox
+        q = lx - r
+        q /= vs
+        np.floor(q, out=q)
+        # clamped in floats, so a cell past the int range casts
+        cell = np.minimum(np.maximum(q, 0.0, out=q), zero_column, out=q).astype(np.intp)
+        q = np.add(lx, r, out=q)
+        q /= vs
+        near = lanes[live, cell] <= q
         gone = ~((path >= 0.0) & (path <= dx))
         end = (gone | (ahead >= w - 1)).argmax(axis=0)   # first exit, or the window's last dt
         near &= ahead <= end
@@ -468,7 +458,7 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         contacts = None
         if k.size:
             rows = live[k]
-            contacts = _query(np.column_stack([path[j, k] - ox, ly[rows], lz[rows]]), r,
+            contacts = _query(np.column_stack([lx[j, k], ly[rows], lz[rows]]), r,
                               placed.padded, vs)
         if contacts is not None:
             touching, voxel, axis, sign, pen = contacts
@@ -510,36 +500,36 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
 
     For bursts of at most SMALL_BATCH rows. Each live row steps on its own to
     its exit or to `steps`, making the float operations of `_step_batch`'s
-    drift, near and exit tests and bounce, in their order, on its x alone; its
-    reach column, the near table at its fixed column-row cell
-    (`PlacedGrid.cells`), is read once. The contact comes from the scalar
-    core (`_best_overlap`, `_face_normal`), which `_query_batch` matches bit
-    for bit. Rows do not interact, and a row stops at its exit, so once the
-    contacts are in dt order every output is bit for bit `_step_batch`'s. An
-    x cell off the table reads its -inf outer ring, as in `PlacedGrid.cells`,
-    so such a row, like a NaN or infinite one, is not near.
+    drift, near and exit tests and bounce, in their order, on its x alone;
+    its lane (`PlacedGrid.lanes`) is built once. The contact comes from the
+    scalar core (`_best_overlap`, `_face_normal`), which `_query_batch`
+    matches bit for bit. Rows do not interact, and a row stops at its exit,
+    so once the contacts are in dt order every output is bit for bit
+    `_step_batch`'s. The near test first checks x against the lane's x range,
+    its first column and one past its last, which most steps fail at once.
+    An x that passes has (x + r) / vs >= 0 and (x - r) / vs below W, so it is
+    finite, and `math.floor` never sees a NaN or an infinity.
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
     ox, oy, oz = placed.origin.tolist()
     dx = float(config.domain_size[0])
-    columns, pad, heights = placed.reach.T.tolist(), placed.pad, placed.heights
-    end_x = int(placed.cell_max[0]) + 1 - pad   # -pad <= floor(lx / vs) < end_x is on the table
+    heights = placed.heights
     x, vx, alive = burst.x.tolist(), burst.vx.tolist(), burst.alive.tolist()
-    rows = zip(placed.cells(burst.y, 1).tolist(), (burst.y - oy).tolist(), (burst.z - oz).tolist())
+    rows = zip(placed.lanes(burst).tolist(), (burst.y - oy).tolist(), (burst.z - oz).tolist())
     found = []   # (dt, row, impact speed)
-    for j, (cy, ly, lz) in enumerate(rows):
+    for j, (lane, ly, lz) in enumerate(rows):
         if not alive[j]:
             continue
         p, v = x[j], vx[j]
-        reach = columns[cy]
+        first, stop = lane[0], lane.index(math.inf)
         t = 0
         while t < steps:
             p += v * dt
             t += 1
             lx = p - ox
-            qx = lx / vs
-            if -pad <= qx < end_x and lz < reach[math.floor(qx) + pad]:
+            hi = (lx + r) / vs
+            if first <= hi and (lo := (lx - r) / vs) < stop and lane[max(math.floor(lo), 0)] <= hi:
                 best = _best_overlap(lx, ly, lz, r, heights, vs)
                 if best is not None:
                     _, ix, iy, iz = best
@@ -563,8 +553,7 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
 def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:
     """Raise ConfigError unless the grid fits inside the tunnel's domain and
     one sphere's contact window, (ceil(2r / vs) + 2)^3 voxels, stays within
-    MAX_CANDIDATES; that also keeps k = ceil(r / vs) of the near test's table
-    within 19."""
+    MAX_CANDIDATES."""
     vs, r = grid.voxel_size, config.particle_radius
     extent = (grid.width * vs, grid.length * vs, grid.h_max * vs)
     # an extent that fits can pass its side by rounding, as n * (d / n) can

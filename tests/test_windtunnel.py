@@ -27,7 +27,6 @@ from voxwind.windtunnel import (
     heatmap_to_pgm,
     kinetic_energy,
     mph_to_mps,
-    neighborhood_reach,
     run_simulation,
     simresult_from_csv,
     simresult_to_csv,
@@ -352,20 +351,20 @@ class TestStep:
 
 
 def step_querying_every_live_row(burst, placed, heatmap):
-    """One dt of `_step_batch` with a near test that admits every live row,
-    as a reference."""
+    """One dt of `_step_batch` with an all-near lane table, so every live
+    row goes to the contact query, as a reference."""
     everything = copy.copy(placed)
-    everything.reach = np.full_like(placed.reach, np.inf)
+    everything.lanes = lambda b: np.full((len(b), placed.padded.shape[0]), -np.inf)
     return _step_batch(burst, everything, heatmap, 1)
 
 
 class TestNearTable:
     @pytest.mark.parametrize("ratio", [0.2, 0.5, 1.0, 1.5, 2.5])
     def test_step_equals_querying_every_live_row(self, ratio):
-        # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the k + 1 rings
-        # of table cells just outside the footprint, on both sides of the
-        # inlet and outlet faces and, dead, beside the grid; the reach table
-        # may leave a row out only if the query would give it no contact.
+        # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the k + 1
+        # columns just outside the footprint, on both sides of the inlet and
+        # outlet faces and, dead, beside the grid; the lanes may leave a row
+        # out only if the query would give it no contact.
         rng = np.random.default_rng(int(ratio * 10))
         ring_contacts = 0
         for _ in range(30):
@@ -402,9 +401,9 @@ class TestNearTable:
                 cell = np.floor(before[rows] / vs)
                 outer = (cell == -k) | (cell == np.array([w, l]) - 1 + k)
                 ring_contacts += int(outer.any(axis=1).sum())
-        # rows k columns off the footprint, in the outermost ring whose
-        # window reaches it, made contacts, so a table one ring short fails
-        # this test
+        # rows k columns off the footprint, the farthest whose window
+        # reaches it, made contacts, so a window one column short fails this
+        # test
         assert ring_contacts > 0
 
 
@@ -441,6 +440,62 @@ def spheres_over_a_grid(draw):
     centers = np.array([[boundary_coordinate(draw, vs, r, n) for n in (w, l, h_max)]
                         for _ in range(draw(st.integers(1, 12)))])
     return vs, r, heights, centers
+
+
+@st.composite
+def lane_rows(draw):
+    """(vs, r, h_max, (W, L) heights, (m, 3) centres): a grid of at most 6^3
+    and up to 8 rows, or none, each centre coordinate on or one ulp off a
+    voxel boundary out to 3 voxels past the grid, or +-1e30."""
+    vs = draw(st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.05, 0.2))
+    r = draw(st.floats(0.1, 3.0)) * vs
+    w, l, h_max = (draw(st.integers(1, 6)) for _ in range(3))
+    heights = np.array(draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                     max_size=w * l))).reshape(w, l)
+    far = st.sampled_from([-1e30, 1e30])
+    centers = [[draw(far) if draw(st.integers(0, 5)) == 0 else boundary_coordinate(draw, vs, r, n)
+                for n in (w, l, h_max)] for _ in range(draw(st.integers(0, 8)))]
+    return vs, r, h_max, heights, np.array(centers).reshape(-1, 3)
+
+
+def query_window(c, r, vs):
+    """The contact query's candidate indices along one axis around the
+    grid-local coordinate `c`, as Python ints: max(floor((c - r) / vs), 0)
+    to floor((c + r) / vs)."""
+    return max(math.floor((c - r) / vs), 0), math.floor((c + r) / vs)
+
+
+class TestLanes:
+    @given(case=lane_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_near_is_a_voxel_in_the_query_windows(self, case):
+        # each row's lane is, column by column, what a scan over every voxel
+        # of the grid finds in the row's y and z windows; the near test at
+        # its x, and `_step_each`'s form of it behind the lane's x range,
+        # hold exactly when the query's three windows hold a voxel, and a
+        # row that is not near gets no contact from the scalar core
+        vs, r, h_max, heights, centers = case
+        w, l = heights.shape
+        cfg = TunnelConfig(particle_radius=r, domain_size=(w * vs, l * vs, h_max * vs))
+        placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
+        assert not placed.origin.any()
+        x, y, z = centers.T
+        lanes = placed.lanes(ParticleBurst(x, np.zeros(len(x)), y, z))
+        assert lanes.shape == (len(centers), w + 1)
+        for lane, (cx, cy, cz) in zip(lanes.tolist(), centers.tolist()):
+            (y0, y1), (z0, z1) = query_window(cy, r, vs), query_window(cz, r, vs)
+            columns = [ix for (ix, iy), h in np.ndenumerate(heights)
+                       if y0 <= iy <= y1 and any(z0 <= iz <= z1 for iz in range(h))]
+            assert lane == [min((ix for ix in columns if ix >= c), default=math.inf)
+                            for c in range(w + 1)]
+            x0, x1 = query_window(cx, r, vs)
+            near = lane[min(x0, w)] <= (cx + r) / vs
+            assert near == any(x0 <= ix <= x1 for ix in columns), (cx, cy, cz)
+            first, stop = lane[0], lane.index(math.inf)
+            hi, lo = (cx + r) / vs, (cx - r) / vs
+            assert near == (first <= hi and lo < stop and lane[max(math.floor(lo), 0)] <= hi)
+            if not near:
+                assert _best_overlap(cx, cy, cz, r, placed.heights, vs) is None
 
 
 # A sphere exactly r below the base of voxel (1, 1, 0): its closest-point
@@ -865,9 +920,9 @@ class TestSteppersAgree:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_equal_with_rows_past_the_int_range(self, wedge_grid):
-        # y / vs of rows 1 and 2 is past int64: their column cells clamp onto
-        # the near table's -inf ring, like any cell off the table, and no
-        # cast of them warns
+        # y / vs of rows 1 and 2 is past int64: their y windows clip onto
+        # the grid's edge in floats, so their lanes are empty, and no cast of
+        # them warns
         cfg = desk_tunnel(particle_count=6, burst_count=1)
         burst = spawn_burst(cfg, [np.random.default_rng(5)])
         burst.y[1:3] = (1e30, -1e30)
@@ -982,53 +1037,6 @@ class TestLookahead:
         burst.alive[:] = False
         _, _, final = step_both(burst, PlacedGrid(WALL, WALL_TUNNEL), (8, 2), 10)
         np.testing.assert_array_equal(final.x, burst.x)
-
-
-def edge_ring_reach(grid, r):
-    """The reach table as it was once built: r above the tallest column within
-    k = ceil(r / vs) columns over the footprint (r where all are empty), the
-    edge entries repeated over k rings, then one ring of -inf."""
-    k = math.ceil(r / grid.voxel_size)
-    h = grid.column_heights
-    w, l = h.shape
-    top = np.array([[h[max(x - k, 0):x + k + 1, max(y - k, 0):y + k + 1].max()
-                     for y in range(l)] for x in range(w)])
-    x, y = (np.clip(np.arange(-k - 1, n + k + 1), 0, n - 1) for n in (w, l))
-    table = (top * grid.voxel_size + r)[x[:, None], y]
-    table[[0, -1]] = table[:, [0, -1]] = -np.inf
-    return table
-
-
-class TestReach:
-    def test_reach_covers_neighbors(self):
-        # k = 1, so cell c is column c - 2 and sees columns c - 3 .. c - 1
-        grid = VoxelGrid(np.array([[0, 0, 0], [0, 8, 0], [0, 0, 0]]), 8, 0.1)
-        reach = neighborhood_reach(grid, 0.05)
-        assert reach.shape == (7, 7)
-        assert reach[2, 2] == reach[4, 4] == 8 * 0.1 + 0.05  # adjacent to the tall column
-        assert reach[1, 3] == reach[0, 0] == -np.inf         # two columns away, or more
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_brute_force_window(self, k):
-        rng = np.random.default_rng(k)
-        for _ in range(25):
-            w, l = (int(v) for v in rng.integers(1, 9, size=2))
-            vs = float(rng.choice([0.05, 0.1, 0.2]))
-            r = vs * (k - 1 + float(rng.uniform(0.01, 0.99)))
-            assert math.ceil(r / vs) == k
-            h = rng.integers(0, 6, size=(w, l))
-            h[rng.uniform(size=(w, l)) < 0.4] = 0
-            grid = VoxelGrid(h, 5, vs)
-            reach = neighborhood_reach(grid, r)
-            pad = k + 1
-            want = np.full((w + 2 * pad, l + 2 * pad), -np.inf)
-            for cx, cy in np.ndindex(want.shape):
-                x, y = cx - pad, cy - pad
-                window = h[max(x - k, 0):max(x + k + 1, 0), max(y - k, 0):max(y + k + 1, 0)]
-                if window.size and window.max() > 0:
-                    want[cx, cy] = r + vs * window.max()
-            np.testing.assert_array_equal(reach, want)
-            assert (reach <= edge_ring_reach(grid, r)).all()
 
 
 class TestExports:
