@@ -10,6 +10,9 @@ Times, in microseconds per call:
   with one zero column past each high edge, as the steppers call it) of 30
   spheres around the wedge's surface, and, in turn, of the first 1, 2, 3
   and 4 of them, where the query's fixed cost shows;
+- one contact query of 360 spheres within a voxel of the 32x32
+  half-cylinder's surface at 0.05 m, so each sphere's window is up to 3
+  voxels a side (k = 3), where the cost per sphere shows;
 - the scalar core (`_best_overlap`) on each of those 30 spheres in turn,
   which is what a near row costs in Python floats instead;
 - one desk simulation (10 mph, `max_steps` 160, domain 3.2 x 1.8 x 0.9), on
@@ -44,7 +47,9 @@ stepper contract lack, and `step_empty_us` also the burst layout of x, vx,
 y and z arrays (`ParticleBurst(x, vx, y, z)`), which trees whose bursts
 hold (N, 3) positions and velocities lack; the lane cases need
 `PlacedGrid.lanes`, which trees with a reach table lack. Every other case
-runs on those trees too.
+runs on those trees too. The query cases pass their centres as (3, m)
+columns to trees whose `_query` keeps the sphere axis last, and as (m, 3)
+rows to older trees.
 
 Each sample calls its case until MIN_SAMPLE_S seconds have passed and
 reports the mean per call, so no case's sample is only a few microseconds
@@ -84,6 +89,13 @@ def agent_design(tree, grid, seed=4, actions=8):
     return grid
 
 
+def sphere_last(wt) -> bool:
+    """Whether the tree's `_query` takes its centres as (3, m) columns: its
+    candidate offset table then has the sphere axis last too."""
+    offsets = getattr(wt, "_window_offsets", None)
+    return offsets is not None and offsets(2).shape == (3, 8)
+
+
 def cases(tree):
     """name -> callable for one tree."""
     wt, vx = tree.windtunnel, tree.voxel
@@ -110,13 +122,24 @@ def cases(tree):
     xy = rng.uniform(0.0, 1.6, size=(30, 2))
     col = np.minimum((xy / 0.1).astype(int), 15)
     centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
+    # and over the half-cylinder's footprint, 0.05 m voxels
+    xy = rng.uniform(0.0, 1.6, size=(360, 2))
+    col = np.minimum((xy / 0.05).astype(int), 31)
+    around = np.column_stack([xy, hcyl32.column_heights[col[:, 0], col[:, 1]] * 0.05
+                              + rng.uniform(-0.025, 0.05, 360)])
     r, padded, vs = config.particle_radius, placed.padded, 0.1
-    few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
+    hcyl_padded = wt.PlacedGrid(hcyl32, sweep).padded
     heights = padded.tolist()
     spheres = itertools.cycle(centers.tolist())
+    if sphere_last(wt):
+        centers, around = (np.ascontiguousarray(c.T) for c in (centers, around))
+        few = itertools.cycle([centers[:, :m] for m in (1, 2, 3, 4)])
+    else:
+        few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
     out = {
         "query_30_us": lambda: wt._query(centers, r, padded, vs),
         "query_1_to_4_us": lambda: wt._query(next(few), r, padded, vs),
+        "query_sweep_us": lambda: wt._query(around, r, hcyl_padded, 0.05),
         "best_overlap_us": lambda: wt._best_overlap(*next(spheres), r, heights, vs),
         "desk_simulation_ms": lambda: wt.run_simulation(grid, config),
         "agent_simulation_ms": lambda: wt.run_simulation(reshaped, config),

@@ -277,7 +277,7 @@ def grid_to_csv(grid: VoxelGrid) -> str:
         GRID_CSV_HEADER,
         f"{grid.width},{grid.length},{grid.h_max},{grid.voxel_size!r}",
     ]
-    lines.extend(",".join(str(int(v)) for v in row) for row in grid.column_heights)
+    lines.extend(",".join(map(str, row)) for row in grid.column_heights.tolist())
     return "\n".join(lines) + "\n"
 
 

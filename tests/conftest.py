@@ -133,20 +133,21 @@ def scalar_contact(center, radius, grid):
 
 
 def batch_query(centers, radius, heights, vs):
-    """One `_query_batch` call, unchunked, over the (W, L) `heights` with the
-    zero column past each high edge that it reads: its (rows, voxel, axis,
-    sign, penetration) tuple, or None."""
+    """One `_query_batch` call, unchunked, on (m, 3) `centers` over the
+    (W, L) `heights` with the zero column past each high edge that it reads:
+    its (rows, voxel, axis, sign, penetration) tuple, or None."""
     padded = np.pad(np.asarray(heights, dtype=np.int64), ((0, 1), (0, 1)))
-    return _query_batch(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius,
+    return _query_batch(np.asarray(centers, dtype=np.float64).reshape(-1, 3).T, radius,
                         padded, vs)
 
 
 def grid_query(centers, radius, grid):
-    """`_query`, chunked, over `PlacedGrid.padded`, the heights of `grid`
-    with the one zero column past each high edge that `batch_query` adds, as
-    a stepper calls it: the `_query_batch` tuple, or None."""
+    """`_query`, chunked, on (m, 3) `centers` over `PlacedGrid.padded`, the
+    heights of `grid` with the one zero column past each high edge that
+    `batch_query` adds, as a stepper calls it: the `_query_batch` tuple, or
+    None."""
     padded = PlacedGrid(grid, TunnelConfig(particle_radius=radius)).padded
-    return _query(np.asarray(centers, dtype=np.float64).reshape(-1, 3), radius, padded,
+    return _query(np.asarray(centers, dtype=np.float64).reshape(-1, 3).T, radius, padded,
                   grid.voxel_size)
 
 
