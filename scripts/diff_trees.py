@@ -4,8 +4,10 @@
 Draws `--configs` tunnel configs from `--seed`: grids of 1 x 1 to 16 x 16
 columns with about 30% of them empty, voxel sizes 0.05-0.2 m, particle
 radius 0.1-3 voxels, 10-120 mph, restitution 0-1, three `dt` values,
-`max_steps` 1-300, and bursts of 0 to 480 rows, so the row counts fall on
-both sides of SMALL_BATCH and of one MAX_CANDIDATES query chunk. Each config
+`max_steps` 1-300, or 1-3000 in one draw of ten, so rows that come to rest
+against the grid are compared over long horizons, and bursts of 0 to 480
+rows, so the row counts fall on both sides of SMALL_BATCH, some (22, 32, 33,
+48) right by it, and of one MAX_CANDIDATES query chunk. Each config
 runs through `run_simulation` in both trees, and the SimResult CSV, the
 heatmap CSV and the heatmap PGM are compared byte for byte; an exception
 counts as an output. Prints each differing config with its first differing
@@ -24,7 +26,7 @@ import numpy as np
 from trees import parse_trees
 
 DTS = (1 / 500, 1 / 120, 1 / 30)
-PARTICLES = (0, 1, 2, 3, 4, 5, 8, 24, 64, 160)
+PARTICLES = (0, 1, 2, 3, 4, 5, 8, 11, 16, 24, 64, 160)
 
 
 def draw_config(rng) -> dict:
@@ -40,7 +42,7 @@ def draw_config(rng) -> dict:
         particle_count=int(rng.choice(PARTICLES)),
         burst_count=int(rng.integers(1, 4)),
         dt=float(rng.choice(DTS)),
-        max_steps=int(rng.integers(1, 301)),
+        max_steps=int(rng.integers(1, 3001 if rng.uniform() < 0.1 else 301)),
         particle_radius=float(rng.uniform(0.1, 3.0)) * vs,
         restitution=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
         domain_size=(w * vs + extra[0], l * vs + extra[1], h_max * vs + extra[2]),

@@ -23,6 +23,10 @@ Times, in microseconds per call:
 - the same agent-reshaped desk simulation at 60 mph, where a few rows crawl
   through the solid columns with a contact on almost every dt until
   `max_steps`;
+- the desk wedge at restitution 0 and `max_steps` 2000 (96 x 2 particles):
+  a row that hits the wedge stops dead against it, so this times the rows
+  that rest until `max_steps`, which trees that retire a resting row no
+  longer step;
 - one `_step_batch` call over every dt of that desk simulation on the
   agent-reshaped wedge, from the spawned burst, without the inlet lead-in:
   the numpy stepper alone;
@@ -144,6 +148,8 @@ def cases(tree):
         "desk_simulation_ms": lambda: wt.run_simulation(grid, config),
         "agent_simulation_ms": lambda: wt.run_simulation(reshaped, config),
         "agent_60mph_ms": lambda: wt.run_simulation(reshaped, replace(config, air_speed=60.0)),
+        "desk_plastic_ms": lambda: wt.run_simulation(
+            grid, replace(config, restitution=0.0, max_steps=2000)),
         "hcyl32_60mph_ms": lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)),
         "box16_10mph_ms": lambda: wt.run_simulation(box16, sweep),
         "small_simulation_ms": lambda: wt.run_simulation(grid, small),

@@ -422,6 +422,12 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     into a face, bounced, popped out, tallied and exit-tested as in a step, or
     else to its exit or its window's last dt. A first window is LOOKAHEAD // 2
     dt, a later one twice the dt the row last advanced, at most LOOKAHEAD.
+    A row at rest, whose drift leaves its x unchanged (`fl(x + vx * dt) ==
+    x`, as a vx of 0.0 or -0.0 gives), sits at one x for the whole round, so
+    its near test, exit test and query answer are those of the round's first
+    dt on every later dt too. Unless it hits an x face, the round leaves it
+    at a fixed point, and it stops after the exit test, with the x, velocity
+    and `alive` that stepping to `steps` would leave.
     `run_simulation` leaves out the inlet lead-in, the dt before any particle
     can come near the grid, in which a step would only add the shared x drift
     to every position.
@@ -442,10 +448,11 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         n = np.arange(len(live))
         w = np.minimum(window, steps - done)
         ahead = np.arange(int(w.max()))[:, None]
-        v = vx[live]
+        x0, v = x[live], vx[live]
         drift = v * dt
         path = np.empty((len(ahead), len(live)))
-        np.add(x[live], drift, out=path[0])
+        np.add(x0, drift, out=path[0])
+        rest = path[0] == x0   # rows the drift cannot move: each dt repeats the first
         for j in range(1, len(ahead)):
             np.add(path[j - 1], drift, out=path[j])
         lx = path - ox
@@ -487,10 +494,11 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
             np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
             found.append((done[k] + j, live[k], speed))
             vx[live] = v
+            rest[k] = False
         x[live] = at
         done += end + 1
         window = np.minimum(2 * (end + 1), LOOKAHEAD)
-        stop = out | (done == steps)
+        stop = out | rest | (done == steps)
         if stop.any():
             alive[live[out]] = False
             live, done, window = live[~stop], done[~stop], window[~stop]
@@ -514,6 +522,13 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     its first column and one past its last, which most steps fail at once.
     An x that passes has (x + r) / vs >= 0 and (x - r) / vs below W, so it is
     finite, and `math.floor` never sees a NaN or an infinity.
+
+    A row at rest, whose drift cannot move its x, steps one more dt, and
+    unless that dt hits an x face the row stops after its exit test, as in
+    `_step_batch`: every later dt would repeat it. Only the velocity decides
+    whether the drift moves x, and only a bounce changes it, so a row is
+    tested for rest on entry and after each bounce, and a moving row's dt
+    pays nothing for the test.
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
@@ -528,8 +543,9 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
             continue
         p, v = x[j], vx[j]
         first, stop = lane[0], lane.index(math.inf)
-        t = 0
-        while t < steps:
+        # a row the drift cannot move repeats its next dt for ever, unless that dt hits
+        t, until = 0, steps if p + v * dt != p else min(1, steps)
+        while t < until:
             p += v * dt
             t += 1
             lx = p - ox
@@ -545,6 +561,7 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
                         v -= (1.0 + config.restitution) * vn * sign
                         p += sign * pen
                         heatmap[ix, iy] += 1
+                        until = steps if p + v * dt != p else min(t + 1, steps)
             if not 0.0 <= p <= dx:
                 alive[j] = False
                 break
@@ -594,7 +611,11 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     of the grid's front face: there every closest-point distance is at least
     r, so the contact query's strict `d2 < r * r` finds no contact and a step
     would only drift. After it one stepper call runs the remaining dt, so
-    every output is the one that stepping every dt from t = 0 gives.
+    every output is the one that stepping every dt from t = 0 gives. Both
+    steppers stop a row at rest against the grid, whose drift no longer
+    moves it, once a dt of it hits no x face: every later dt would repeat
+    that one, so the row's final state and contacts stay those of stepping
+    to max_steps.
     SMALL_BATCH makes the one choice of stepper: a burst of at most that many
     rows takes `_step_each`, a larger one `_step_batch`; both give the same
     outputs. A metric that overflows float64 raises ConfigError.

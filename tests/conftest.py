@@ -34,9 +34,12 @@ def burst_rows(burst, rows):
 
 
 def assert_same_bursts(got, want):
-    """Two bursts equal array by array, `alive` included."""
+    """Two bursts equal array by array and bit for bit, so a -0.0 is not a
+    0.0, `alive` included."""
     for name in BURST_FIELDS:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        a, b = getattr(got, name), getattr(want, name)
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def desk_tunnel(seed=7, particle_count=64, burst_count=2, max_steps=140,

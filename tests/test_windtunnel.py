@@ -947,14 +947,17 @@ class TestSteppersAgree:
 
 def contact_steps(burst, placed, shape, steps):
     """`_step_each` on a copy of `burst`, one dt at a time, as the per-dt
-    reference: the (dt, row) of every contact, and the dt taken before no
-    row was alive or `steps` ran out."""
+    reference: the (dt, row) of every contact, the dt taken before no row
+    was alive or `steps` ran out, the impact speeds in (dt, row) order, the
+    (W, L) = `shape` heatmap and the final burst."""
     own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
-    found, t = [], 0
+    found, speeds, t = [], [], 0
     while t < steps and own.alive.any():
-        found += [(t, int(row)) for row in windtunnel._step_each(own, placed, hm, 1)[0]]
+        rows, dt_speeds = windtunnel._step_each(own, placed, hm, 1)
+        found += [(t, int(row)) for row in rows]
+        speeds += dt_speeds.tolist()
         t += 1
-    return found, t
+    return found, t, speeds, hm, own
 
 
 # A wall across the flow: column x = 7 of an 8 x 2 grid at 0.1 m, 4 voxels
@@ -986,7 +989,7 @@ class TestLookahead:
         # of its first windows, and between; `steps` cuts windows short
         placed = PlacedGrid(WALL, WALL_TUNNEL)
         burst = wall_rows(range(3 * LOOKAHEAD))
-        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
         assert found == [(t, t) for t in range(min(steps, 3 * LOOKAHEAD))]
         assert taken == steps
         (rows, _), hm, _ = step_both(burst, placed, (8, 2), steps)
@@ -1003,7 +1006,7 @@ class TestLookahead:
         placed = PlacedGrid(slot, cfg)
         burst = ParticleBurst([0.15] * 2, [3.0, 0.0], [0.05] * 2, [0.25] * 2)
         steps = 3 * LOOKAHEAD + 1
-        found, _ = contact_steps(burst, placed, (3, 1), steps)
+        found, *_ = contact_steps(burst, placed, (3, 1), steps)
         assert found == [(t, 0) for t in range(steps)]
         (_, _), hm, _ = step_both(burst, placed, (3, 1), steps)
         assert hm[0, 0] + hm[2, 0] == steps and hm[0, 0] > 0 and hm[2, 0] > 0
@@ -1016,7 +1019,7 @@ class TestLookahead:
         steps = LOOKAHEAD // 2 + 2 * LOOKAHEAD + 3
         placed = PlacedGrid(WALL, WALL_TUNNEL)
         burst = wall_rows([steps + 10, 0])
-        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
         assert found == [(0, 1)] and taken == steps
         _, _, final = step_both(burst, placed, (8, 2), steps)
         assert final.alive.all()
@@ -1033,7 +1036,7 @@ class TestLookahead:
                               [-1.0, -1.0, -1.0, 1.0, 0.3], [0.1] * 5, [0.2] * 4 + [0.1])
         burst.alive[4] = False
         steps = 400
-        found, taken = contact_steps(burst, placed, (8, 2), steps)
+        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
         assert found == [(2, 3)] and 20 < taken < steps
         _, _, final = step_both(burst, placed, (8, 2), steps)
         assert not final.alive.any()
@@ -1051,6 +1054,105 @@ class TestLookahead:
         burst.alive[:] = False
         _, _, final = step_both(burst, PlacedGrid(WALL, WALL_TUNNEL), (8, 2), 10)
         np.testing.assert_array_equal(final.x, burst.x)
+
+
+# Rows the drift cannot move, as (x, vx) at y = 0.1 and z = 0.2 before WALL:
+# vx of 0.0 or -0.0, or |vx| * dt of 1e-17, below half an ulp of every x
+# here but 0.0. Rows 0-3 overlap the wall's -x face at 0.7 m, row 3 moving
+# into it; rows 4-7 are far from it; rows 8-10 sit on the inlet plane, row 8
+# at -0.0, which its first drift of 0.0 makes 0.0; rows 11 and 12 lie past
+# the outlet, row 11 overlapping the wall's +x face at 0.8 m, so each is near
+# or far and out on its first dt; row 13 overlaps the +x face moving into it.
+# Row 14 moves, and meets the wall on dt 34.
+RESTING = ((0.66, 0.0), (0.66, -0.0), (0.66, -1e-15), (0.66, 1e-15),
+           (0.2, 0.0), (0.2, -0.0), (0.2, 1e-15), (0.2, -1e-15),
+           (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+           (0.83, 0.0), (5.0, 0.0), (0.83, -1e-15), (0.305, 1.0))
+
+
+def resting_rows(copies):
+    """RESTING `copies` times over, as one burst."""
+    x, vx = np.array(RESTING * copies).T
+    return ParticleBurst(x, vx, np.full(len(x), 0.1), np.full(len(x), 0.2))
+
+
+def assert_per_dt(burst, placed, shape, steps):
+    """Both steppers over `steps` dt equal to `contact_steps`' per-dt
+    reference in their rows, speeds, heatmap and final burst, bit for bit.
+    Returns the reference's (dt, row) contacts and final burst."""
+    found, _, speeds, hm, final = contact_steps(burst, placed, shape, steps)
+    (rows, got_speeds), got_hm, got = step_both(burst, placed, shape, steps)
+    assert rows.tolist() == [row for _, row in found]
+    assert got_speeds.tolist() == speeds
+    np.testing.assert_array_equal(got_hm, hm)
+    assert_same_bursts(got, final)
+    return found, final
+
+
+class TestRestingRows:
+    """A row whose drift leaves its x unchanged, with no x-face hit in a dt,
+    repeats that dt for ever, so both steppers stop it there: its final
+    state, contacts and heatmap are those of stepping every dt."""
+
+    @pytest.mark.parametrize("copies", [1, 3])   # 15 rows, and 45 > SMALL_BATCH
+    @pytest.mark.parametrize("steps", [1, 2, LOOKAHEAD // 2, LOOKAHEAD + 1,
+                                       3 * LOOKAHEAD + 4, 400])
+    def test_resting_rows_equal_stepping_every_dt(self, copies, steps):
+        assert len(resting_rows(1)) <= SMALL_BATCH < len(resting_rows(3))
+        burst = resting_rows(copies)
+        found, final = assert_per_dt(burst, PlacedGrid(WALL, WALL_TUNNEL), (8, 2), steps)
+        n = len(RESTING)
+        # row 3 bounces off the -x face on its first dt, row 13 off the +x
+        # face and out through the outlet; row 14 meets the -x face on dt 34
+        hits = [(0, 3), (0, 13)] + [(34, 14)] * (steps > 34)
+        assert found == sorted((t, row + c * n) for t, row in hits for c in range(copies))
+        for c in range(copies):
+            rows = slice(c * n, (c + 1) * n)
+            alive = final.alive[rows].tolist()
+            assert alive == [True] * 11 + [False] * 3 + [alive[14]]
+            np.testing.assert_array_equal(final.x[rows][[0, 1, 2, 4, 5, 6, 7]],
+                                          burst.x[[0, 1, 2, 4, 5, 6, 7]])
+            assert [math.copysign(1.0, v) for v in final.x[rows][8:11]] == [1.0, 1.0, -1.0]
+            assert final.vx[rows][3] == -0.5e-15
+
+    @pytest.mark.parametrize("steps", [1, LOOKAHEAD + 1, 3 * LOOKAHEAD + 4])
+    def test_a_resting_row_between_two_walls_bounces_every_dt(self, steps):
+        # a slot one voxel wide, narrower than the sphere: a row moving at
+        # 1e-15 m/s, which no drift moves, touches the nearer wall while
+        # moving into it, bounces elastically and is popped out into the
+        # other wall, so it hits a wall on every dt, whichever stepper
+        slot = VoxelGrid(np.array([[5], [0], [5]]), 5, 0.1)
+        cfg = TunnelConfig(particle_radius=0.06, domain_size=(0.3, 0.1, 0.5), dt=0.01,
+                           restitution=1.0)
+        for copies in (1, 40):
+            burst = ParticleBurst([0.155] * copies, [1e-15] * copies, [0.05] * copies,
+                                  [0.25] * copies)
+            found, final = assert_per_dt(burst, PlacedGrid(slot, cfg), (3, 1), steps)
+            assert found == [(t, row) for t in range(steps) for row in range(copies)]
+            assert final.alive.all()
+
+    @pytest.mark.parametrize("rows", [16, 96])
+    def test_a_plastic_run_costs_no_more_at_a_longer_horizon(self, wedge_grid, monkeypatch,
+                                                              rows):
+        # at restitution 0 a row that hits the wedge stops dead against it,
+        # and every other row is gone by dt 1,000: a run to 100,000 dt gives
+        # the same SimResult with the same contact queries, in Python floats
+        # (2 x 16 rows) and in numpy (2 x 96 rows)
+        calls = {"_query": 0, "_best_overlap": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(windtunnel, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(windtunnel, name, counted)
+        cfg = replace(desk_tunnel(particle_count=rows), restitution=0.0)
+        runs = []
+        for max_steps in (1_000, 100_000):
+            result = run_simulation(wedge_grid, replace(cfg, max_steps=max_steps))
+            runs.append((result.metrics(), result.heatmap.tolist(), dict(calls)))
+            calls.update(dict.fromkeys(calls, 0))
+        assert runs[0] == runs[1]
+        metrics, _, counted_calls = runs[0]
+        assert metrics["collision_count"] > 0 and max(counted_calls.values()) > 0
 
 
 class TestExports:
