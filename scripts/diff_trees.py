@@ -11,7 +11,11 @@ rows, so the row counts fall on both sides of SMALL_BATCH, some (22, 32, 33,
 runs through `run_simulation` in both trees, and the SimResult CSV, the
 heatmap CSV and the heatmap PGM are compared byte for byte; an exception
 counts as an output. Prints each differing config with its first differing
-field and exits 1 if any config differs, 0 if none does.
+field and exits 1 if any config differs, 0 if none does. The summary also
+says how often the second tree took `_step_batch`'s two exits from its
+numpy rounds, where it has them: the configs that handed rows to Python
+floats (`_step_rows` called from `_step_batch`) and the rows that coasted
+(`_clear_ahead`).
 
     PYTHONPATH=src python3 scripts/diff_trees.py --tree old=../old/src --tree new=src \\
         --configs 2000 --seed 7
@@ -75,6 +79,37 @@ def outputs(tree, config: dict) -> dict:
             "heatmap.pgm": wt.heatmap_to_pgm(result.heatmap)}
 
 
+def count_exits(wt) -> dict:
+    """Wrap `wt`'s stepper internals, where it has them, so that the
+    returned counts grow by the rows `_step_batch` hands to Python floats and
+    the rows it judges clear ahead; an empty dict for a tree without them."""
+    if not hasattr(wt, "_clear_ahead"):
+        return {}
+    counts = {"handed": 0, "coasted": 0}
+    step_each, step_rows, clear_ahead = wt._step_each, wt._step_rows, wt._clear_ahead
+    inside_each = []
+
+    def each(*args):
+        inside_each.append(True)
+        try:
+            return step_each(*args)
+        finally:
+            inside_each.pop()
+
+    def rows(burst, *args):
+        if not inside_each:
+            counts["handed"] += len(burst)
+        return step_rows(burst, *args)
+
+    def clear(*args):
+        judged = clear_ahead(*args)
+        counts["coasted"] += int(judged.sum())
+        return judged
+
+    wt._step_each, wt._step_rows, wt._clear_ahead = each, rows, clear
+    return counts
+
+
 def first_difference(a: dict, b: dict):
     """The first field, in `a`'s order, whose value differs, or None."""
     for name in list(a) + [n for n in b if n not in a]:
@@ -95,6 +130,8 @@ def main() -> int:
         parser.error("give exactly two --tree LABEL=SRC arguments")
     (old_label, old), (new_label, new) = parse_trees(args.tree).items()
     small, cap = new.windtunnel.SMALL_BATCH, new.windtunnel.MAX_CANDIDATES
+    exits = count_exits(new.windtunnel)
+    handing = 0
     rng = np.random.default_rng(args.seed)
     differing = at_most_small = above_chunk = impacts = 0
     for i in range(args.configs):
@@ -104,7 +141,9 @@ def main() -> int:
         window = math.ceil(2.0 * t["particle_radius"] / config["voxel_size"]) + 2
         at_most_small += rows <= small
         above_chunk += rows > max(1, cap // window ** 3)
+        before = exits.get("handed", 0)
         a, b = outputs(old, config), outputs(new, config)
+        handing += exits.get("handed", 0) > before
         name = first_difference(a, b)
         if name is not None:
             differing += 1
@@ -118,6 +157,9 @@ def main() -> int:
           f"SMALL_BATCH ({small}) burst rows, {args.configs - at_most_small} with more, "
           f"{above_chunk} with more burst rows than one query chunk holds; "
           f"{impacts} impacts in the matching outputs")
+    if exits:
+        print(f"{new_label}: {handing} configs handed {exits['handed']} rows to Python floats "
+              f"from the numpy rounds, and {exits['coasted']} rows coasted")
     return 1 if differing else 0
 
 

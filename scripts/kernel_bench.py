@@ -20,6 +20,10 @@ Times, in microseconds per call:
   applied as `WindTunnelEnv.act` applies them, from a fixed seed. Such
   designs keep particles near the surface until `max_steps`, with about 2.4
   times the wedge's contact queries, as the designs of desk-scale training do;
+- one desk simulation on each of 8 agent-reshaped wedges, from action
+  seeds 0-7, together in one call: the mix of designs desk_train sees, in
+  about half of which 1-2 slow rows stay trapped in a pit until `max_steps`,
+  which the single design above rarely shows;
 - the same agent-reshaped desk simulation at 60 mph, where a few rows crawl
   through the solid columns with a contact on almost every dt until
   `max_steps`;
@@ -34,7 +38,10 @@ Times, in microseconds per call:
   `max_steps` 240): the 32x32 half-cylinder at 0.05 m and 60 mph, whose
   particles crawl along the surface with a contact every few dt, so it
   bounds how far `_step_batch` may look ahead, and the 16x16 box at 0.1 m
-  and 10 mph, where looking further ahead lost;
+  and 10 mph, where looking further ahead lost; and the 16x16
+  half-cylinder at 0.1 m and 60 mph, where about 30 rows crawl inside the
+  solid with a contact on every dt, so it bounds how many rows
+  `_step_batch` may hand to Python floats (`TAIL_ROWS`);
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
 - one desk simulation of a single burst of 1, 8, 16, 24, 32, 40 and 48
@@ -114,6 +121,8 @@ def cases(tree):
                 for m in (1, 8, 16, 24, 32, 40, 48)}
     sweep = wt.TunnelConfig(particle_count=256, burst_count=2, max_steps=240,
                             domain_size=(3.2, 1.8, 0.9), seed=7)
+    designs = [agent_design(tree, grid, seed=s) for s in range(8)]
+    hcyl16 = vx.voxelise(vx.synth_heightmap("half-cylinder", 16, 16, 1.0), 8, 0.1)
     hcyl32 = vx.voxelise(vx.synth_heightmap("half-cylinder", 32, 32, 1.0), 16, 0.05)
     box16 = vx.voxelise(vx.synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
     placed = wt.PlacedGrid(grid, config)
@@ -147,10 +156,12 @@ def cases(tree):
         "best_overlap_us": lambda: wt._best_overlap(*next(spheres), r, heights, vs),
         "desk_simulation_ms": lambda: wt.run_simulation(grid, config),
         "agent_simulation_ms": lambda: wt.run_simulation(reshaped, config),
+        "agent_designs_ms": lambda: [wt.run_simulation(d, config) for d in designs],
         "agent_60mph_ms": lambda: wt.run_simulation(reshaped, replace(config, air_speed=60.0)),
         "desk_plastic_ms": lambda: wt.run_simulation(
             grid, replace(config, restitution=0.0, max_steps=2000)),
         "hcyl32_60mph_ms": lambda: wt.run_simulation(hcyl32, replace(sweep, air_speed=60.0)),
+        "hcyl16_60mph_ms": lambda: wt.run_simulation(hcyl16, replace(sweep, air_speed=60.0)),
         "box16_10mph_ms": lambda: wt.run_simulation(box16, sweep),
         "small_simulation_ms": lambda: wt.run_simulation(grid, small),
         "placed_grid_us": lambda: wt.PlacedGrid(grid, config),

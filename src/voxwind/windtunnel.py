@@ -170,6 +170,18 @@ def spawn_burst(config: TunnelConfig, rngs) -> ParticleBurst:
 # rows the gap (1.43 against 1.51 ms) is within the samples' spread.
 SMALL_BATCH = 32
 
+# Once at most this many rows that can still come near the grid are left in
+# `_step_batch`'s rounds, they step on in Python floats (`_step_rows`), each
+# to its exit, and the rounds end. There a near dt costs a scalar query
+# (about 3.5 us), against one numpy round (60-140 us) per one to twelve dt,
+# so the hand-off pays for a few rows only: the break-even is that ratio of
+# machine costs, which the input does not show. Medians of 21 samples
+# (`kernel_bench.py`, ms), with 4 / 8 / 12 / 16: `agent_designs_ms` 22.7 /
+# 22.5 / 23.7 / 23.0, `agent_60mph_ms` 4.62 / 4.61 / 4.57 / 9.03, and
+# `hcyl16_60mph_ms` 5.4-5.6 each, but 22.7 with 32, where about 30 rows
+# crawl inside the solid with a query on every dt.
+TAIL_ROWS = 8
+
 # Most dt one row looks ahead in one round of `_step_batch`; chosen over 8
 # on desk designs, where it ran desk_train about 3% faster. 24 ran it about
 # 6% faster still, but its (dt, row) blocks took the peak memory of a
@@ -393,6 +405,24 @@ class PlacedGrid:
         return lane
 
 
+def _clear_ahead(v, hi, reach, first):
+    """Per row, whether a row whose drift takes it on from its x at velocity
+    `v` can never pass the near test (`PlacedGrid.lanes`) again, from that
+    test's operands at its x: hi = (x - ox + r) / vs, `reach`, its lane's
+    entry at the start of its x window, and `first`, its lane's first column
+    (entry 0).
+
+    The drift makes x monotone: fl(x + vx * dt) is at most x for a vx below
+    0 and at least x for one above, and hi and the window's start cell are
+    monotone in x. A lane is nondecreasing along its columns. So a row moving
+    in -x whose hi is below `first` keeps an hi below every entry of its
+    lane, and a row moving in +x with no lane column at or after its cell
+    (`reach` is inf) only meets entries of inf; neither passes the test
+    again.
+    """
+    return np.where(v < 0.0, hi < first, reach == np.inf)
+
+
 def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
     """Advance the burst up to `steps` dt, stopping early once no particle is
     alive, the whole burst at once in numpy. Returns the contacts' burst rows
@@ -428,6 +458,17 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     dt on every later dt too. Unless it hits an x face, the round leaves it
     at a fixed point, and it stops after the exit test, with the x, velocity
     and `alive` that stepping to `steps` would leave.
+
+    Once at most TAIL_ROWS rows with a near pair go on after a round, the
+    rows that had none are tested: one that can never pass the near test
+    again (`_clear_ahead`) can only drift, so it leaves the rounds. When at
+    most TAIL_ROWS rows are left in them, those go on in Python floats
+    (`_step_rows`), each from the dt it has taken and with its lane, and the
+    rounds end. Then the rows that left coast: drift-only windows, each
+    holding at most LOOKAHEAD dt per burst row, make the same additions (an
+    `np.add.accumulate` along the dt axis folds them in order) and the exit
+    and rest tests, so each ends with the x, velocity and `alive` that
+    stepping gives.
     `run_simulation` leaves out the inlet lead-in, the dt before any particle
     can come near the grid, in which a step would only add the shared x drift
     to every position.
@@ -444,6 +485,7 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     # per live row: the dt it has taken, and its next window
     done, window = np.zeros(len(live), dtype=np.intp), np.full(len(live), LOOKAHEAD // 2)
     found = [(np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)]   # (dt, row, speed)
+    coasting = []   # (rows, dt taken) of rows that can never be near again
     while live.size:
         n = np.arange(len(live))
         w = np.minimum(window, steps - done)
@@ -468,6 +510,7 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         end = (gone | (ahead >= w - 1)).argmax(axis=0)   # first exit, or the window's last dt
         near &= ahead <= end
         k, j = near.T.nonzero()   # near pairs in row order, then dt order
+        paired = k
         contacts = None
         if k.size:
             rows = live[k]
@@ -499,9 +542,50 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         done += end + 1
         window = np.minimum(2 * (end + 1), LOOKAHEAD)
         stop = out | rest | (done == steps)
+        # once at most TAIL_ROWS rows with a near pair go on, the rows with
+        # none (idle), which drifted to path[end] without a contact, are
+        # tested; a row makes at most len(ahead) near pairs, so a round with
+        # more than TAIL_ROWS * len(ahead) of them skips the count
+        if paired.size <= TAIL_ROWS * len(ahead):
+            idle = ~stop
+            idle[paired] = False
+            if idle.any() and live.size - np.count_nonzero(stop | idle) <= TAIL_ROWS:
+                c = idle.nonzero()[0]
+                e, lane = end[c], lanes[live[c]]
+                reach = lane[np.arange(len(c)), cell[e, c]]
+                c = c[_clear_ahead(v[c], q[e, c], reach, lane[:, 0])]
+                coasting.append((live[c], done[c]))
+                stop[c] = True
         if stop.any():
             alive[live[out]] = False
             live, done, window = live[~stop], done[~stop], window[~stop]
+        if live.size <= TAIL_ROWS:
+            break
+    if live.size:
+        tail = ParticleBurst(x[live], vx[live], burst.y[live], burst.z[live])
+        hits = _step_rows(tail, placed, heatmap, steps, lanes[live].tolist(), done.tolist())
+        x[live], vx[live], alive[live] = tail.x, tail.vx, tail.alive
+        if hits:
+            t, k, speed = (np.array(a) for a in zip(*hits))
+            found.append((t, live[k], speed))
+    live, done = (np.concatenate(a) for a in zip((live[:0], done[:0]), *coasting))
+    while live.size:   # coast: drift only
+        n = np.arange(len(live))
+        # a window holds at most LOOKAHEAD dt of every burst row
+        w = np.minimum(steps - done, max(LOOKAHEAD, LOOKAHEAD * len(x) // len(live)))
+        path = np.empty((int(w.max()) + 1, len(live)))
+        path[0] = x[live]
+        path[1:] = vx[live] * dt
+        np.add.accumulate(path, axis=0, out=path)
+        gone = ~((path[1:] >= 0.0) & (path[1:] <= dx))
+        end = (gone | (np.arange(len(gone))[:, None] >= w - 1)).argmax(axis=0)
+        rest = path[1] == path[0]
+        x[live] = path[end + 1, n]
+        out = gone[end, n]
+        alive[live[out]] = False
+        done += end + 1
+        keep = ~(out | rest | (done == steps))
+        live, done = live[keep], done[keep]
     t, rows, speeds = (np.concatenate(a) for a in zip(*found))
     order = np.lexsort((rows, t))
     return rows[order], speeds[order]
@@ -512,16 +596,33 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     arguments, returns and effects. The burst's final state is written back.
 
     For bursts of at most SMALL_BATCH rows. Each live row steps on its own to
-    its exit or to `steps`, making the float operations of `_step_batch`'s
-    drift, near and exit tests and bounce, in their order, on its x alone;
-    its lane (`PlacedGrid.lanes`) is built once. The contact comes from the
-    scalar core (`_best_overlap`, `_face_normal`), which `_query_batch`
+    its exit or to `steps` (`_step_rows`), and once the contacts are in dt
+    order every output is bit for bit `_step_batch`'s.
+    """
+    found = _step_rows(burst, placed, heatmap, steps, placed.lanes(burst).tolist(),
+                       [0] * len(burst))
+    found.sort()
+    return (np.array([row for _, row, _ in found], dtype=np.intp),
+            np.array([speed for *_, speed in found], dtype=np.float64))
+
+
+def _step_rows(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int,
+               lanes: list, taken: list):
+    """Step each live row of `burst` on its own in Python floats, from the dt
+    it has taken (`taken`, one int per row) to its exit or to `steps`, and
+    write the burst's final state back. `lanes` holds each row's lane
+    (`PlacedGrid.lanes`) as a list. Mutates `heatmap`; returns the contacts
+    as (dt, row, impact speed) tuples, unsorted.
+
+    A row makes the float operations of `_step_batch`'s drift, near and exit
+    tests and bounce, in their order, on its x alone. The contact comes from
+    the scalar core (`_best_overlap`, `_face_normal`), which `_query_batch`
     matches bit for bit. Rows do not interact, and a row stops at its exit,
-    so once the contacts are in dt order every output is bit for bit
-    `_step_batch`'s. The near test first checks x against the lane's x range,
-    its first column and one past its last, which most steps fail at once.
-    An x that passes has (x + r) / vs >= 0 and (x - r) / vs below W, so it is
-    finite, and `math.floor` never sees a NaN or an infinity.
+    so its contacts and final state are `_step_batch`'s. The near test first
+    checks x against the lane's x range, its first column and one past its
+    last, which most steps fail at once. An x that passes has (x + r) / vs
+    >= 0 and (x - r) / vs below W, so it is finite, and `math.floor` never
+    sees a NaN or an infinity.
 
     A row at rest, whose drift cannot move its x, steps one more dt, and
     unless that dt hits an x face the row stops after its exit test, as in
@@ -536,15 +637,15 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
     dx = float(config.domain_size[0])
     heights = placed.heights
     x, vx, alive = burst.x.tolist(), burst.vx.tolist(), burst.alive.tolist()
-    rows = zip(placed.lanes(burst).tolist(), (burst.y - oy).tolist(), (burst.z - oz).tolist())
+    rows = zip(taken, lanes, (burst.y - oy).tolist(), (burst.z - oz).tolist())
     found = []   # (dt, row, impact speed)
-    for j, (lane, ly, lz) in enumerate(rows):
+    for j, (t, lane, ly, lz) in enumerate(rows):
         if not alive[j]:
             continue
         p, v = x[j], vx[j]
         first, stop = lane[0], lane.index(math.inf)
         # a row the drift cannot move repeats its next dt for ever, unless that dt hits
-        t, until = 0, steps if p + v * dt != p else min(1, steps)
+        until = steps if p + v * dt != p else min(t + 1, steps)
         while t < until:
             p += v * dt
             t += 1
@@ -566,10 +667,8 @@ def _step_each(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
                 alive[j] = False
                 break
         x[j], vx[j] = p, v
-    found.sort()
     burst.x[:], burst.vx[:], burst.alive[:] = x, vx, alive
-    return (np.array([row for _, row, _ in found], dtype=np.intp),
-            np.array([speed for *_, speed in found], dtype=np.float64))
+    return found
 
 
 def check_fits(grid: VoxelGrid, config: TunnelConfig) -> None:

@@ -19,6 +19,8 @@ def test_same_tree_has_no_differences():
     run = diff_trees(("a", SRC), ("b", SRC))
     assert run.returncode == 0, run.stderr
     assert "30 configs, 0 differing" in run.stdout
+    # the second tree's exits from the numpy rounds are counted
+    assert "b: " in run.stdout and " rows coasted" in run.stdout
 
 
 def test_changed_bounce_differs(tmp_path):

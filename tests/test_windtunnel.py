@@ -193,13 +193,21 @@ def assert_same_contacts(got, want):
             np.testing.assert_array_equal(a, b, err_msg=str(k))
 
 
+def numpy_rounds_only(burst, placed, heatmap, steps):
+    """`_step_batch` with no hand-off to Python floats: it takes every dt in
+    numpy rounds, however few rows are left."""
+    with mock.patch.object(windtunnel, "TAIL_ROWS", 0):
+        return windtunnel._step_batch(burst, placed, heatmap, steps)
+
+
 def step_both(burst, placed, shape, steps):
-    """Both steppers over `steps` dt, each on its own copy of `burst` and a
-    zero (W, L) = `shape` heatmap, asserted equal in their rows and speeds
-    (values and dtypes), their heatmaps and their final bursts. Returns
-    `_step_batch`'s (rows, speeds), heatmap and burst."""
+    """Both steppers over `steps` dt, `_step_batch` also without its hand-off
+    to Python floats, each on its own copy of `burst` and a zero (W, L) =
+    `shape` heatmap, asserted equal in their rows and speeds (values and
+    dtypes), their heatmaps and their final bursts. Returns `_step_batch`'s
+    (rows, speeds), heatmap and burst."""
     runs = []
-    for stepper in (windtunnel._step_batch, windtunnel._step_each):
+    for stepper in (windtunnel._step_batch, numpy_rounds_only, windtunnel._step_each):
         own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
         runs.append((stepper(own, placed, hm, steps), hm, own))
     got, got_hm, got_burst = runs[0]
@@ -1153,6 +1161,178 @@ class TestRestingRows:
         assert runs[0] == runs[1]
         metrics, _, counted_calls = runs[0]
         assert metrics["collision_count"] > 0 and max(counted_calls.values()) > 0
+
+
+def near_at(lane, p, r, vs):
+    """The near test (`PlacedGrid.lanes`) of one row at grid-local x `p`, with
+    `_step_batch`'s float expressions: the lane's entry at the start of the
+    x window, clamped onto the zero column, is at most (p + r) / vs."""
+    return lane[min(max(math.floor((p - r) / vs), 0), len(lane) - 1)] <= (p + r) / vs
+
+
+def clear_at(lane, p, v, r, vs):
+    """`_clear_ahead` for one row at grid-local x `p` moving at `v`."""
+    reach = lane[min(max(math.floor((p - r) / vs), 0), len(lane) - 1)]
+    return bool(windtunnel._clear_ahead(np.float64(v), (p + r) / vs, reach, lane[0]))
+
+
+@st.composite
+def drifts(draw, p):
+    """A drift per dt from x = `p`: below half an ulp of p (none moves a p
+    other than 0.0), a seventh of a voxel of 0.1 m, or up to two voxels, in
+    +x or -x, as the velocity at a dt of 0.01 s whose product gives it."""
+    kind = draw(st.sampled_from(["ulp", "crawl", "fast"]))
+    if kind == "ulp":
+        d = 0.25 * math.ulp(p) if p else 1e-300
+    elif kind == "crawl":
+        d = 0.1 / 7
+    else:
+        d = draw(st.floats(0.01, 0.2))
+    return draw(st.sampled_from([-1.0, 1.0])) * d / 0.01
+
+
+# Rows at WALL (a wall in column 7): the first x with (x + r) / vs == 7.0,
+# whose window reaches the wall's column, and the first with
+# (x - r) / vs == 8.0, whose window starts past it
+def first_x(at_least, start, r=WALL_TUNNEL.particle_radius, vs=0.1):
+    x = start
+    while at_least(x, r, vs):
+        x = math.nextafter(x, -math.inf)
+    while not at_least(x, r, vs):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+HI_ON_WALL = first_x(lambda x, r, vs: (x + r) / vs >= 7.0, 0.65)
+LO_PAST_WALL = first_x(lambda x, r, vs: (x - r) / vs >= 8.0, 0.85)
+
+
+class TestClearAhead:
+    """A row with no near pair that can never pass the near test again leaves
+    `_step_batch`'s rounds and coasts: moving in -x with (x + r) / vs below
+    its lane's first column, or in +x with no lane column at or after the
+    start of its x window."""
+
+    @given(case=lane_rows(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_clear_row_fails_the_near_test_on_every_later_dt(self, case, data):
+        vs, r, h_max, heights, centers = case
+        w, l = heights.shape
+        cfg = TunnelConfig(particle_radius=r, domain_size=(w * vs, l * vs, h_max * vs))
+        placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
+        assert not placed.origin.any()
+        x, y, z = centers.T
+        lanes = placed.lanes(ParticleBurst(x, np.zeros(len(x)), y, z)).tolist()
+        for lane, p in zip(lanes, x.tolist()):
+            p = data.draw(st.sampled_from([p, 0.0, -0.0]))
+            v = data.draw(drifts(p))
+            if not clear_at(lane, p, v, r, vs):
+                continue
+            assert not near_at(lane, p, r, vs)
+            d = v * 0.01
+            for _ in range(int(3 * (w + 4) / (abs(d) / vs)) + 2 if abs(d) > 1e-3 else 50):
+                p += d
+                assert not near_at(lane, p, r, vs), (p, v)
+
+    def test_boundaries_at_a_wall(self):
+        # WALL's lane is column 7 for every row of it; hi of HI_ON_WALL is
+        # exactly 7.0, and the start of LO_PAST_WALL's window exactly 8
+        lane = PlacedGrid(WALL, WALL_TUNNEL).lanes(wall_rows([0])).tolist()[0]
+        assert lane == [7.0] * 8 + [math.inf]
+        r, vs = WALL_TUNNEL.particle_radius, 0.1
+        below = math.nextafter(HI_ON_WALL, -math.inf)
+        past_start = math.nextafter(LO_PAST_WALL, -math.inf)
+        cases = [   # (x, vx, clear)
+            (HI_ON_WALL, -1.0, False),   # near now: its window holds the wall
+            (below, -1.0, True), (below, -1e-300, True), (below, 1.0, False),
+            (0.0, -1.0, True), (-0.0, -1.0, True), (0.0, 1.0, False), (-0.0, 1e-300, False),
+            (LO_PAST_WALL, 1.0, True), (LO_PAST_WALL, -1.0, False),
+            (past_start, 1.0, False),    # its window starts in the wall's column
+            (5.0, 1e-300, True)]
+        for x, vx, clear in cases:
+            assert clear_at(lane, x, vx, r, vs) == clear, (x, vx)
+
+
+def coasting_burst(late):
+    """Rows at WALL, 32 + len(late): 24 meet its -x face at 1 m/s on dt 0,
+    2, ..., 46 and bounce back into -x, where they coast out through the
+    inlet unless the bounce is plastic; the `late` rows meet it at 0.5 m/s
+    on those dt (at most 129), the last to take the rounds, so they are the
+    Python floats' tail; six move in -x from the start at 0.3 to 1.3 m/s and
+    coast out through the inlet, inside a coast window; two are at rest, one
+    of them on the inlet plane."""
+    early, tail = wall_rows(np.arange(0, 48, 2)), wall_rows(late, speed=0.5)
+    back = np.array([0.05, 0.2, 0.33, 0.41, 0.5, 0.64])
+    x = np.concatenate([early.x, tail.x, back, [0.3, 0.0]])
+    vx = np.concatenate([early.vx, tail.vx, -np.linspace(0.3, 1.3, len(back)), [0.0, 0.0]])
+    return ParticleBurst(x, vx, np.full(len(x), 0.1), np.full(len(x), 0.2))
+
+
+class TestCoastAndTail:
+    """Bursts of 33-200 rows whose rows coast and whose last live rows go to
+    Python floats equal `contact_steps`' per-dt reference bit for bit."""
+
+    @pytest.mark.parametrize("restitution", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("late, steps, rested", [
+        # at restitution 0 rows that hit the wall in the last round go to
+        # the tail at rest
+        ([60, 61, 62, 70, 90, 100, 110, 120, 125], 200, True),
+        (list(range(50, 62)), 300, True),
+        # 10 rows meet the wall on dt 55, so one round takes the live count
+        # from 12 to 2, past the hand-off size
+        ([55] * 10 + [80, 120], 150, False),
+        # the run ends on the dt after, before any hand-off
+        ([55] * 10 + [80, 120], 56, False),
+    ])
+    def test_wall_bursts_equal_stepping_every_dt(self, restitution, late, steps, rested):
+        burst = coasting_burst(late)
+        placed = PlacedGrid(WALL, replace(WALL_TUNNEL, restitution=restitution))
+        tails, clear = [], []
+        rows, clear_ahead = windtunnel._step_rows, windtunnel._clear_ahead
+
+        def handed(tail, *args):
+            tails.append((len(tail), tail.vx.tolist()))
+            return rows(tail, *args)
+
+        def judged(*args):
+            clear.append(int(clear_ahead(*args).sum()))
+            return clear_ahead(*args)
+
+        with mock.patch.object(windtunnel, "_step_rows", handed), \
+                mock.patch.object(windtunnel, "_clear_ahead", judged):
+            _step_batch(copy.deepcopy(burst), placed, np.zeros((8, 2), dtype=np.int64), steps)
+        found, final = assert_per_dt(burst, placed, (8, 2), steps)
+        assert len(burst) > SMALL_BATCH and len(late) > windtunnel.TAIL_ROWS
+        # the six rows moving in -x coast, and leave
+        assert sum(clear) >= 6 and not final.alive[-8:-2].any()
+        assert len(tails) == (steps > 56)
+        if tails:
+            assert 0 < tails[0][0] <= windtunnel.TAIL_ROWS
+            assert (0.0 in tails[0][1]) == (restitution == 0.0 and rested)
+        # every early row bounces off the wall
+        assert {row for _, row in found} >= set(range(24))
+
+    @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.5, 1.0, 2.5]),
+           vs=st.sampled_from([0.05, 0.1]), restitution=st.sampled_from([0.0, 0.5, 1.0]),
+           steps=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_bursts_equal_stepping_every_dt(self, data, mph, ratio, vs, restitution,
+                                                   steps, seed):
+        # 33-200 rows over and around a random grid, in +x or -x, some at rest
+        w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
+        heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                              max_size=w * l))).reshape(w, l)
+        r = ratio * vs
+        extent = np.array([w, l, h_max]) * vs
+        cfg = TunnelConfig(particle_radius=r, domain_size=tuple(extent + 0.5), dt=0.01,
+                           restitution=restitution)
+        placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(SMALL_BATCH + 1, 200))
+        x, y, z = (placed.origin + rng.uniform(-r - vs, extent + r + vs, size=(m, 3))).T
+        vx = rng.uniform(-1.0, 1.0, size=m) * mph_to_mps(mph)
+        vx[rng.uniform(size=m) < 0.05] = 0.0
+        assert_per_dt(ParticleBurst(x, vx, y, z), placed, (w, l), steps)
 
 
 class TestExports:
