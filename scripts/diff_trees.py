@@ -6,15 +6,15 @@ columns with about 30% of them empty, voxel sizes 0.05-0.2 m, particle
 radius 0.1-3 voxels, 10-120 mph, restitution 0-1, three `dt` values,
 `max_steps` 1-300, or 1-3000 in one draw of ten, so rows that come to rest
 against the grid are compared over long horizons, and bursts of 0 to 480
-rows, so the row counts fall on both sides of SMALL_BATCH, some (22, 32, 33,
-48) right by it, and of one MAX_CANDIDATES query chunk. Each config
+rows, so the row counts fall on both sides of TAIL_ROWS, some (8, 9, 10)
+right by it, and of one MAX_CANDIDATES query chunk. Each config
 runs through `run_simulation` in both trees, and the SimResult CSV, the
 heatmap CSV and the heatmap PGM are compared byte for byte; an exception
 counts as an output. Prints each differing config with its first differing
 field and exits 1 if any config differs, 0 if none does. The summary also
 says how often the second tree took `_step_batch`'s two exits from its
 numpy rounds, where it has them: the configs that handed rows to Python
-floats (`_step_rows` called from `_step_batch`) and the rows that coasted
+floats (`_step_rows`) after a round and the rows that coasted
 (`_clear_ahead`).
 
     PYTHONPATH=src python3 scripts/diff_trees.py --tree old=../old/src --tree new=src \\
@@ -81,32 +81,26 @@ def outputs(tree, config: dict) -> dict:
 
 def count_exits(wt) -> dict:
     """Wrap `wt`'s stepper internals, where it has them, so that the
-    returned counts grow by the rows `_step_batch` hands to Python floats and
-    the rows it judges clear ahead; an empty dict for a tree without them."""
+    returned counts grow by the rows `_step_batch` hands to Python floats
+    after a numpy round and the rows it judges clear ahead; an empty dict for
+    a tree without them. A row handed after a round has taken at least one
+    dt there, and a burst that takes no round starts every row at dt 0."""
     if not hasattr(wt, "_clear_ahead"):
         return {}
     counts = {"handed": 0, "coasted": 0}
-    step_each, step_rows, clear_ahead = wt._step_each, wt._step_rows, wt._clear_ahead
-    inside_each = []
+    step_rows, clear_ahead = wt._step_rows, wt._clear_ahead
 
-    def each(*args):
-        inside_each.append(True)
-        try:
-            return step_each(*args)
-        finally:
-            inside_each.pop()
-
-    def rows(burst, *args):
-        if not inside_each:
-            counts["handed"] += len(burst)
-        return step_rows(burst, *args)
+    def rows(burst, placed, heatmap, steps, live, lanes, taken):
+        if taken.any():
+            counts["handed"] += len(live)
+        return step_rows(burst, placed, heatmap, steps, live, lanes, taken)
 
     def clear(*args):
         judged = clear_ahead(*args)
         counts["coasted"] += int(judged.sum())
         return judged
 
-    wt._step_each, wt._step_rows, wt._clear_ahead = each, rows, clear
+    wt._step_rows, wt._clear_ahead = rows, clear
     return counts
 
 
@@ -129,17 +123,17 @@ def main() -> int:
     if len(args.tree) != 2:
         parser.error("give exactly two --tree LABEL=SRC arguments")
     (old_label, old), (new_label, new) = parse_trees(args.tree).items()
-    small, cap = new.windtunnel.SMALL_BATCH, new.windtunnel.MAX_CANDIDATES
+    tail, cap = new.windtunnel.TAIL_ROWS, new.windtunnel.MAX_CANDIDATES
     exits = count_exits(new.windtunnel)
     handing = 0
     rng = np.random.default_rng(args.seed)
-    differing = at_most_small = above_chunk = impacts = 0
+    differing = at_most_tail = above_chunk = impacts = 0
     for i in range(args.configs):
         config = draw_config(rng)
         t = config["tunnel"]
         rows = t["particle_count"] * t["burst_count"]
         window = math.ceil(2.0 * t["particle_radius"] / config["voxel_size"]) + 2
-        at_most_small += rows <= small
+        at_most_tail += rows <= tail
         above_chunk += rows > max(1, cap // window ** 3)
         before = exits.get("handed", 0)
         a, b = outputs(old, config), outputs(new, config)
@@ -153,8 +147,8 @@ def main() -> int:
                   f"{config['voxel_size']!r}, tunnel {t}")
         elif "heatmap.csv" in a:
             impacts += sum(int(v) for line in a["heatmap.csv"].split() for v in line.split(","))
-    print(f"{args.configs} configs, {differing} differing; {at_most_small} with at most "
-          f"SMALL_BATCH ({small}) burst rows, {args.configs - at_most_small} with more, "
+    print(f"{args.configs} configs, {differing} differing; {at_most_tail} with at most "
+          f"TAIL_ROWS ({tail}) burst rows, {args.configs - at_most_tail} with more, "
           f"{above_chunk} with more burst rows than one query chunk holds; "
           f"{impacts} impacts in the matching outputs")
     if exits:

@@ -7,7 +7,7 @@ Times, in microseconds per call:
   particles) held upstream of the 16x16 wedge at 0.1 m, x velocity zero, so
   every call is the fixed cost, the build of the burst's lanes included;
 - one contact query (`_query` over `PlacedGrid.padded`, the column heights
-  with one zero column past each high edge, as the steppers call it) of 30
+  with one zero column past each high edge, as the numpy rounds call it) of 30
   spheres around the wedge's surface, and, in turn, of the first 1, 2, 3
   and 4 of them, where the query's fixed cost shows;
 - one contact query of 360 spheres within a voxel of the 32x32
@@ -33,7 +33,7 @@ Times, in microseconds per call:
   longer step;
 - one `_step_batch` call over every dt of that desk simulation on the
   agent-reshaped wedge, from the spawned burst, without the inlet lead-in:
-  the numpy stepper alone;
+  the stepper alone;
 - two simulations shaped like perfbench sim_sweep's (256 x 2 particles,
   `max_steps` 240): the 32x32 half-cylinder at 0.05 m and 60 mph, whose
   particles crawl along the surface with a contact every few dt, so it
@@ -45,22 +45,18 @@ Times, in microseconds per call:
 - one simulation of 4 particles x 1 burst, `max_steps` 40, on the same grid,
   where the fixed cost per simulation shows;
 - one desk simulation of a single burst of 1, 8, 16, 24, 32, 40 and 48
-  particles, around SMALL_BATCH, where `run_simulation` switches from
-  stepping rows in Python floats (`_step_each`) to numpy (`_step_batch`);
+  particles, straddling TAIL_ROWS: a burst of at most that many rows steps
+  in Python floats (`_step_rows`) from its first dt, a larger one takes
+  numpy rounds until that many rows are left;
 - building the desk `PlacedGrid`: its origin and zero-padded column
   heights, as an array and as nested lists;
 - building the near test's lanes (`PlacedGrid.lanes`) of the desk burst and
-  of a 4-row burst, the once-per-stepper-call cost that the steppers pay.
+  of a 4-row burst, the once-per-stepper-call cost that the stepper pays.
 
-A case runs only when every tree has what it calls. `step_empty_us` and
-`step_batch_agent_ms` need `_step_batch`, which trees from before the one
-stepper contract lack, and `step_empty_us` also the burst layout of x, vx,
-y and z arrays (`ParticleBurst(x, vx, y, z)`), which trees whose bursts
-hold (N, 3) positions and velocities lack; the lane cases need
-`PlacedGrid.lanes`, which trees with a reach table lack. Every other case
-runs on those trees too. The query cases pass their centres as (3, m)
-columns to trees whose `_query` keeps the sphere axis last, and as (m, 3)
-rows to older trees.
+A case runs only when every tree has what it calls: `step_empty_us` and
+`step_batch_agent_ms` need `_step_batch`, and the lane cases
+`PlacedGrid.lanes`. The query cases pass their centres as (3, m) columns,
+one per sphere.
 
 Each sample calls its case until MIN_SAMPLE_S seconds have passed and
 reports the mean per call, so no case's sample is only a few microseconds
@@ -74,7 +70,6 @@ samples and its lower and upper quartiles.
 
 import argparse
 import copy
-import inspect
 import itertools
 import json
 from dataclasses import replace
@@ -98,13 +93,6 @@ def agent_design(tree, grid, seed=4, actions=8):
         deltas = tree.env.bilinear_upsample(a, (grid.width, grid.length)) * 2
         grid = tree.voxel.apply_height_delta(grid, deltas)
     return grid
-
-
-def sphere_last(wt) -> bool:
-    """Whether the tree's `_query` takes its centres as (3, m) columns: its
-    candidate offset table then has the sphere axis last too."""
-    offsets = getattr(wt, "_window_offsets", None)
-    return offsets is not None and offsets(2).shape == (3, 8)
 
 
 def cases(tree):
@@ -134,21 +122,17 @@ def cases(tree):
     top = grid.column_heights * 0.1
     xy = rng.uniform(0.0, 1.6, size=(30, 2))
     col = np.minimum((xy / 0.1).astype(int), 15)
-    centers = np.column_stack([xy, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
+    centers = np.array([*xy.T, top[col[:, 0], col[:, 1]] + rng.uniform(-0.05, 0.1, 30)])
     # and over the half-cylinder's footprint, 0.05 m voxels
     xy = rng.uniform(0.0, 1.6, size=(360, 2))
     col = np.minimum((xy / 0.05).astype(int), 31)
-    around = np.column_stack([xy, hcyl32.column_heights[col[:, 0], col[:, 1]] * 0.05
-                              + rng.uniform(-0.025, 0.05, 360)])
+    around = np.array([*xy.T, hcyl32.column_heights[col[:, 0], col[:, 1]] * 0.05
+                       + rng.uniform(-0.025, 0.05, 360)])
     r, padded, vs = config.particle_radius, placed.padded, 0.1
     hcyl_padded = wt.PlacedGrid(hcyl32, sweep).padded
     heights = padded.tolist()
-    spheres = itertools.cycle(centers.tolist())
-    if sphere_last(wt):
-        centers, around = (np.ascontiguousarray(c.T) for c in (centers, around))
-        few = itertools.cycle([centers[:, :m] for m in (1, 2, 3, 4)])
-    else:
-        few = itertools.cycle([centers[:m] for m in (1, 2, 3, 4)])
+    spheres = itertools.cycle(centers.T.tolist())
+    few = itertools.cycle([centers[:, :m] for m in (1, 2, 3, 4)])
     out = {
         "query_30_us": lambda: wt._query(centers, r, padded, vs),
         "query_1_to_4_us": lambda: wt._query(next(few), r, padded, vs),
@@ -168,15 +152,13 @@ def cases(tree):
     }
     for m, cfg in burst_of.items():
         out[f"simulation_{m}_rows_ms"] = lambda cfg=cfg: wt.run_simulation(grid, cfg)
-    if "vx" in inspect.signature(wt.ParticleBurst).parameters:
-        burst = wt.ParticleBurst(*upstream)
-        if hasattr(wt, "_step_batch"):
-            out["step_empty_us"] = lambda: wt._step_batch(burst, placed, heatmap, 1)
-        if hasattr(wt.PlacedGrid, "lanes"):
-            four = wt.ParticleBurst(*(a[:4] for a in upstream))
-            out["lanes_desk_us"] = lambda: placed.lanes(burst)
-            out["lanes_4_rows_us"] = lambda: placed.lanes(four)
+    burst = wt.ParticleBurst(*upstream)
+    if hasattr(wt.PlacedGrid, "lanes"):
+        four = wt.ParticleBurst(*(a[:4] for a in upstream))
+        out["lanes_desk_us"] = lambda: placed.lanes(burst)
+        out["lanes_4_rows_us"] = lambda: placed.lanes(four)
     if hasattr(wt, "_step_batch"):
+        out["step_empty_us"] = lambda: wt._step_batch(burst, placed, heatmap, 1)
         agent = wt.PlacedGrid(reshaped, config)
         spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
         out["step_batch_agent_ms"] = lambda: wt._step_batch(

@@ -1,10 +1,12 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from voxwind import windtunnel
 from voxwind.voxel import VoxelGrid, heightmap_sum, synth_heightmap, voxelise
 from voxwind.windtunnel import (
     ParticleBurst,
@@ -15,7 +17,6 @@ from voxwind.windtunnel import (
     _face_normal,
     _query,
     _query_batch,
-    _step_batch,
     collision_count_metric,
     drag_force,
     spawn_burst,
@@ -31,6 +32,20 @@ def burst_rows(burst, rows):
     part = ParticleBurst(*(getattr(burst, name)[rows].copy() for name in BURST_FIELDS[:4]))
     part.alive[:] = burst.alive[rows]
     return part
+
+
+def numpy_rounds_only(burst, placed, heatmap, steps):
+    """`_step_batch` with no hand-off to Python floats: it takes every dt in
+    numpy rounds, however few rows are left."""
+    with mock.patch.object(windtunnel, "TAIL_ROWS", 0):
+        return windtunnel._step_batch(burst, placed, heatmap, steps)
+
+
+def python_floats_only(burst, placed, heatmap, steps):
+    """`_step_batch` with no numpy round: every live row steps in Python
+    floats (`_step_rows`) from its first dt, however many rows there are."""
+    with mock.patch.object(windtunnel, "TAIL_ROWS", len(burst)):
+        return windtunnel._step_batch(burst, placed, heatmap, steps)
 
 
 def assert_same_bursts(got, want):
@@ -121,7 +136,7 @@ def oracle_agrees(found, grid, center, radius):
 
 def scalar_contact(center, radius, grid):
     """One sphere's contact through the scalar core, `_best_overlap` then
-    `_face_normal`, as `_step_each` resolves a near row: ((x, y, z), normal)
+    `_face_normal`, as `_step_rows` resolves a near row: ((x, y, z), normal)
     or None."""
     cx, cy, cz = (float(v) for v in center)
     vs = grid.voxel_size
@@ -169,9 +184,11 @@ def contacts_per_sphere(found, m):
 
 
 def stepped_simulation(grid, config):
-    """`run_simulation` as one `_step_batch` call over every dt from t = 0,
-    adding each burst's drag impact by impact: the reference for its inlet
-    lead-in. Returns the SimResult and the final burst."""
+    """`run_simulation` as one `_step_batch` call in numpy rounds only over
+    every dt from t = 0, adding each burst's drag impact by impact: the
+    reference for its inlet lead-in, and for a burst of at most TAIL_ROWS
+    rows, which `run_simulation` steps in Python floats, for its engine too.
+    Returns the SimResult and the final burst."""
     placed = PlacedGrid(grid, config)
     b, n = config.burst_count, config.particle_count
     seeds = np.random.SeedSequence(config.seed).spawn(b)
@@ -179,7 +196,7 @@ def stepped_simulation(grid, config):
     heatmap = np.zeros((grid.width, grid.length), dtype=np.int64)
     area = math.pi * config.particle_radius ** 2
     drag = [0.0] * b
-    rows, speeds = _step_batch(burst, placed, heatmap, config.max_steps)
+    rows, speeds = numpy_rounds_only(burst, placed, heatmap, config.max_steps)
     for row, speed in zip(rows, speeds):
         drag[row // n] += drag_force(config.fluid_density, speed, config.drag_coefficient, area)
     # a particle's velocity stays frozen from its exit on

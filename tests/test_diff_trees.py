@@ -19,6 +19,7 @@ def test_same_tree_has_no_differences():
     run = diff_trees(("a", SRC), ("b", SRC))
     assert run.returncode == 0, run.stderr
     assert "30 configs, 0 differing" in run.stdout
+    assert " with at most TAIL_ROWS (8) burst rows, " in run.stdout
     # the second tree's exits from the numpy rounds are counted
     assert "b: " in run.stdout and " rows coasted" in run.stdout
 

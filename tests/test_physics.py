@@ -2,9 +2,9 @@
 
 The configs come from `scripts/diff_trees.py`'s `draw_config`: 10-120 mph,
 particle radius 0.1-3 voxels, restitution 0-1, three `dt` values and burst
-row counts on both sides of SMALL_BATCH. The state properties are checked
-through both steppers, from t = 0 at the inlet; the metric property through
-`run_simulation`.
+row counts on both sides of TAIL_ROWS. The state properties are checked
+through `_step_batch` as shipped and in Python floats only, from t = 0 at
+the inlet; the metric property through `run_simulation`.
 """
 
 import copy
@@ -26,13 +26,13 @@ from voxwind.windtunnel import (
     spawn_burst,
 )
 
-from conftest import assert_same_bursts, burst_rows
+from conftest import assert_same_bursts, burst_rows, python_floats_only
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
 
-# `_step_each` steps one row at a time in Python floats, so it takes only
-# the burst's first rows; a row's final state depends on that row alone
+# Python floats step one row at a time, so to bound their time they take
+# only the burst's first rows; a row's final state depends on that row alone
 # (`test_each_row_ends_as_it_does_stepped_alone`), so these rows end as they
 # do in the whole burst
 EACH_ROWS = 24
@@ -50,13 +50,13 @@ def drawn(seed: int, **tunnel):
 
 def stepped_bursts(grid, config):
     """The spawned burst, and (stepper, own copy of the burst) for each
-    stepper: the whole burst for `_step_batch`, its first EACH_ROWS rows for
-    `_step_each`."""
+    stepper: the whole burst for `_step_batch` as shipped, its first
+    EACH_ROWS rows for Python floats only."""
     streams = np.random.SeedSequence(config.seed).spawn(config.burst_count)
     burst = spawn_burst(config, [np.random.default_rng(s) for s in streams])
     head = burst_rows(burst, slice(0, EACH_ROWS))
     return burst, [(stepper, copy.deepcopy(rows)) for stepper, rows in (
-        (windtunnel._step_batch, burst), (windtunnel._step_each, head))]
+        (windtunnel._step_batch, burst), (python_floats_only, head))]
 
 
 def final_bursts(grid, config):

@@ -13,7 +13,7 @@ from voxwind.errors import ConfigError
 from voxwind.voxel import VoxelGrid, synth_heightmap, voxelise
 from voxwind.windtunnel import (
     LOOKAHEAD,
-    SMALL_BATCH,
+    TAIL_ROWS,
     ParticleBurst,
     _best_overlap,
     _face_normal,
@@ -41,7 +41,9 @@ from conftest import (
     desk_tunnel,
     exhaustive_contact,
     grid_query,
+    numpy_rounds_only,
     oracle_agrees,
+    python_floats_only,
     random_contact_batches,
     scalar_contact,
     stepped_simulation,
@@ -193,21 +195,14 @@ def assert_same_contacts(got, want):
             np.testing.assert_array_equal(a, b, err_msg=str(k))
 
 
-def numpy_rounds_only(burst, placed, heatmap, steps):
-    """`_step_batch` with no hand-off to Python floats: it takes every dt in
-    numpy rounds, however few rows are left."""
-    with mock.patch.object(windtunnel, "TAIL_ROWS", 0):
-        return windtunnel._step_batch(burst, placed, heatmap, steps)
-
-
 def step_both(burst, placed, shape, steps):
-    """Both steppers over `steps` dt, `_step_batch` also without its hand-off
-    to Python floats, each on its own copy of `burst` and a zero (W, L) =
+    """`_step_batch` over `steps` dt as shipped, in numpy rounds only and in
+    Python floats only, each on its own copy of `burst` and a zero (W, L) =
     `shape` heatmap, asserted equal in their rows and speeds (values and
-    dtypes), their heatmaps and their final bursts. Returns `_step_batch`'s
-    (rows, speeds), heatmap and burst."""
+    dtypes), their heatmaps and their final bursts. Returns the shipped
+    run's (rows, speeds), heatmap and burst."""
     runs = []
-    for stepper in (windtunnel._step_batch, numpy_rounds_only, windtunnel._step_each):
+    for stepper in (windtunnel._step_batch, numpy_rounds_only, python_floats_only):
         own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
         runs.append((stepper(own, placed, hm, steps), hm, own))
     got, got_hm, got_burst = runs[0]
@@ -264,7 +259,7 @@ class TestSphereVoxelContact:
         # 240 spheres, 12 per grid: as one batch (the vectorised query), in
         # chunks (a window is at least 3 voxels, so 100 candidates make chunks
         # of at most 3 spheres), and one sphere at a time through the scalar
-        # core that `_step_each` takes
+        # core that `_step_rows` takes
         batches = list(random_contact_batches(20, 12, seed=42))
 
         def batched():
@@ -309,7 +304,7 @@ class TestStep:
         # the exit energy is read from the velocity, which stays frozen after exit
         grid = VoxelGrid(np.zeros((2, 2), dtype=int), 2, 0.1)
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
-        # both steppers stop after the exit, one dt into the two asked for
+        # every engine stops a row after its exit, one dt into the two asked for
         _, _, burst = step_both(lone_burst([0.1, 0.1, 0.1], 2.0),
                                 PlacedGrid(grid, cfg), (2, 2), 2)
         assert not burst.alive[0]
@@ -491,7 +486,7 @@ class TestLanes:
     def test_near_is_a_voxel_in_the_query_windows(self, case):
         # each row's lane is, column by column, what a scan over every voxel
         # of the grid finds in the row's y and z windows; the near test at
-        # its x, and `_step_each`'s form of it behind the lane's x range,
+        # its x, and `_step_rows`' form of it behind the lane's x range,
         # hold exactly when the query's three windows hold a voxel, and a
         # row that is not near gets no contact from the scalar core
         vs, r, h_max, heights, centers = case
@@ -571,9 +566,9 @@ class TestQueryBatchProperty:
 
     def test_exact_touch_is_no_contact_everywhere(self):
         # the scalar core, the batched query, the exhaustive oracle and both
-        # steppers agree that a sphere exactly TOUCH_R from a voxel touches
+        # engines agree that a sphere exactly TOUCH_R from a voxel touches
         # nothing, and that a radius one ulp larger touches it. The queries
-        # take TOUCH_CENTER below voxel (1, 1, 0). The steppers' rows move
+        # take TOUCH_CENTER below voxel (1, 1, 0). The engines' rows move
         # along x, so theirs meets the -x face of voxel (0, 1, 0), which lies
         # on x = 0: its distance squared is again (-r) * (-r) = r * r
         assert (-TOUCH_R) ** 2 < TOUCH_R * TOUCH_R
@@ -682,7 +677,7 @@ class TestStrictRadius:
             return grid_query(centers, self.R, self.GRID)
         return batch_query(centers, self.R, self.GRID.column_heights, self.VS)
 
-    # the chunked query the steppers call, and one unchunked batch
+    # the chunked query the numpy rounds call, and one unchunked batch
     @pytest.mark.parametrize("query", ["_query", "_query_batch"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_query_is_strict(self, query, center, toward, axis, sign):
@@ -694,12 +689,13 @@ class TestStrictRadius:
         assert rows.tolist() == [0]
         assert (tuple(voxel[0]), found_axis[0], found_sign[0]) == ((1, 1, 0), axis, sign)
 
-    # the numpy stepper, and the row-at-a-time stepper of bursts of at most
-    # SMALL_BATCH rows, which takes the scalar core. Rows move along x, one
-    # dt from the center: into the -x face, which bounces a row one ulp
-    # inside r and not one at r, and past the -y and top faces, which give
-    # a row moving along x no impulse, so neither of its centers is a contact
-    @pytest.mark.parametrize("stepper", ["_step_batch", "_step_each"])
+    # the stepper as shipped, which takes a lone row in Python floats through
+    # the scalar core, and its numpy rounds. Rows move along x, one dt from
+    # the center: into the -x face, which bounces a row one ulp inside r and
+    # not one at r, and past the -y and top faces, which give a row moving
+    # along x no impulse, so neither of its centers is a contact
+    @pytest.mark.parametrize("stepper", [_step_batch, numpy_rounds_only],
+                             ids=["_step_batch", "numpy_rounds_only"])
     @pytest.mark.parametrize("center, toward, axis, sign", CASES)
     def test_step_is_strict(self, center, toward, axis, sign, stepper):
         cfg = TunnelConfig(particle_radius=self.R, domain_size=(1.5, 1.5, 1.5), dt=0.25)
@@ -709,7 +705,7 @@ class TestStrictRadius:
                              (np.nextafter(center, toward), int(axis == 0))):
             burst = lone_burst(target - [cfg.dt, 0.0, 0.0], 1.0)
             hm = np.zeros((3, 3), dtype=np.int64)
-            found = len(getattr(windtunnel, stepper)(burst, placed, hm, 1)[0])
+            found = len(stepper(burst, placed, hm, 1)[0])
             if hits:   # against the -x face of voxel (1, 1, 0), centred on x = 0.75
                 pen = (self.R + 0.5 * self.VS) - abs(target[0] - 0.75)
                 assert burst.x[0] == target[0] + sign * pen
@@ -864,9 +860,9 @@ class TestRunSimulationDrift:
         checked_simulation(box, replace(desk, max_steps=19))
 
 
-class TestStepEach:
-    """Bursts of at most SMALL_BATCH rows step one row at a time in Python
-    floats; larger ones take the numpy `_step_batch`."""
+class TestStepRows:
+    """Bursts of at most TAIL_ROWS rows step one row at a time in Python
+    floats from their first dt; larger ones take numpy rounds first."""
 
     def test_learner_tunnel_equals_stepping_every_dt(self, wedge_grid):
         # the 4-particle, 1-burst tunnel of a learner-sized training run
@@ -877,22 +873,22 @@ class TestStepEach:
                 .heatmap.sum() for seed in range(16))
             assert impacts > 0, mph
 
-    def test_selected_by_burst_rows(self, wedge_grid):
-        def no_step(*args):
-            raise AssertionError("numpy stepper called")
+    def test_a_burst_of_tail_rows_makes_no_numpy_query(self, wedge_grid):
+        def no_query(*args):
+            raise AssertionError("numpy query called")
 
-        cfg = desk_tunnel(particle_count=SMALL_BATCH, burst_count=1)
-        with mock.patch.object(windtunnel, "_step_batch", no_step):
+        cfg = desk_tunnel(particle_count=TAIL_ROWS, burst_count=1)
+        with mock.patch.object(windtunnel, "_query", no_query):
             assert run_simulation(wedge_grid, cfg).collision_count > 0
-            with pytest.raises(AssertionError, match="numpy stepper"):
-                run_simulation(wedge_grid, replace(cfg, particle_count=SMALL_BATCH + 1))
+            with pytest.raises(AssertionError, match="numpy query"):
+                run_simulation(wedge_grid, replace(cfg, particle_count=TAIL_ROWS + 1))
 
 
 class TestSteppersAgree:
-    """`_step_batch` and `_step_each`, on copies of one burst over the same
-    number of dt, give the same rows, speeds, heatmap and final burst. Both
-    are called directly, so burst sizes on either side of SMALL_BATCH go
-    through both; few rows and many are drawn as often."""
+    """`_step_batch` as shipped, in numpy rounds only and in Python floats
+    only, on copies of one burst over the same number of dt, gives the same
+    rows, speeds, heatmap and final burst. Burst sizes on either side of
+    TAIL_ROWS are drawn as often."""
 
     @pytest.mark.parametrize("low, high", [(1, 8), (9, 40)])
     @given(data=st.data(), mph=st.floats(10.0, 120.0), ratio=st.sampled_from([0.1, 0.5, 1.0, 2.5]),
@@ -926,7 +922,7 @@ class TestSteppersAgree:
         # spawned bursts from the inlet, over every dt of a desk run on the
         # wedge and the box. At 60 and 120 mph some particles crawl through
         # the solid columns to max_steps, touching them about ten times each
-        # (`_step_each` of 40 rows: 50 contacts on the box at 60 mph, 4 rows
+        # (40 rows in Python floats: 50 contacts on the box at 60 mph, 4 rows
         # still alive at the end), and each contact cuts a look-ahead short
         box = voxelise(synth_heightmap("box", 16, 16, 1.0), 8, 0.1)
         impacts = 0
@@ -954,14 +950,14 @@ class TestSteppersAgree:
 
 
 def contact_steps(burst, placed, shape, steps):
-    """`_step_each` on a copy of `burst`, one dt at a time, as the per-dt
-    reference: the (dt, row) of every contact, the dt taken before no row
-    was alive or `steps` ran out, the impact speeds in (dt, row) order, the
-    (W, L) = `shape` heatmap and the final burst."""
+    """`_step_batch` in Python floats only on a copy of `burst`, one dt at a
+    time, as the per-dt reference: the (dt, row) of every contact, the dt
+    taken before no row was alive or `steps` ran out, the impact speeds in
+    (dt, row) order, the (W, L) = `shape` heatmap and the final burst."""
     own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
     found, speeds, t = [], [], 0
     while t < steps and own.alive.any():
-        rows, dt_speeds = windtunnel._step_each(own, placed, hm, 1)
+        rows, dt_speeds = python_floats_only(own, placed, hm, 1)
         found += [(t, int(row)) for row in rows]
         speeds += dt_speeds.tolist()
         t += 1
@@ -986,7 +982,7 @@ def wall_rows(n, speed=1.0):
 class TestLookahead:
     """`_step_batch` takes each row's dt in rounds over its own look-ahead
     window, LOOKAHEAD // 2 dt first, then twice what it advanced, at most
-    LOOKAHEAD; `_step_each` stepped one dt at a time is the reference. A row
+    LOOKAHEAD; Python floats stepped one dt at a time are the reference. A row
     that never touches the wall has windows [0, 6), [6, 18), [18, 30), ...
     for a LOOKAHEAD of 12."""
 
@@ -1085,7 +1081,7 @@ def resting_rows(copies):
 
 
 def assert_per_dt(burst, placed, shape, steps):
-    """Both steppers over `steps` dt equal to `contact_steps`' per-dt
+    """`step_both`'s three runs over `steps` dt equal to `contact_steps`' per-dt
     reference in their rows, speeds, heatmap and final burst, bit for bit.
     Returns the reference's (dt, row) contacts and final burst."""
     found, _, speeds, hm, final = contact_steps(burst, placed, shape, steps)
@@ -1099,16 +1095,20 @@ def assert_per_dt(burst, placed, shape, steps):
 
 class TestRestingRows:
     """A row whose drift leaves its x unchanged, with no x-face hit in a dt,
-    repeats that dt for ever, so both steppers stop it there: its final
+    repeats that dt for ever, so every engine stops it there: its final
     state, contacts and heatmap are those of stepping every dt."""
 
-    @pytest.mark.parametrize("copies", [1, 3])   # 15 rows, and 45 > SMALL_BATCH
+    @pytest.mark.parametrize("copies", [1, 3])   # 15 rows, and 45
     @pytest.mark.parametrize("steps", [1, 2, LOOKAHEAD // 2, LOOKAHEAD + 1,
                                        3 * LOOKAHEAD + 4, 400])
     def test_resting_rows_equal_stepping_every_dt(self, copies, steps):
-        assert len(resting_rows(1)) <= SMALL_BATCH < len(resting_rows(3))
+        # the whole burst takes numpy rounds, and its last TAIL_ROWS rows,
+        # rows 7-14 of a copy, alone take none
+        assert TAIL_ROWS < len(resting_rows(1))
         burst = resting_rows(copies)
-        found, final = assert_per_dt(burst, PlacedGrid(WALL, WALL_TUNNEL), (8, 2), steps)
+        placed = PlacedGrid(WALL, WALL_TUNNEL)
+        assert_per_dt(burst_rows(burst, slice(-TAIL_ROWS, None)), placed, (8, 2), steps)
+        found, final = assert_per_dt(burst, placed, (8, 2), steps)
         n = len(RESTING)
         # row 3 bounces off the -x face on its first dt, row 13 off the +x
         # face and out through the outlet; row 14 meets the -x face on dt 34
@@ -1128,7 +1128,7 @@ class TestRestingRows:
         # a slot one voxel wide, narrower than the sphere: a row moving at
         # 1e-15 m/s, which no drift moves, touches the nearer wall while
         # moving into it, bounces elastically and is popped out into the
-        # other wall, so it hits a wall on every dt, whichever stepper
+        # other wall, so it hits a wall on every dt, whichever engine
         slot = VoxelGrid(np.array([[5], [0], [5]]), 5, 0.1)
         cfg = TunnelConfig(particle_radius=0.06, domain_size=(0.3, 0.1, 0.5), dt=0.01,
                            restitution=1.0)
@@ -1139,13 +1139,14 @@ class TestRestingRows:
             assert found == [(t, row) for t in range(steps) for row in range(copies)]
             assert final.alive.all()
 
-    @pytest.mark.parametrize("rows", [16, 96])
+    @pytest.mark.parametrize("rows", [4, 16, 96])
     def test_a_plastic_run_costs_no_more_at_a_longer_horizon(self, wedge_grid, monkeypatch,
                                                               rows):
         # at restitution 0 a row that hits the wedge stops dead against it,
         # and every other row is gone by dt 1,000: a run to 100,000 dt gives
-        # the same SimResult with the same contact queries, in Python floats
-        # (2 x 16 rows) and in numpy (2 x 96 rows)
+        # the same SimResult with the same contact queries: in Python floats
+        # from the first dt (2 x 4 rows), and in numpy rounds that hand their
+        # last rows to Python floats (2 x 16 and 2 x 96 rows)
         calls = {"_query": 0, "_best_overlap": 0}
         for name in calls:
             def counted(*args, name=name, fn=getattr(windtunnel, name)):
@@ -1269,7 +1270,7 @@ def coasting_burst(late):
 
 
 class TestCoastAndTail:
-    """Bursts of 33-200 rows whose rows coast and whose last live rows go to
+    """Bursts of 9-200 rows whose rows coast and whose last live rows go to
     Python floats equal `contact_steps`' per-dt reference bit for bit."""
 
     @pytest.mark.parametrize("restitution", [0.0, 0.5, 1.0])
@@ -1290,9 +1291,10 @@ class TestCoastAndTail:
         tails, clear = [], []
         rows, clear_ahead = windtunnel._step_rows, windtunnel._clear_ahead
 
-        def handed(tail, *args):
-            tails.append((len(tail), tail.vx.tolist()))
-            return rows(tail, *args)
+        def handed(burst, placed, heatmap, steps, live, lanes, taken):
+            if live.size:
+                tails.append((live.size, burst.vx[live].tolist()))
+            return rows(burst, placed, heatmap, steps, live, lanes, taken)
 
         def judged(*args):
             clear.append(int(clear_ahead(*args).sum()))
@@ -1302,12 +1304,12 @@ class TestCoastAndTail:
                 mock.patch.object(windtunnel, "_clear_ahead", judged):
             _step_batch(copy.deepcopy(burst), placed, np.zeros((8, 2), dtype=np.int64), steps)
         found, final = assert_per_dt(burst, placed, (8, 2), steps)
-        assert len(burst) > SMALL_BATCH and len(late) > windtunnel.TAIL_ROWS
+        assert len(late) > TAIL_ROWS
         # the six rows moving in -x coast, and leave
         assert sum(clear) >= 6 and not final.alive[-8:-2].any()
         assert len(tails) == (steps > 56)
         if tails:
-            assert 0 < tails[0][0] <= windtunnel.TAIL_ROWS
+            assert 0 < tails[0][0] <= TAIL_ROWS
             assert (0.0 in tails[0][1]) == (restitution == 0.0 and rested)
         # every early row bounces off the wall
         assert {row for _, row in found} >= set(range(24))
@@ -1318,7 +1320,7 @@ class TestCoastAndTail:
     @settings(max_examples=40, deadline=None)
     def test_random_bursts_equal_stepping_every_dt(self, data, mph, ratio, vs, restitution,
                                                    steps, seed):
-        # 33-200 rows over and around a random grid, in +x or -x, some at rest
+        # 9-200 rows over and around a random grid, in +x or -x, some at rest
         w, l, h_max = (data.draw(st.integers(1, 6)) for _ in range(3))
         heights = np.array(data.draw(st.lists(st.integers(0, h_max), min_size=w * l,
                                               max_size=w * l))).reshape(w, l)
@@ -1328,7 +1330,7 @@ class TestCoastAndTail:
                            restitution=restitution)
         placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
         rng = np.random.default_rng(seed)
-        m = data.draw(st.integers(SMALL_BATCH + 1, 200))
+        m = data.draw(st.integers(TAIL_ROWS + 1, 200))
         x, y, z = (placed.origin + rng.uniform(-r - vs, extent + r + vs, size=(m, 3))).T
         vx = rng.uniform(-1.0, 1.0, size=m) * mph_to_mps(mph)
         vx[rng.uniform(size=m) < 0.05] = 0.0
