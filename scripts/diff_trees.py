@@ -7,15 +7,17 @@ radius 0.1-3 voxels, 10-120 mph, restitution 0-1, three `dt` values,
 `max_steps` 1-300, or 1-3000 in one draw of ten, so rows that come to rest
 against the grid are compared over long horizons, and bursts of 0 to 480
 rows, so the row counts fall on both sides of TAIL_ROWS, some (8, 9, 10)
-right by it, and of one MAX_CANDIDATES query chunk. Each config
-runs through `run_simulation` in both trees, and the SimResult CSV, the
-heatmap CSV and the heatmap PGM are compared byte for byte; an exception
-counts as an output. Prints each differing config with its first differing
-field and exits 1 if any config differs, 0 if none does. The summary also
-says how often the second tree took `_step_batch`'s two exits from its
-numpy rounds, where it has them: the configs that handed rows to Python
-floats (`_step_rows`) after a round and the rows that coasted
-(`_clear_ahead`).
+right by it, and of one MAX_CANDIDATES query chunk. In one draw of ten the
+domain's x is the grid's extent, and each of its y and z is at random: a
+grid flush with the domain in x is where a row leaves the domain before it
+is clear of the grid. Each config runs through `run_simulation` in both
+trees, and the SimResult CSV, the heatmap CSV and the heatmap PGM are
+compared byte for byte; an exception counts as an output. Prints each
+differing config with its first differing field and exits 1 if any config
+differs, 0 if none does. The summary also says, for the second tree where
+it has them, how many configs handed rows from `_step_batch`'s numpy rounds
+to Python floats (`_step_rows`), and how many rows `_step_batch` retired
+(`alive` False when it returns).
 
     PYTHONPATH=src python3 scripts/diff_trees.py --tree old=../old/src --tree new=src \\
         --configs 2000 --seed 7
@@ -41,6 +43,9 @@ def draw_config(rng) -> dict:
     # round voxel sizes put more centres exactly on voxel boundaries
     vs = float(rng.choice([0.05, 0.1, 0.2, rng.uniform(0.05, 0.2)]))
     extra = rng.uniform(0.0, 1.5, size=3)
+    if rng.uniform() < 0.1:   # flush with the grid in x, and in y and z at random
+        extra[0] = 0.0
+        extra[1:][rng.uniform(size=2) < 0.5] = 0.0
     tunnel = dict(
         air_speed=float(rng.uniform(10.0, 120.0)),
         particle_count=int(rng.choice(PARTICLES)),
@@ -80,27 +85,29 @@ def outputs(tree, config: dict) -> dict:
 
 
 def count_exits(wt) -> dict:
-    """Wrap `wt`'s stepper internals, where it has them, so that the
-    returned counts grow by the rows `_step_batch` hands to Python floats
-    after a numpy round and the rows it judges clear ahead; an empty dict for
-    a tree without them. A row handed after a round has taken at least one
-    dt there, and a burst that takes no round starts every row at dt 0."""
-    if not hasattr(wt, "_clear_ahead"):
+    """Wrap `wt`'s stepper, where it has the numpy rounds' hand-off to
+    Python floats, so that the returned counts grow by the rows
+    `_step_batch` hands to Python floats after a numpy round and the rows it
+    retires; an empty dict for a tree without them. A row handed after a
+    round has taken at least one dt there, and a burst that takes no round
+    starts every row at dt 0. `run_simulation` steps a burst whose rows are
+    all alive, so the rows retired are those not alive when it returns."""
+    if not hasattr(wt, "_step_rows"):
         return {}
-    counts = {"handed": 0, "coasted": 0}
-    step_rows, clear_ahead = wt._step_rows, wt._clear_ahead
+    counts = {"handed": 0, "retired": 0}
+    step_batch, step_rows = wt._step_batch, wt._step_rows
+
+    def batch(burst, *args):
+        found = step_batch(burst, *args)
+        counts["retired"] += int(np.count_nonzero(~burst.alive))
+        return found
 
     def rows(burst, placed, heatmap, steps, live, lanes, taken):
         if taken.any():
             counts["handed"] += len(live)
         return step_rows(burst, placed, heatmap, steps, live, lanes, taken)
 
-    def clear(*args):
-        judged = clear_ahead(*args)
-        counts["coasted"] += int(judged.sum())
-        return judged
-
-    wt._step_rows, wt._clear_ahead = rows, clear
+    wt._step_batch, wt._step_rows = batch, rows
     return counts
 
 
@@ -153,7 +160,7 @@ def main() -> int:
           f"{impacts} impacts in the matching outputs")
     if exits:
         print(f"{new_label}: {handing} configs handed {exits['handed']} rows to Python floats "
-              f"from the numpy rounds, and {exits['coasted']} rows coasted")
+              f"from the numpy rounds, and {exits['retired']} rows were retired")
     return 1 if differing else 0
 
 

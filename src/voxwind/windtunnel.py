@@ -9,11 +9,13 @@ count, and the grid's height sum.
 Every particle moves along x for the whole run. It enters at (v, 0, 0), and
 a bounce changes only the velocity component along the face normal, and
 only while the particle moves into the face, so only x faces ever bounce
-it. Its y and z therefore stay as spawned, inside the domain, and a particle
-can leave only through an x face. `ParticleBurst` stores that layout: each
-row's x and x velocity, which the stepper moves, and its fixed y and z. The
-contact query's y and z windows around a row are fixed with them, so the
-stepper's near test is the query's own window (`PlacedGrid.lanes`).
+it. Its y and z therefore stay as spawned. `ParticleBurst` stores that
+layout: each row's x and x velocity, which the stepper moves, and its fixed
+y and z. The contact query's y and z windows around a row are fixed with
+them, so the stepper's near test is the query's own window
+(`PlacedGrid.lanes`), and the stepper retires a row once its drift can
+never take it into that window again (`_clear_ahead`): from then on it
+keeps its velocity, which is all the metrics read of it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class ParticleBurst:
     """Struct-of-arrays state of every particle in one simulation: one
     float64 entry per row in each of `x` and `vx`, which the stepper moves,
     and `y` and `z`, which nothing moves (see the module docstring); `alive`
-    is False once the row has left the domain.
+    is False once the stepper has retired the row: it can never touch the
+    grid again, and its x stays where it was retired.
 
     Burst k owns the block of rows k * n .. (k + 1) * n, where n is the
     per-burst particle count, so all bursts advance together.
@@ -406,7 +409,8 @@ def _clear_ahead(v, hi, reach, first):
     `v` can never pass the near test (`PlacedGrid.lanes`) again, from that
     test's operands at its x: hi = (x - ox + r) / vs, `reach`, its lane's
     entry at the start of its x window, and `first`, its lane's first column
-    (entry 0).
+    (entry 0). Such a row can never touch the grid again, so the stepper
+    retires it.
 
     The drift makes x monotone: fl(x + vx * dt) is at most x for a vx below
     0 and at least x for one above, and hi and the window's start cell are
@@ -414,58 +418,54 @@ def _clear_ahead(v, hi, reach, first):
     in -x whose hi is below `first` keeps an hi below every entry of its
     lane, and a row moving in +x with no lane column at or after its cell
     (`reach` is inf) only meets entries of inf; neither passes the test
-    again.
+    again. A row with an empty lane, every entry inf, is clear either way.
     """
     return np.where(v < 0.0, hi < first, reach == np.inf)
 
 
 def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int):
-    """Advance the burst up to `steps` dt, stopping early once no particle is
-    alive. Returns the contacts' burst rows (intp) and impact speeds
-    (float64), in step order and then row order.
+    """Advance the burst's live rows up to `steps` dt, retiring each once it
+    can never touch the grid again. Returns the contacts' burst rows (intp)
+    and impact speeds (float64), in step order and then row order.
 
-    Each dt: integrate, resolve voxel contacts, retire exited particles.
-    Semi-implicit Euler with no body forces, so the update is a pure drift
-    until a contact reflects the velocity about the face normal scaled by the
-    restitution. A live particle is near when the contact query would scan
-    at least one voxel for it: its lane (`PlacedGrid.lanes`) holds a column
-    of its x window. One contact at most per particle per dt; contacts tally
-    into `heatmap`. A particle leaving the domain is marked dead and stops:
-    its position, velocity and `alive` no longer change, so each row's final
-    state depends on that row alone, and `run_simulation` reads the exit
-    energy from the velocity it left with. Mutates `burst` and `heatmap`.
+    Each dt: integrate, then resolve voxel contacts. Semi-implicit Euler with
+    no body forces, so the update is a pure drift until a contact reflects
+    the velocity about the face normal scaled by the restitution. A live row
+    is near when the contact query would scan at least one voxel for it: its
+    lane (`PlacedGrid.lanes`) holds a column of its x window. One contact at
+    most per row per dt; contacts tally into `heatmap`. Every row moves along
+    x (see the module docstring), so only its x and x velocity change, and
+    its lane is built once. Mutates `burst` and `heatmap`.
 
-    Every row moves along x (see the module docstring), so only its x and x
-    velocity change, it can leave only through an x face, and its lane is
-    built once.
+    A row stops on one rule: once it is clear ahead (`_clear_ahead`) it can
+    never be near again, so it would only drift, with no contact and no
+    change of velocity, and it is retired: `alive` turns False and its x
+    stays where it was. Its outputs, its contacts and the velocity that
+    `run_simulation` reads its energy from, are those of stepping it to
+    `steps`; its x is not. A row past the domain's x faces needs no test of
+    its own: moving outward it can never move into an x face, so it never
+    bounces, and it drifts until it is clear.
 
     Rows do not interact, so any split of them between two engines gives the
     same outputs. While more than TAIL_ROWS rows are live, the dt go in numpy
     rounds over look-ahead windows. In a round each live row drifts through
     its own window by the same `+= velocity * dt` additions a step makes; the
-    near and exit tests run once over the (dt, row) block of x, and its near
-    pairs take one contact query (`_query`), whose answer for a sphere does
-    not depend on its batch. Each row then moves to its first contact moving
-    into a face, bounced, popped out, tallied and exit-tested as in a step, or
-    else to its exit or its window's last dt. A first window is LOOKAHEAD // 2
-    dt, a later one twice the dt the row last advanced, at most LOOKAHEAD.
-    A row at rest, whose drift leaves its x unchanged (`fl(x + vx * dt) ==
-    x`, as a vx of 0.0 or -0.0 gives), sits at one x for the whole round, so
-    its near test, exit test and query answer are those of the round's first
-    dt on every later dt too. Unless it hits an x face, the round leaves it
-    at a fixed point, and it stops after the exit test, with the x, velocity
-    and `alive` that stepping to `steps` would leave.
+    near test runs once over the (dt, row) block of x, and its near pairs
+    take one contact query (`_query`), whose answer for a sphere does not
+    depend on its batch. Each row then moves to its first contact moving into
+    a face, bounced, popped out and tallied as in a step, or else to its
+    window's last dt, where every row that did not bounce is tested for
+    clear. A first window is LOOKAHEAD // 2 dt, a later one twice the dt the
+    row last advanced, at most LOOKAHEAD. A row at rest, whose drift leaves
+    its x unchanged (`fl(x + vx * dt) == x`, as a vx of 0.0 or -0.0 gives),
+    sits at one x for the whole round, so its near test and query answer
+    are those of the round's first dt on every later dt too. Unless it hits
+    an x face, the round leaves it at a fixed point, and it stops there with
+    the x and velocity that stepping to `steps` would leave.
 
-    Once at most TAIL_ROWS rows with a near pair go on after a round, the
-    rows that had none are tested: one that can never pass the near test
-    again (`_clear_ahead`) can only drift, so it leaves the rounds. Once at
-    most TAIL_ROWS rows are live, they step on in Python floats
+    Once at most TAIL_ROWS rows are live, they step on in Python floats
     (`_step_rows`), each from the dt it has taken, so a burst of at most
-    TAIL_ROWS rows takes no round at all. Then the rows that left coast:
-    drift-only windows, each holding at most LOOKAHEAD dt per burst row, make
-    the same additions (an `np.add.accumulate` along the dt axis folds them
-    in order) and the exit and rest tests, so each ends with the x, velocity
-    and `alive` that stepping gives.
+    TAIL_ROWS rows takes no round at all.
     `run_simulation` leaves out the inlet lead-in, the dt before any particle
     can come near the grid, in which a step would only add the shared x drift
     to every position.
@@ -474,14 +474,12 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
     x, vx, alive = burst.x, burst.vx, burst.alive
     ox, oy, oz = placed.origin.tolist()
-    dx = float(config.domain_size[0])
     lanes = placed.lanes(burst)
     zero_column = lanes.shape[1] - 1
     live = alive.nonzero()[0] if steps > 0 else np.zeros(0, dtype=np.intp)
     # per live row: the dt it has taken, and its next window
     done, window = np.zeros(len(live), dtype=np.intp), LOOKAHEAD // 2
     found = []   # the rounds' contacts: (dt, row, speed) arrays
-    coasting = []   # (rows, dt taken) of rows that can never be near again
     while live.size > TAIL_ROWS:
         n = np.arange(len(live))
         w = np.minimum(window, steps - done)
@@ -502,11 +500,9 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
         q = np.add(lx, r, out=q)
         q /= vs
         near = lanes[live, cell] <= q
-        gone = ~((path >= 0.0) & (path <= dx))
-        end = (gone | (ahead >= w - 1)).argmax(axis=0)   # first exit, or the window's last dt
-        near &= ahead <= end
+        near &= ahead < w
+        end = w - 1   # per row, its window's last dt, or its first bounce
         k, j = near.T.nonzero()   # near pairs in row order, then dt order
-        paired = k
         contacts = None
         if k.size:
             rows = live[k]
@@ -524,58 +520,27 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
             hit = hit[first]
             k, j, voxel, sign, pen, vn = (a[hit] for a in (k, j, voxel, sign, pen, vn))
             end[k] = j
-        at, out = path[end, n], gone[end, n]
+        # a row that did not bounce drifted to path[end], where q and cell
+        # hold its near test's operands
+        clear = _clear_ahead(v, q[end, n], lanes[live, cell[end, n]], lanes[live, 0])
+        at = path[end, n]
         if contacts is not None and k.size:
             u = v[k]   # the impact speed is read before the bounce
             speed = np.sqrt(u * u)
             v[k] -= (1.0 + config.restitution) * vn * sign
             at[k] += sign * pen  # pop out of the face
-            out[k] = ~((at[k] >= 0.0) & (at[k] <= dx))
             np.add.at(heatmap, (voxel[:, 0], voxel[:, 1]), 1)
             found.append((done[k] + j, live[k], speed))
             vx[live] = v
-            rest[k] = False
+            rest[k] = clear[k] = False
         x[live] = at
+        alive[live[clear]] = False
         done += end + 1
         window = np.minimum(2 * (end + 1), LOOKAHEAD)
-        stop = out | rest | (done == steps)
-        # once at most TAIL_ROWS rows with a near pair go on, the rows with
-        # none (idle), which drifted to path[end] without a contact, are
-        # tested; a row makes at most len(ahead) near pairs, so a round with
-        # more than TAIL_ROWS * len(ahead) of them skips the count
-        if paired.size <= TAIL_ROWS * len(ahead):
-            idle = ~stop
-            idle[paired] = False
-            if idle.any() and live.size - np.count_nonzero(stop | idle) <= TAIL_ROWS:
-                c = idle.nonzero()[0]
-                e, lane = end[c], lanes[live[c]]
-                reach = lane[np.arange(len(c)), cell[e, c]]
-                c = c[_clear_ahead(v[c], q[e, c], reach, lane[:, 0])]
-                coasting.append((live[c], done[c]))
-                stop[c] = True
+        stop = clear | rest | (done == steps)
         if stop.any():
-            alive[live[out]] = False
             live, done, window = live[~stop], done[~stop], window[~stop]
     hits = _step_rows(burst, placed, heatmap, steps, live, lanes, done)
-    if coasting:   # drift only
-        live, done = (np.concatenate(a) for a in zip(*coasting))
-        while live.size:
-            n = np.arange(len(live))
-            # a window holds at most LOOKAHEAD dt of every burst row
-            w = np.minimum(steps - done, max(LOOKAHEAD, LOOKAHEAD * len(x) // len(live)))
-            path = np.empty((int(w.max()) + 1, len(live)))
-            path[0] = x[live]
-            path[1:] = vx[live] * dt
-            np.add.accumulate(path, axis=0, out=path)
-            gone = ~((path[1:] >= 0.0) & (path[1:] <= dx))
-            end = (gone | (np.arange(len(gone))[:, None] >= w - 1)).argmax(axis=0)
-            rest = path[1] == path[0]
-            x[live] = path[end + 1, n]
-            out = gone[end, n]
-            alive[live[out]] = False
-            done += end + 1
-            keep = ~(out | rest | (done == steps))
-            live, done = live[keep], done[keep]
     if not found:   # every contact, if any, came from Python floats
         hits.sort()
         return (np.array([row for _, row, _ in hits], dtype=np.intp),
@@ -590,49 +555,61 @@ def _step_batch(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, s
 def _step_rows(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, steps: int,
                rows: np.ndarray, lanes: np.ndarray, taken: np.ndarray):
     """Step the live burst rows `rows` (an index array) on their own in
-    Python floats, each from the dt it has taken (`taken`, one per row) to
-    its exit or to `steps`, in place. `lanes` is the burst's lane table
-    (`PlacedGrid.lanes`). Mutates `burst` and `heatmap`; returns the contacts
-    as (dt, burst row, impact speed) tuples, unsorted.
+    Python floats, each from the dt it has taken (`taken`, one per row) until
+    it is retired or reaches `steps`, in place. `lanes` is the burst's lane
+    table (`PlacedGrid.lanes`). Mutates `burst` and `heatmap`; returns the
+    contacts as (dt, burst row, impact speed) tuples, unsorted.
 
-    A row makes the float operations of `_step_batch`'s drift, near and exit
-    tests and bounce, in their order, on its x alone. The contact comes from
-    the scalar core (`_best_overlap`, `_face_normal`), which `_query_batch`
-    matches bit for bit. Rows do not interact, and a row stops at its exit,
-    so its contacts and final state are those of the numpy rounds. The near
-    test first checks x against the lane's x range, its first column and
-    one past its last, which most steps fail at once. An x that passes has
-    (x + r) / vs >= 0 and (x - r) / vs below W, so it is finite, and
-    `math.floor` never sees a NaN or an infinity.
+    A row makes the float operations of `_step_batch`'s drift, near test and
+    bounce, in their order, on its x alone. The contact comes from the
+    scalar core (`_best_overlap`, `_face_normal`), which `_query_batch`
+    matches bit for bit. Rows do not interact, so its contacts and velocity
+    are those of the numpy rounds. The near test first checks x against the
+    lane's x range, its first column and one past its last, which most steps
+    fail at once. A step that fails one of them reads the row's direction,
+    which is `_clear_ahead`'s test: a row is retired on the first dt it is
+    clear, moving in -x with (x - ox + r) / vs below its lane's first
+    column, or in +x with (x - ox - r) / vs at or past its lane's end. A row
+    with an empty lane is retired before it steps. An x that passes both
+    checks has (x + r) / vs >= 0 and (x - r) / vs below W, so it is finite,
+    and `math.floor` never sees a NaN or an infinity.
 
     A row at rest, whose drift cannot move its x, steps one more dt, and
-    unless that dt hits an x face the row stops after its exit test, as in
-    the rounds: every later dt would repeat it. Only the velocity decides
-    whether the drift moves x, and only a bounce changes it, so a row is
-    tested for rest on entry and after each bounce, and a moving row's dt
-    pays nothing for the test.
+    unless that dt hits an x face the row stops after it, as in the rounds:
+    every later dt would repeat it. Only the velocity decides whether the
+    drift moves x, and only a bounce changes it, so a row is tested for rest
+    on entry and after each bounce, and a moving row's dt pays nothing for
+    the test.
     """
     config = placed.config
     dt, vs, r = config.dt, placed.voxel_size, config.particle_radius
     ox, oy, oz = placed.origin.tolist()
-    dx = float(config.domain_size[0])
     heights = placed.heights
     x, vx = [], []   # each row's final x and velocity
-    found, exits = [], []   # (dt, row, impact speed); the rows that left
+    found, retired = [], []   # (dt, row, impact speed); the rows that are clear
     for row, t, lane, p, v, y, z in zip(
             rows.tolist(), taken.tolist(), lanes.take(rows, axis=0).tolist(),
             burst.x[rows].tolist(), burst.vx[rows].tolist(),
             burst.y[rows].tolist(), burst.z[rows].tolist()):
         ly, lz = y - oy, z - oz
         first, stop = lane[0], lane.index(math.inf)
+        clear = not stop   # an empty lane: the row is never near
         # a row the drift cannot move repeats its next dt for ever, unless that dt hits
-        until = steps if p + v * dt != p else min(t + 1, steps)
+        until = t if clear else steps if p + v * dt != p else min(t + 1, steps)
         while t < until:
             p += v * dt
             t += 1
             lx = p - ox
             hi = (lx + r) / vs
-            if first <= hi and (lo := (lx - r) / vs) < stop and lane[max(math.floor(lo), 0)] <= hi:
+            if first > hi:
+                if v < 0.0:   # in -x short of the lane's first column
+                    clear = True
+                    break
+            elif (lo := (lx - r) / vs) >= stop:
+                if not v < 0.0:   # in +x past the lane's last column
+                    clear = True
+                    break
+            elif lane[max(math.floor(lo), 0)] <= hi:
                 best = _best_overlap(lx, ly, lz, r, heights, vs)
                 if best is not None:
                     _, ix, iy, iz = best
@@ -644,14 +621,13 @@ def _step_rows(burst: ParticleBurst, placed: PlacedGrid, heatmap: np.ndarray, st
                         p += sign * pen
                         heatmap[ix, iy] += 1
                         until = steps if p + v * dt != p else min(t + 1, steps)
-            if not 0.0 <= p <= dx:
-                exits.append(row)
-                break
+        if clear:
+            retired.append(row)
         x.append(p)
         vx.append(v)
     burst.x[rows], burst.vx[rows] = x, vx
-    if exits:
-        burst.alive[exits] = False
+    if retired:
+        burst.alive[retired] = False
     return found
 
 
@@ -679,9 +655,9 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
 
     drag_force: per-burst sum of per-impact drag (impact speed, sphere
     cross-section) averaged over bursts. kinetic_energy: mean per-particle
-    energy at domain exit or at max_steps, read once after the last step from
-    the final velocities: a particle stops at its exit, so its velocity is
-    the one it left with.
+    energy, read once after the last step from the final velocities: a row
+    that can no longer touch the grid keeps its velocity from then on, so
+    its energy is the one it leaves with.
     collision_count: total impacts over all bursts normalised by
     burst_count * base_cycle_count.
     Deterministic for a fixed config.seed: each burst draws from its own
@@ -695,9 +671,10 @@ def run_simulation(grid: VoxelGrid, config: TunnelConfig) -> SimResult:
     r, so the contact query's strict `d2 < r * r` finds no contact and a step
     would only drift. After it one `_step_batch` call runs the remaining dt,
     so every output is the one that stepping every dt from t = 0 gives. It
-    stops a row at rest against the grid, whose drift no longer moves it,
-    once a dt of it hits no x face: every later dt would repeat that one, so
-    the row's final state and contacts stay those of stepping to max_steps.
+    stops a row once it can never touch the grid again, and a row at rest,
+    whose drift no longer moves it, once a dt of it hits no x face: every
+    later dt would repeat that one. Either way the row's contacts and
+    velocity stay those of stepping to max_steps.
     A metric that overflows float64 raises ConfigError.
     """
     config.validate()

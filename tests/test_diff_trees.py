@@ -20,8 +20,8 @@ def test_same_tree_has_no_differences():
     assert run.returncode == 0, run.stderr
     assert "30 configs, 0 differing" in run.stdout
     assert " with at most TAIL_ROWS (8) burst rows, " in run.stdout
-    # the second tree's exits from the numpy rounds are counted
-    assert "b: " in run.stdout and " rows coasted" in run.stdout
+    # the second tree's hand-offs and retired rows are counted
+    assert "b: " in run.stdout and " rows were retired" in run.stdout
 
 
 def test_changed_bounce_differs(tmp_path):

@@ -26,7 +26,7 @@ from voxwind.windtunnel import (
     spawn_burst,
 )
 
-from conftest import assert_same_bursts, burst_rows, python_floats_only
+from conftest import assert_same_outcome, burst_rows, python_floats_only
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from diff_trees import draw_config  # noqa: E402
@@ -102,28 +102,36 @@ def test_heatmap_total_is_the_collision_count_times_its_divisors(seed, base_cycl
 
 @given(seed=seeds)
 @settings(max_examples=30, deadline=None)
-def test_a_row_ends_alive_exactly_while_inside_x_and_keeps_y_and_z(seed):
-    # a row spawns inside the domain and moves along x alone, so it can
-    # leave only through an x face, where it stops: after a run it is alive
-    # exactly when its x lies in [0, dx], and its y and z are as spawned
+def test_a_retired_row_is_clear_of_the_grid_and_keeps_y_and_z(seed):
+    # a row is retired only once it can never touch the grid again: at the
+    # x it keeps, its velocity takes it on clear of its lane
+    # (`_clear_ahead`); and whether retired or not, it moves along x alone,
+    # so its y and z are as spawned
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
+    vs, r = grid.voxel_size, config.particle_radius
     burst, runs = stepped_bursts(grid, config)
     for stepper, own in runs:
         stepper(own, placed, np.zeros((grid.width, grid.length), dtype=np.int64),
                 config.max_steps)
-        np.testing.assert_array_equal(own.alive,
-                                      (0.0 <= own.x) & (own.x <= config.domain_size[0]))
+        lanes = placed.lanes(own)
+        hi = (own.x - placed.origin[0] + r) / vs
+        cell = np.minimum(np.maximum(np.floor((own.x - placed.origin[0] - r) / vs), 0.0),
+                          lanes.shape[1] - 1).astype(np.intp)
+        clear = windtunnel._clear_ahead(own.vx, hi, lanes[np.arange(len(own)), cell],
+                                        lanes[:, 0])
+        assert clear[~own.alive].all()
         np.testing.assert_array_equal(own.y, burst.y[:len(own)])
         np.testing.assert_array_equal(own.z, burst.z[:len(own)])
 
 
 @given(seed=seeds)
-@example(seed=0)   # rows exit on different dt
+@example(seed=0)   # rows are retired on different dt
 @settings(max_examples=20, deadline=None)
 def test_each_row_ends_as_it_does_stepped_alone(seed):
-    # a row stops at its exit, so its final position, velocity and `alive`
-    # do not depend on when the rows it steps with stop
+    # a row's contacts, velocity and retirement do not depend on when the
+    # rows it steps with stop; its x does once it is retired, as a retired
+    # row keeps the x of the round or dt it was retired on
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
     burst, runs = stepped_bursts(grid, config)
@@ -133,7 +141,8 @@ def test_each_row_ends_as_it_does_stepped_alone(seed):
         for i in range(len(own)):
             one = burst_rows(burst, slice(i, i + 1))
             stepper(one, placed, heatmap, config.max_steps)
-            assert_same_bursts(burst_rows(own, slice(i, i + 1)), one)
+            assert_same_outcome(burst_rows(own, slice(i, i + 1)), one)
+            assert own.alive[i] == one.alive[0]
 
 
 @given(seed=seeds)
@@ -154,10 +163,12 @@ def test_an_empty_grid_gives_no_contacts(seed):
 @example(seed=29)   # 687 contacts
 @settings(max_examples=20, deadline=None)
 def test_a_contact_reverses_only_a_component_into_the_face(seed):
-    # Stepped one dt at a time: a live row without a contact only drifts,
-    # and a dead row does not move. A contact changes the x velocity, which
-    # pointed into the face: it ends reversed or zero, and the row is popped
-    # out against it, along the face's outward normal.
+    # Stepped one dt at a time: a row that stays live without a contact only
+    # drifts, a row retired in the dt drifts or, when its lane is empty and
+    # it steps in Python floats, stays, and a dead row does not move. A
+    # contact changes the x velocity, which pointed into the face: it ends
+    # reversed or zero, and the row is popped out against it, along the
+    # face's outward normal.
     grid, config = drawn(seed)
     placed = PlacedGrid(grid, config)
     _, runs = stepped_bursts(grid, config)
@@ -172,7 +183,10 @@ def test_a_contact_reverses_only_a_component_into_the_face(seed):
             moved = np.zeros(len(own), dtype=bool)
             moved[rows] = True
             np.testing.assert_array_equal(own.vx[~moved], v0[~moved])
-            np.testing.assert_array_equal(own.x[~moved & live], drifted[~moved & live])
+            stayed = ~moved & live & own.alive
+            np.testing.assert_array_equal(own.x[stayed], drifted[stayed])
+            retired = live & ~own.alive
+            assert ((own.x == drifted) | (own.x == x0))[retired].all()
             np.testing.assert_array_equal(own.x[~live], x0[~live])
             before, after = v0[rows], own.vx[rows]
             assert (before != after).all()

@@ -34,7 +34,9 @@ from voxwind.windtunnel import (
 )
 
 from conftest import (
+    assert_same_bits,
     assert_same_bursts,
+    assert_same_outcome,
     batch_query,
     burst_rows,
     contacts_per_sphere,
@@ -157,9 +159,9 @@ class TestSpawnBurst:
            mph=st.floats(10.0, 120.0), n=st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
     def test_rows_start_inside_the_domain(self, domain, mph, n):
-        # a row can leave only through an x face, because it starts inside
-        # the domain and nothing moves its y and z: spawned at the largest
-        # jitter a generator can draw, below 1, it still lies within dy and dz
+        # a row starts inside the domain, and nothing moves its y and z:
+        # spawned at the largest jitter a generator can draw, below 1, it
+        # still lies within dy and dz
         class TopOfUnitInterval:
             def uniform(self, low, high, size):
                 return np.full(size, np.nextafter(1.0, 0.0))
@@ -199,8 +201,9 @@ def step_both(burst, placed, shape, steps):
     """`_step_batch` over `steps` dt as shipped, in numpy rounds only and in
     Python floats only, each on its own copy of `burst` and a zero (W, L) =
     `shape` heatmap, asserted equal in their rows and speeds (values and
-    dtypes), their heatmaps and their final bursts. Returns the shipped
-    run's (rows, speeds), heatmap and burst."""
+    dtypes), their heatmaps, their final bursts (`assert_same_outcome`) and
+    the rows they retire. Returns the shipped run's (rows, speeds), heatmap
+    and burst."""
     runs = []
     for stepper in (windtunnel._step_batch, numpy_rounds_only, python_floats_only):
         own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
@@ -210,7 +213,8 @@ def step_both(burst, placed, shape, steps):
     for want, want_hm, want_burst in runs[1:]:
         assert_same_contacts(got, want)
         np.testing.assert_array_equal(got_hm, want_hm)
-        assert_same_bursts(got_burst, want_burst)
+        assert_same_outcome(got_burst, want_burst)
+        np.testing.assert_array_equal(got_burst.alive, want_burst.alive)
     return runs[0]
 
 
@@ -278,12 +282,15 @@ class TestSphereVoxelContact:
 
 class TestStep:
     def test_empty_grid_straight_line(self):
+        # nothing to touch: the row's lane is empty, so it is retired with
+        # its velocity, in Python floats before its first dt
         grid = VoxelGrid(np.zeros((4, 4), dtype=int), 4, 0.1)
         cfg = desk_tunnel(particle_count=0)
         (rows, speeds), hm, burst = step_both(lone_burst([0.5, 0.5, 0.5], 1.0),
                                               PlacedGrid(grid, cfg), (4, 4), 1)
         assert len(rows) == len(speeds) == 0
-        assert burst.x[0] == 0.5 + cfg.dt
+        assert not burst.alive[0] and burst.vx[0] == 1.0
+        assert burst.x[0] == 0.5
         assert hm.sum() == 0
 
     def test_elastic_head_on(self):
@@ -301,27 +308,28 @@ class TestStep:
         assert burst.vx[0] == 0.0
 
     def test_exit_records_ke(self):
-        # the exit energy is read from the velocity, which stays frozen after exit
+        # the exit energy is read from the velocity, which stays frozen once
+        # the row is retired: every engine retires this one, which nothing
+        # can touch, in the dt asked for
         grid = VoxelGrid(np.zeros((2, 2), dtype=int), 2, 0.1)
         cfg = TunnelConfig(particle_count=0, domain_size=(0.2, 0.2, 0.2), dt=0.5)
-        # every engine stops a row after its exit, one dt into the two asked for
         _, _, burst = step_both(lone_burst([0.1, 0.1, 0.1], 2.0),
                                 PlacedGrid(grid, cfg), (2, 2), 2)
         assert not burst.alive[0]
-        assert burst.x[0] == 0.1 + 2.0 * 0.5
         assert kinetic_energy(cfg.particle_mass, burst.vx[:, None]).tolist() == \
             [0.5 * cfg.particle_mass * 4.0]
 
     def test_batch_matches_particles_stepped_alone(self):
-        # Hits, near misses, separating contacts, exits and dead particles in
-        # one step must come out as if every particle were stepped by itself.
+        # Hits, near misses, separating contacts, retired and dead particles
+        # in one step must come out as if every particle were stepped by
+        # itself.
         grid = VoxelGrid(np.array(
             [[0, 2, 3, 0], [1, 6, 6, 2], [0, 4, 5, 1], [3, 0, 2, 2]]), 6, 0.1)
         cfg = TunnelConfig(domain_size=(0.8, 0.8, 0.8), dt=0.01, restitution=0.3)
         placed = PlacedGrid(grid, cfg)
         rng = np.random.default_rng(11)
         n = 400
-        # x over the whole domain, so some rows leave it through the inlet or the outlet
+        # x over the whole domain and past its x faces
         pos = placed.origin + rng.uniform([-0.2, -0.1, -0.14], [0.6, 0.5, 0.7], size=(n, 3))
         vx = rng.normal(0.0, 3.0, size=n)   # every row moves along x, in +x or -x
         was_alive = np.arange(n) % 7 != 0
@@ -335,7 +343,7 @@ class TestStep:
         touching = grid_query(drifted, cfg.particle_radius, grid)[0]
         assert was_alive[touching].sum() > len(rows)  # separating contacts
         assert len(touching) < n                      # misses
-        assert (was_alive & ~burst.alive).any()       # exits
+        assert (was_alive & ~burst.alive).any()       # retired
 
         alone_rows = []
         alone_hm = np.zeros_like(hm)
@@ -343,11 +351,12 @@ class TestStep:
             one = lone_burst(pos[i], vx[i])
             one.alive[0] = was_alive[i]
             alone_rows += [i] * len(_step_batch(one, placed, alone_hm, 1)[0])
-            assert_same_bursts(burst_rows(burst, slice(i, i + 1)), one)
+            assert_same_outcome(burst_rows(burst, slice(i, i + 1)), one)
+            assert burst.alive[i] == one.alive[0]
         assert rows.tolist() == alone_rows
         np.testing.assert_array_equal(hm, alone_hm)
         # dead particles stay dead where they were, with the velocity their
-        # exit energy is read from
+        # energy is read from
         assert not burst.alive[~was_alive].any()
         np.testing.assert_array_equal(burst.x[~was_alive], pos[~was_alive, 0])
         np.testing.assert_array_equal(burst.vx[~was_alive], vx[~was_alive])
@@ -355,7 +364,8 @@ class TestStep:
 
 def step_querying_every_live_row(burst, placed, heatmap):
     """One dt of `_step_batch` with an all-near lane table, so every live
-    row goes to the contact query, as a reference."""
+    row goes to the contact query and no row is ever clear, as a
+    reference."""
     everything = copy.copy(placed)
     everything.lanes = lambda b: np.full((len(b), placed.padded.shape[0]), -np.inf)
     return _step_batch(burst, everything, heatmap, 1)
@@ -367,7 +377,7 @@ class TestNearTable:
         # k = ceil(r / vs) is 1, 1, 1, 2 and 3. Rows sit in the k + 1
         # columns just outside the footprint, on both sides of the inlet and
         # outlet faces and, dead, beside the grid; the lanes may leave a row
-        # out only if the query would give it no contact.
+        # out, or retire it, only if the query would give it no contact.
         rng = np.random.default_rng(int(ratio * 10))
         ring_contacts = 0
         for _ in range(30):
@@ -399,7 +409,7 @@ class TestNearTable:
                 rows, speeds = _step_batch(burst, placed, hm, 1)
                 assert_same_contacts((rows, speeds),
                                      step_querying_every_live_row(ref, placed, ref_hm))
-                assert_same_bursts(burst, ref)
+                assert_same_outcome(burst, ref)
                 np.testing.assert_array_equal(hm, ref_hm)
                 cell = np.floor(before[rows] / vs)
                 outer = (cell == -k) | (cell == np.array([w, l]) - 1 + k)
@@ -709,7 +719,7 @@ class TestStrictRadius:
             if hits:   # against the -x face of voxel (1, 1, 0), centred on x = 0.75
                 pen = (self.R + 0.5 * self.VS) - abs(target[0] - 0.75)
                 assert burst.x[0] == target[0] + sign * pen
-            else:
+            elif burst.alive[0]:   # a row above the top face has an empty lane
                 assert burst.x[0] == target[0]
             assert found == hits == hm[1, 1]
 
@@ -798,8 +808,9 @@ class TestRunSimulation:
 
 def checked_simulation(grid, cfg):
     """`run_simulation`, asserted bit for bit equal to stepping every dt, in
-    its SimResult and in the final state of its burst, which shows the step
-    a contact came in."""
+    its SimResult and in the final state of its burst (`assert_same_outcome`),
+    which shows the step a contact came in. Which rows end retired may
+    differ: a horizon that ends inside the inlet lead-in retires none."""
     spawned = []
 
     def spawn(*args):
@@ -811,7 +822,7 @@ def checked_simulation(grid, cfg):
     want, burst = stepped_simulation(grid, cfg)
     assert got.metrics() == want.metrics()
     np.testing.assert_array_equal(got.heatmap, want.heatmap)
-    assert_same_bursts(spawned[0], burst)
+    assert_same_outcome(spawned[0], burst)
     return got
 
 
@@ -951,17 +962,20 @@ class TestSteppersAgree:
 
 def contact_steps(burst, placed, shape, steps):
     """`_step_batch` in Python floats only on a copy of `burst`, one dt at a
-    time, as the per-dt reference: the (dt, row) of every contact, the dt
-    taken before no row was alive or `steps` ran out, the impact speeds in
-    (dt, row) order, the (W, L) = `shape` heatmap and the final burst."""
+    time, as the per-dt reference: the (dt, row) of every contact, the
+    impact speeds in (dt, row) order, the (W, L) = `shape` heatmap and the
+    final burst. Every row alive on entry steps on every dt, whatever the
+    stepper retires, so a retired row that could still touch the grid would
+    show here as a contact the stepper dropped; the final burst's `alive`
+    is that of the last dt."""
     own, hm = copy.deepcopy(burst), np.zeros(shape, dtype=np.int64)
-    found, speeds, t = [], [], 0
-    while t < steps and own.alive.any():
+    found, speeds = [], []
+    for t in range(steps):
+        own.alive[:] = burst.alive
         rows, dt_speeds = python_floats_only(own, placed, hm, 1)
         found += [(t, int(row)) for row in rows]
         speeds += dt_speeds.tolist()
-        t += 1
-    return found, t, speeds, hm, own
+    return found, speeds, hm, own
 
 
 # A wall across the flow: column x = 7 of an 8 x 2 grid at 0.1 m, 4 voxels
@@ -993,9 +1007,8 @@ class TestLookahead:
         # of its first windows, and between; `steps` cuts windows short
         placed = PlacedGrid(WALL, WALL_TUNNEL)
         burst = wall_rows(range(3 * LOOKAHEAD))
-        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
+        found, *_ = contact_steps(burst, placed, (8, 2), steps)
         assert found == [(t, t) for t in range(min(steps, 3 * LOOKAHEAD))]
-        assert taken == steps
         (rows, _), hm, _ = step_both(burst, placed, (8, 2), steps)
         assert rows.tolist() == [row for _, row in found] and hm.sum() == len(found)
 
@@ -1023,34 +1036,33 @@ class TestLookahead:
         steps = LOOKAHEAD // 2 + 2 * LOOKAHEAD + 3
         placed = PlacedGrid(WALL, WALL_TUNNEL)
         burst = wall_rows([steps + 10, 0])
-        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
-        assert found == [(0, 1)] and taken == steps
+        found, *_ = contact_steps(burst, placed, (8, 2), steps)
+        assert found == [(0, 1)]
+        # row 1 bounced back into -x, short of the wall's column: retired
         _, _, final = step_both(burst, placed, (8, 2), steps)
-        assert final.alive.all()
+        assert final.alive.tolist() == [True, False]
 
-    def test_the_run_stops_when_the_last_row_exits_mid_window(self):
-        # rows leave through the inlet face mid-window on dt 3, 9 and 20, and
-        # one after bouncing off the wall on dt 2; the run stops when the last
-        # one exits, far short of `steps`. Each row stays at its exit x, and a
-        # row dead on entry stays where it was
+    def test_rows_moving_away_are_retired_with_their_velocity(self):
+        # rows 0-2 fly in -x, short of the wall's column, so they are clear
+        # at once, and row 3 is after it bounces elastically off the wall on
+        # dt 2: each is retired where it is clear, with the velocity it
+        # keeps, in Python floats on the first dt it is clear, and the run
+        # ends far short of `steps`. A row dead on entry stays where it was
         placed = PlacedGrid(WALL, replace(WALL_TUNNEL, restitution=1.0))
         d = WALL_TUNNEL.dt
-        out = np.array([3, 9, 20])
-        burst = ParticleBurst([*(out + 0.5) * d, *wall_rows([2]).x, 0.4],
+        burst = ParticleBurst([*(np.array([3, 9, 20]) + 0.5) * d, *wall_rows([2]).x, 0.4],
                               [-1.0, -1.0, -1.0, 1.0, 0.3], [0.1] * 5, [0.2] * 4 + [0.1])
         burst.alive[4] = False
         steps = 400
-        found, taken, *_ = contact_steps(burst, placed, (8, 2), steps)
-        assert found == [(2, 3)] and 20 < taken < steps
+        found, *_ = contact_steps(burst, placed, (8, 2), steps)
+        assert found == [(2, 3)]
         _, _, final = step_both(burst, placed, (8, 2), steps)
         assert not final.alive.any()
-        for row, n in enumerate(out):
-            x = burst.x[row]
-            for _ in range(n + 1):
-                x += burst.vx[row] * d
-            assert x < 0.0 and final.x[row] == x
-        _, _, alone = step_both(burst_rows(burst, slice(3, 4)), placed, (8, 2), steps)
-        assert final.x[3] == alone.x[0] < 0.0
+        assert final.vx.tolist() == [-1.0] * 4 + [0.3]
+        lane = placed.lanes(final).tolist()[0]
+        for row in range(4):
+            assert clear_at(lane, final.x[row], -1.0, WALL_TUNNEL.particle_radius, 0.1)
+        np.testing.assert_array_equal(final.x[:3], burst.x[:3] - d)
         assert final.x[4] == burst.x[4]
 
     def test_rows_that_all_enter_dead_do_not_move(self):
@@ -1063,11 +1075,11 @@ class TestLookahead:
 # Rows the drift cannot move, as (x, vx) at y = 0.1 and z = 0.2 before WALL:
 # vx of 0.0 or -0.0, or |vx| * dt of 1e-17, below half an ulp of every x
 # here but 0.0. Rows 0-3 overlap the wall's -x face at 0.7 m, row 3 moving
-# into it; rows 4-7 are far from it; rows 8-10 sit on the inlet plane, row 8
-# at -0.0, which its first drift of 0.0 makes 0.0; rows 11 and 12 lie past
-# the outlet, row 11 overlapping the wall's +x face at 0.8 m, so each is near
-# or far and out on its first dt; row 13 overlaps the +x face moving into it.
-# Row 14 moves, and meets the wall on dt 34.
+# into it; rows 4-7 are far from it, row 7 moving away from it; rows 8-10
+# sit on the inlet plane, row 8 at -0.0, which its first drift of 0.0 makes
+# 0.0; rows 11 and 12 lie past the outlet, row 11 overlapping the wall's +x
+# face at 0.8 m, so it is near, and row 12 far past it; row 13 overlaps the
+# +x face moving into it. Row 14 moves, and meets the wall on dt 34.
 RESTING = ((0.66, 0.0), (0.66, -0.0), (0.66, -1e-15), (0.66, 1e-15),
            (0.2, 0.0), (0.2, -0.0), (0.2, 1e-15), (0.2, -1e-15),
            (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
@@ -1082,14 +1094,16 @@ def resting_rows(copies):
 
 def assert_per_dt(burst, placed, shape, steps):
     """`step_both`'s three runs over `steps` dt equal to `contact_steps`' per-dt
-    reference in their rows, speeds, heatmap and final burst, bit for bit.
-    Returns the reference's (dt, row) contacts and final burst."""
-    found, _, speeds, hm, final = contact_steps(burst, placed, shape, steps)
+    reference in their rows, speeds, heatmap, final burst
+    (`assert_same_outcome`) and retired rows, bit for bit. Returns the
+    reference's (dt, row) contacts and final burst."""
+    found, speeds, hm, final = contact_steps(burst, placed, shape, steps)
     (rows, got_speeds), got_hm, got = step_both(burst, placed, shape, steps)
     assert rows.tolist() == [row for _, row in found]
     assert got_speeds.tolist() == speeds
     np.testing.assert_array_equal(got_hm, hm)
-    assert_same_bursts(got, final)
+    assert_same_outcome(got, final)
+    np.testing.assert_array_equal(got.alive, final.alive)
     return found, final
 
 
@@ -1110,14 +1124,16 @@ class TestRestingRows:
         assert_per_dt(burst_rows(burst, slice(-TAIL_ROWS, None)), placed, (8, 2), steps)
         found, final = assert_per_dt(burst, placed, (8, 2), steps)
         n = len(RESTING)
-        # row 3 bounces off the -x face on its first dt, row 13 off the +x
-        # face and out through the outlet; row 14 meets the -x face on dt 34
+        # row 3 bounces off the -x face on its first dt, and row 13 off the
+        # +x face, both to rest in the wall's column; row 14 meets the -x
+        # face on dt 34. Rows 7 and 12 are clear from the start, and row 14
+        # after its bounce, so they are retired
         hits = [(0, 3), (0, 13)] + [(34, 14)] * (steps > 34)
         assert found == sorted((t, row + c * n) for t, row in hits for c in range(copies))
         for c in range(copies):
             rows = slice(c * n, (c + 1) * n)
             alive = final.alive[rows].tolist()
-            assert alive == [True] * 11 + [False] * 3 + [alive[14]]
+            assert alive == [True] * 7 + [False] + [True] * 4 + [False, True, steps <= 34]
             np.testing.assert_array_equal(final.x[rows][[0, 1, 2, 4, 5, 6, 7]],
                                           burst.x[[0, 1, 2, 4, 5, 6, 7]])
             assert [math.copysign(1.0, v) for v in final.x[rows][8:11]] == [1.0, 1.0, -1.0]
@@ -1209,10 +1225,9 @@ LO_PAST_WALL = first_x(lambda x, r, vs: (x - r) / vs >= 8.0, 0.85)
 
 
 class TestClearAhead:
-    """A row with no near pair that can never pass the near test again leaves
-    `_step_batch`'s rounds and coasts: moving in -x with (x + r) / vs below
-    its lane's first column, or in +x with no lane column at or after the
-    start of its x window."""
+    """A row that can never pass the near test again is retired: moving in
+    -x with (x + r) / vs below its lane's first column, or in +x with no
+    lane column at or after the start of its x window."""
 
     @given(case=lane_rows(), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -1254,14 +1269,90 @@ class TestClearAhead:
             assert clear_at(lane, x, vx, r, vs) == clear, (x, vx)
 
 
-def coasting_burst(late):
+@st.composite
+def outward_rows(draw):
+    """(placed grid, burst, steps): a random grid of at most 6^3 voxels of
+    0.05-0.2 m in a domain flush with it, or up to 1 m longer, on each axis
+    at random, and up to 12 rows past the domain's x faces moving outward at
+    up to 120 mph: at x > dx within three radii in +x, or at x < 0 within
+    three radii in -x, with y and z over the grid's footprint and height."""
+    vs = draw(st.sampled_from([0.05, 0.1, 0.2]) | st.floats(0.05, 0.2))
+    r = draw(st.floats(0.1, 3.0)) * vs
+    w, l, h_max = (draw(st.integers(1, 6)) for _ in range(3))
+    heights = np.array(draw(st.lists(st.integers(0, h_max), min_size=w * l,
+                                     max_size=w * l))).reshape(w, l)
+    extent = np.array([w, l, h_max]) * vs
+    slack = [draw(st.just(0.0) | st.floats(0.0, 1.0)) for _ in range(3)]
+    cfg = TunnelConfig(particle_radius=r, domain_size=tuple(extent + slack), dt=1 / 120,
+                       restitution=draw(st.floats(0.0, 1.0)))
+    placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
+    dx = cfg.domain_size[0]
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        out = draw(st.floats(0.0, 3 * r, exclude_min=True))
+        speed = mph_to_mps(draw(st.floats(0.0, 120.0, exclude_min=True)))
+        y, z = (float(placed.origin[i]) + draw(st.floats(-r, extent[i] + r)) for i in (1, 2))
+        rows.append((dx + out, speed, y, z) if draw(st.booleans()) else (-out, -speed, y, z))
+    return placed, ParticleBurst(*np.array(rows).T), draw(st.integers(1, 80))
+
+
+class TestOutsideTheDomain:
+    """Why the stepper needs no domain-exit test: a row past an x face of
+    the domain moving outward can never move into an x face, so it never
+    bounces, and it is retired once it is clear like any other row."""
+
+    @given(case=outward_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_moving_out_never_touches_again(self, case):
+        # on every dt of the per-dt reference, which steps every row,
+        # retired or not; on a grid flush with the domain such a row can
+        # still be near the grid's last or first column
+        placed, burst, steps = case
+        shape = placed.padded.shape[0] - 1, placed.padded.shape[1] - 1
+        found, speeds, hm, final = contact_steps(burst, placed, shape, steps)
+        assert found == [] and speeds == [] and hm.sum() == 0
+        assert_same_bits(final.vx, burst.vx, "vx")
+        (rows, _), _, _ = step_both(burst, placed, shape, steps)
+        assert rows.size == 0
+
+    @given(case=lane_rows(), steps=st.integers(1, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_with_an_empty_lane_reaches_no_query(self, case, steps, data):
+        # rows whose y and z windows hold no voxel, moving in +x or -x or at
+        # rest: neither engine queries them, and both retire them with
+        # their velocity. Every other row is lifted half a voxel clear of
+        # the grid's top, so most draws hold such rows
+        vs, r, h_max, heights, centers = case
+        w, l = heights.shape
+        cfg = TunnelConfig(particle_radius=r, domain_size=(w * vs, l * vs, h_max * vs))
+        placed = PlacedGrid(VoxelGrid(heights, h_max, vs), cfg)
+        x, y, z = centers.T
+        z[::2] = (h_max + 0.5) * vs + r
+        vx = np.array([data.draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in x])
+        burst = ParticleBurst(x, vx, y, z)
+        empty = (placed.lanes(burst) == np.inf).all(axis=1)
+        burst = burst_rows(burst, empty)
+
+        def no_query(*args):
+            raise AssertionError("a query for a row with an empty lane")
+
+        with mock.patch.object(windtunnel, "_query", no_query), \
+                mock.patch.object(windtunnel, "_best_overlap", no_query):
+            for stepper in (numpy_rounds_only, python_floats_only):
+                own = copy.deepcopy(burst)
+                rows, _ = stepper(own, placed, np.zeros((w, l), dtype=np.int64), steps)
+                assert rows.size == 0 and not own.alive.any()
+                assert_same_bits(own.vx, burst.vx, "vx")
+
+
+def retiring_burst(late):
     """Rows at WALL, 32 + len(late): 24 meet its -x face at 1 m/s on dt 0,
-    2, ..., 46 and bounce back into -x, where they coast out through the
-    inlet unless the bounce is plastic; the `late` rows meet it at 0.5 m/s
-    on those dt (at most 129), the last to take the rounds, so they are the
-    Python floats' tail; six move in -x from the start at 0.3 to 1.3 m/s and
-    coast out through the inlet, inside a coast window; two are at rest, one
-    of them on the inlet plane."""
+    2, ..., 46 and bounce back into -x, where they are retired unless the
+    bounce is plastic; the `late` rows meet it at 0.5 m/s on those dt (at
+    most 129), the last to take the rounds, so they are the Python floats'
+    tail; six move in -x from the start at 0.3 to 1.3 m/s, clear of the wall
+    from their first round; two are at rest, one of them on the inlet
+    plane."""
     early, tail = wall_rows(np.arange(0, 48, 2)), wall_rows(late, speed=0.5)
     back = np.array([0.05, 0.2, 0.33, 0.41, 0.5, 0.64])
     x = np.concatenate([early.x, tail.x, back, [0.3, 0.0]])
@@ -1270,8 +1361,9 @@ def coasting_burst(late):
 
 
 class TestCoastAndTail:
-    """Bursts of 9-200 rows whose rows coast and whose last live rows go to
-    Python floats equal `contact_steps`' per-dt reference bit for bit."""
+    """Bursts of 9-200 rows whose rows are retired in numpy rounds and whose
+    last live rows go to Python floats equal `contact_steps`' per-dt
+    reference bit for bit."""
 
     @pytest.mark.parametrize("restitution", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("late, steps, rested", [
@@ -1286,27 +1378,22 @@ class TestCoastAndTail:
         ([55] * 10 + [80, 120], 56, False),
     ])
     def test_wall_bursts_equal_stepping_every_dt(self, restitution, late, steps, rested):
-        burst = coasting_burst(late)
+        burst = retiring_burst(late)
         placed = PlacedGrid(WALL, replace(WALL_TUNNEL, restitution=restitution))
-        tails, clear = [], []
-        rows, clear_ahead = windtunnel._step_rows, windtunnel._clear_ahead
+        tails = []
+        rows = windtunnel._step_rows
 
         def handed(burst, placed, heatmap, steps, live, lanes, taken):
             if live.size:
                 tails.append((live.size, burst.vx[live].tolist()))
             return rows(burst, placed, heatmap, steps, live, lanes, taken)
 
-        def judged(*args):
-            clear.append(int(clear_ahead(*args).sum()))
-            return clear_ahead(*args)
-
-        with mock.patch.object(windtunnel, "_step_rows", handed), \
-                mock.patch.object(windtunnel, "_clear_ahead", judged):
+        with mock.patch.object(windtunnel, "_step_rows", handed):
             _step_batch(copy.deepcopy(burst), placed, np.zeros((8, 2), dtype=np.int64), steps)
         found, final = assert_per_dt(burst, placed, (8, 2), steps)
         assert len(late) > TAIL_ROWS
-        # the six rows moving in -x coast, and leave
-        assert sum(clear) >= 6 and not final.alive[-8:-2].any()
+        # the six rows moving in -x are retired
+        assert not final.alive[-8:-2].any()
         assert len(tails) == (steps > 56)
         if tails:
             assert 0 < tails[0][0] <= TAIL_ROWS
