@@ -63,7 +63,8 @@ reports the mean per call, so no case's sample is only a few microseconds
 of work. Each tree is imported under its own package name, and the
 trees' samples interleave, so a drift in CPU speed hits both sides alike.
 Prints one JSON object: per tree and case, the median of `--repeats`
-samples and its lower and upper quartiles.
+samples, its lower and upper quartiles, and the least sample (`min`), which
+a scheduler stall during some samples does not move.
 
     PYTHONPATH=src python3 scripts/kernel_bench.py --tree new=src --tree old=../old/src
 """
@@ -195,8 +196,8 @@ def main():
             unit = 1e3 if name.endswith("_ms") else 1e6
             for label in order:
                 samples[label][name].append(sample(trees[label][name], unit))
-    print(json.dumps({label: {name: dict(zip(("q1", "median", "q3"),
-                                             np.percentile(v, [25, 50, 75]).tolist()))
+    print(json.dumps({label: {name: dict(zip(("min", "q1", "median", "q3"),
+                                             np.percentile(v, [0, 25, 50, 75]).tolist()))
                               for name, v in per.items()}
                       for label, per in samples.items()}, indent=1))
 

@@ -16,11 +16,11 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .env import EnvConfig, ObjectiveMode, WindTunnelEnv
+from .env import EnvConfig, EnvSettings, ObjectiveMode, WindTunnelEnv
 from .errors import ConfigError, TrainingError
 from .ppo import PpoConfig, evaluate_policy, train, write_trace_csv
 from .report import MODES, build_comparison_table, export_heatmap_delta
-from .schema import build, check_fields, defaults, rules, setting
+from .schema import build, check_fields, rules, setting
 from .voxel import (
     H_MAX_LIMIT,
     SYNTH_SHAPES,
@@ -74,14 +74,18 @@ class GridSource:
 
 
 @dataclass
+class EnvSection(EnvSettings, GridSource):
+    """The run config's env section: the design's source, then the env's settings."""
+
+
+@dataclass
 class RunConfig:
-    """The run-config document; `env` maps each GridSource and EnvConfig setting to its value."""
+    """The run-config document."""
 
     seed: int = setting(0, ge=0)
     tunnel: TunnelConfig = setting(factory=TunnelConfig)
     ppo: PpoConfig = setting(factory=PpoConfig)
-    env: dict = setting(kind=(GridSource, EnvConfig),
-                        factory=lambda: defaults(GridSource, EnvConfig))
+    env: EnvSection = setting(factory=EnvSection)
 
 
 def load_run_config(path, seed: int | None = None) -> RunConfig:
@@ -115,19 +119,19 @@ def _read_csv(name: str, parse, path: str):
 
 
 def _build_env(run: RunConfig) -> WindTunnelEnv:
-    settings = dict(run.env)
-    source = GridSource(**{name: settings.pop(name) for name in rules(GridSource)})
-    if (source.grid_csv is None) == (source.synth is None):
+    section = run.env
+    if (section.grid_csv is None) == (section.synth is None):
         raise ConfigError("env.grid_csv: exactly one of env.grid_csv or env.synth is required")
-    if source.grid_csv is not None:
-        grid = _read_csv("grid_csv", grid_from_csv, source.grid_csv)
+    if section.grid_csv is not None:
+        grid = _read_csv("grid_csv", grid_from_csv, section.grid_csv)
     else:
-        spec = source.synth
+        spec = section.synth
         grid = voxelise(
             synth_heightmap(spec.shape, spec.width, spec.length, spec.amplitude),
             spec.h_max, spec.voxel_size)
-    mask = None if source.mask_csv is None else _read_csv("mask_csv", mask_from_csv,
-                                                           source.mask_csv)
+    mask = None if section.mask_csv is None else _read_csv("mask_csv", mask_from_csv,
+                                                            section.mask_csv)
+    settings = {name: getattr(section, name) for name in rules(EnvSettings)}
     return WindTunnelEnv(EnvConfig(grid=grid, tunnel=run.tunnel, mask=mask, **settings))
 
 
@@ -202,7 +206,7 @@ def cmd_simulate(args) -> None:
 def cmd_train(args) -> None:
     run = load_run_config(args.config, args.seed)
     if args.mode is not None:
-        run.env["mode"] = ObjectiveMode(args.mode)
+        run.env.mode = ObjectiveMode(args.mode)
     out = Path(args.out)
     _check_out(out)
     env = _build_env(run)   # measures the baseline, which can fail, before --out is made

@@ -147,17 +147,23 @@ def bilinear_upsample(control: np.ndarray, out_dims) -> np.ndarray:
 
 
 @dataclass
-class EnvConfig:
-    grid: VoxelGrid
-    tunnel: TunnelConfig
+class EnvSettings:
+    """The environment's declared settings, which a run config's env section sets."""
+
     mode: ObjectiveMode = setting(ObjectiveMode.KE_DF_VCC)
     weights: RewardWeights = setting(factory=RewardWeights)
-    mask: VoxelMask | None = None
     control_dims: tuple = setting((8, 8), ge=1)     # coarse action grid
     pool_dims: tuple = setting((8, 8), ge=1)        # observation pooling
     max_delta: int = setting(2, ge=1)               # voxels moved per unit action
     episode_length: int = setting(16, ge=1)
     baseline_seeds: int = setting(3, ge=1)
+
+
+@dataclass(kw_only=True)
+class EnvConfig(EnvSettings):
+    grid: VoxelGrid
+    tunnel: TunnelConfig
+    mask: VoxelMask | None = None
 
     def validate(self, prefix: str = "env") -> None:
         check_fields(self, prefix)

@@ -27,8 +27,7 @@ def _join(prefix: str, name: str) -> str:
 @dataclass(frozen=True)
 class Rule:
     """What one field accepts, and how an error message describes it. kind is
-    int, float, str, an Enum, a config dataclass, or a tuple of config
-    dataclasses whose settings share one JSON object, kept as a dict."""
+    int, float, str, an Enum or a config dataclass."""
 
     kind: object
     what: str
@@ -53,11 +52,6 @@ class Rule:
                   and all(map(self._number, value)))
         elif value is None:
             ok = self.optional
-        elif isinstance(kind, tuple):
-            declared = rules(*kind)
-            for key, v in value.items():
-                declared[key].check(v, _join(prefix, name), key)
-            return
         else:
             ok = isinstance(value, kind) and (not self.choices or value in self.choices)
             if ok and is_dataclass(kind):
@@ -71,8 +65,6 @@ class Rule:
         """The JSON value at path in the field's type, where it has that type's
         shape; `check` judges what it holds."""
         kind = self.kind
-        if isinstance(kind, tuple):
-            return {**defaults(*kind), **read(kind, value, path)}
         if is_dataclass(kind) and not (value is None and self.optional):
             return build(kind, value, path)
         if self.length and isinstance(value, list):
@@ -99,7 +91,7 @@ def setting(default=MISSING, kind=None, *, factory=MISSING, ge=None, gt=None,
         what = "one of " + ", ".join(choices or (m.value for m in kind))
     else:
         what = {int: "an integer", float: "a finite number", str: "a string"}.get(
-            kind, "a JSON object" if isinstance(kind, tuple) else f"a {kind.__name__}")
+            kind, f"a {kind.__name__}")
     bounds = [f"{op} {b:g}" for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le))
               if b is not None]
     if bounds:
@@ -113,10 +105,9 @@ def setting(default=MISSING, kind=None, *, factory=MISSING, ge=None, gt=None,
 
 
 @cache
-def rules(*classes) -> dict:
-    """{field name: Rule} for the declared fields of config dataclasses."""
-    return {f.name: f.metadata["rule"]
-            for cls in classes for f in fields(cls) if "rule" in f.metadata}
+def rules(cls) -> dict:
+    """{field name: Rule} for the declared fields of a config dataclass."""
+    return {f.name: f.metadata["rule"] for f in fields(cls) if "rule" in f.metadata}
 
 
 def check_fields(obj, prefix: str) -> None:
@@ -125,26 +116,15 @@ def check_fields(obj, prefix: str) -> None:
         rule.check(getattr(obj, name), prefix, name)
 
 
-def defaults(*classes) -> dict:
-    """The default of every declared field of `classes`."""
-    return {f.name: f.default if f.default_factory is MISSING else f.default_factory()
-            for cls in classes for f in fields(cls) if "rule" in f.metadata}
-
-
-def read(classes, data, path: str) -> dict:
-    """Keyword arguments for `classes` from a JSON object whose every key
-    names a declared field. The values are not checked: see `check_fields`."""
+def build(cls, data, path: str):
+    """A cls from a JSON object whose every key names a declared field of cls.
+    The values are not checked: see `check_fields`."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected a JSON object")
-    declared = rules(*classes)
-    out = {}
+    declared = rules(cls)
+    kwargs = {}
     for key, value in data.items():
         if key not in declared:
             raise ConfigError(f"{_join(path, key)}: unknown key")
-        out[key] = declared[key].load(value, _join(path, key))
-    return out
-
-
-def build(cls, data, path: str):
-    """A cls from a JSON object; see `read`."""
-    return cls(**read((cls,), data, path))
+        kwargs[key] = declared[key].load(value, _join(path, key))
+    return cls(**kwargs)

@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python tests/data/record_golden.py
 
-Run it only for a deliberate change of the tunnel's or the trainer's outputs,
-and say in CHANGES.md why the outputs moved.
+Run it only for a deliberate change of the tunnel's or the trainer's outputs
+or of the config echo, and say in CHANGES.md why the outputs moved.
 """
 
 import sys

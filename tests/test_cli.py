@@ -714,6 +714,10 @@ class TestRunConfig:
         (("env", "reward_scale"), 1.0),
         (("tunnel", "max_steps"), 100_001),
         (("ppo", "epochs"), 1_001),
+        (("env",), 5),
+        (("env",), None),
+        (("env", "weights"), []),
+        (("env", "synth"), "wedge"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_bad_value_exits_3_naming_field(self, tmp_path, capsys, command, keys, value):
@@ -745,15 +749,14 @@ class TestRunConfig:
         doc = json.loads(re.sub(r"//[^\n]*", "", block))
         load_run_config(write_config(tmp_path / "readme.json", doc))
 
-        def walk(section, classes, path):
-            declared = rules(*classes)
+        def walk(section, cls, path):
+            declared = rules(cls)
             for key, value in section.items():
                 assert key in declared, f"{path}{key} is not a config field"
-                kind = declared[key].kind
                 if isinstance(value, dict):
-                    walk(value, kind if isinstance(kind, tuple) else (kind,), f"{path}{key}.")
+                    walk(value, declared[key].kind, f"{path}{key}.")
 
-        walk(doc, (RunConfig,), "")
+        walk(doc, RunConfig, "")
 
 
 FIELD_NAMES = sorted({name for cls in (RunConfig, TunnelConfig, PpoConfig, GridSource, EnvConfig,
