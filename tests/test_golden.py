@@ -3,7 +3,7 @@ files under tests/data/golden byte for byte.
 
 The files pin the tunnel at 10 and 60 mph on four designs, including a
 0.05 m grid where a sphere spans three columns, with each simulate run's
-config echo, and a short masked training run with its heatmaps, its
+heatmap (CSV and PGM) and config echo, and a short masked training run with its heatmaps, its
 baseline and optimised results and the `voxwind report` table built from
 them. They change only with a deliberate change of outputs: re-record them
 with `PYTHONPATH=src python tests/data/record_golden.py` and say why in
@@ -32,7 +32,7 @@ DESIGNS = {
 }
 SPEEDS = (10.0, 60.0)
 SIM_CASES = [f"{name}_{speed:g}mph" for name in DESIGNS for speed in SPEEDS]
-SIM_FILES = ("simresult.csv", "heatmap.csv", "config_echo.json")
+SIM_FILES = ("simresult.csv", "heatmap.csv", "heatmap.pgm", "config_echo.json")
 
 TRAIN_CASE = "train_masked"
 TRAIN_FILES = ("trace.csv", "heatmap_before.csv", "heatmap_after.csv", "heatmap_before.pgm",
