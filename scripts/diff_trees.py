@@ -14,10 +14,11 @@ is clear of the grid. Each config runs through `run_simulation` in both
 trees, and the SimResult CSV, the heatmap CSV and the heatmap PGM are
 compared byte for byte; an exception counts as an output. Prints each
 differing config with its first differing field and exits 1 if any config
-differs, 0 if none does. The summary also says, for the second tree where
-it has them, how many configs handed rows from `_step_batch`'s numpy rounds
-to Python floats (`_step_rows`), and how many rows `_step_batch` retired
-(`alive` False when it returns).
+differs, 0 if none does. The summary also says, for the second tree, how
+many configs handed rows from `_step_batch`'s numpy rounds to Python floats
+(`_step_rows`), and how many rows `_step_batch` retired (`alive` False when
+it returns), wrapping its `_step_batch` and `_step_rows` (see `trees.py`
+for the trees the tools compare).
 
     PYTHONPATH=src python3 scripts/diff_trees.py --tree old=../old/src --tree new=src \\
         --configs 2000 --seed 7
@@ -85,15 +86,12 @@ def outputs(tree, config: dict) -> dict:
 
 
 def count_exits(wt) -> dict:
-    """Wrap `wt`'s stepper, where it has the numpy rounds' hand-off to
-    Python floats, so that the returned counts grow by the rows
+    """Wrap `wt`'s stepper so that the returned counts grow by the rows
     `_step_batch` hands to Python floats after a numpy round and the rows it
-    retires; an empty dict for a tree without them. A row handed after a
-    round has taken at least one dt there, and a burst that takes no round
-    starts every row at dt 0. `run_simulation` steps a burst whose rows are
-    all alive, so the rows retired are those not alive when it returns."""
-    if not hasattr(wt, "_step_rows"):
-        return {}
+    retires. A row handed after a round has taken at least one dt there, and
+    a burst that takes no round starts every row at dt 0. `run_simulation`
+    steps a burst whose rows are all alive, so the rows retired are those
+    not alive when it returns."""
     counts = {"handed": 0, "retired": 0}
     step_batch, step_rows = wt._step_batch, wt._step_rows
 
@@ -142,9 +140,9 @@ def main() -> int:
         window = math.ceil(2.0 * t["particle_radius"] / config["voxel_size"]) + 2
         at_most_tail += rows <= tail
         above_chunk += rows > max(1, cap // window ** 3)
-        before = exits.get("handed", 0)
+        before = exits["handed"]
         a, b = outputs(old, config), outputs(new, config)
-        handing += exits.get("handed", 0) > before
+        handing += exits["handed"] > before
         name = first_difference(a, b)
         if name is not None:
             differing += 1
@@ -158,9 +156,8 @@ def main() -> int:
           f"TAIL_ROWS ({tail}) burst rows, {args.configs - at_most_tail} with more, "
           f"{above_chunk} with more burst rows than one query chunk holds; "
           f"{impacts} impacts in the matching outputs")
-    if exits:
-        print(f"{new_label}: {handing} configs handed {exits['handed']} rows to Python floats "
-              f"from the numpy rounds, and {exits['retired']} rows were retired")
+    print(f"{new_label}: {handing} configs handed {exits['handed']} rows to Python floats "
+          f"from the numpy rounds, and {exits['retired']} rows were retired")
     return 1 if differing else 0
 
 

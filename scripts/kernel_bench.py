@@ -53,10 +53,10 @@ Times, in microseconds per call:
 - building the near test's lanes (`PlacedGrid.lanes`) of the desk burst and
   of a 4-row burst, the once-per-stepper-call cost that the stepper pays.
 
-A case runs only when every tree has what it calls: `step_empty_us` and
-`step_batch_agent_ms` need `_step_batch`, and the lane cases
-`PlacedGrid.lanes`. The query cases pass their centres as (3, m) columns,
-one per sphere.
+Every tree runs every case, so each tree must have what the cases call:
+`_step_batch`, `_query`, `_best_overlap` and `PlacedGrid.lanes` (`trees.py`
+says which trees the tools compare). The query cases pass their centres as
+(3, m) columns, one per sphere.
 
 Each sample calls its case until MIN_SAMPLE_S seconds have passed and
 reports the mean per call, so no case's sample is only a few microseconds
@@ -154,16 +154,14 @@ def cases(tree):
     for m, cfg in burst_of.items():
         out[f"simulation_{m}_rows_ms"] = lambda cfg=cfg: wt.run_simulation(grid, cfg)
     burst = wt.ParticleBurst(*upstream)
-    if hasattr(wt.PlacedGrid, "lanes"):
-        four = wt.ParticleBurst(*(a[:4] for a in upstream))
-        out["lanes_desk_us"] = lambda: placed.lanes(burst)
-        out["lanes_4_rows_us"] = lambda: placed.lanes(four)
-    if hasattr(wt, "_step_batch"):
-        out["step_empty_us"] = lambda: wt._step_batch(burst, placed, heatmap, 1)
-        agent = wt.PlacedGrid(reshaped, config)
-        spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
-        out["step_batch_agent_ms"] = lambda: wt._step_batch(
-            copy.deepcopy(spawned), agent, np.zeros_like(heatmap), config.max_steps)
+    four = wt.ParticleBurst(*(a[:4] for a in upstream))
+    out["lanes_desk_us"] = lambda: placed.lanes(burst)
+    out["lanes_4_rows_us"] = lambda: placed.lanes(four)
+    out["step_empty_us"] = lambda: wt._step_batch(burst, placed, heatmap, 1)
+    agent = wt.PlacedGrid(reshaped, config)
+    spawned = wt.spawn_burst(config, [np.random.default_rng(s) for s in (7, 8)])
+    out["step_batch_agent_ms"] = lambda: wt._step_batch(
+        copy.deepcopy(spawned), agent, np.zeros_like(heatmap), config.max_steps)
     return out
 
 
@@ -186,9 +184,10 @@ def main():
                         help="a label and the src directory holding voxwind; repeatable")
     parser.add_argument("--repeats", type=int, default=41)
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     trees = {label: cases(tree) for label, tree in parse_trees(args.tree).items()}
-    names = [name for name in next(iter(trees.values()))
-             if all(name in per for per in trees.values())]
+    names = list(next(iter(trees.values())))
     samples = {label: {name: [] for name in names} for label in trees}
     for rep in range(args.repeats):
         order = list(trees) if rep % 2 == 0 else list(reversed(list(trees)))

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from voxwind.cli import main as voxwind_main
+from voxwind.report import MODES
 from voxwind.voxel import grid_to_csv, synth_heightmap, voxelise
 
 
@@ -61,9 +62,10 @@ def main():
     parser.add_argument("--steps", type=int, default=1000,
                         help="training steps per mode")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--modes", nargs="+", default=["ke", "ke_df", "ke_df_vcc"],
-                        choices=["ke", "ke_df", "ke_df_vcc"])
+    parser.add_argument("--modes", nargs="+", default=list(MODES), choices=MODES)
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error("--steps must be at least 1")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,38 +1,2 @@
 """Voxel wind tunnel toolkit: heightmap voxelisation, particle-burst
 aerodynamic metrics, and PPO-driven shape optimisation."""
-
-__version__ = "0.1.0"
-
-from .voxel import (
-    HeightMap,
-    VoxelGrid,
-    VoxelMask,
-    apply_height_delta,
-    heightmap_sum,
-    load_heightmap,
-    synth_heightmap,
-    voxelise,
-)
-from .windtunnel import SimResult, TunnelConfig, run_simulation
-from .env import EnvConfig, ObjectiveMode, RewardWeights, WindTunnelEnv
-from .ppo import PpoConfig, train
-
-__all__ = [
-    "HeightMap",
-    "VoxelGrid",
-    "VoxelMask",
-    "apply_height_delta",
-    "heightmap_sum",
-    "load_heightmap",
-    "synth_heightmap",
-    "voxelise",
-    "SimResult",
-    "TunnelConfig",
-    "run_simulation",
-    "EnvConfig",
-    "ObjectiveMode",
-    "RewardWeights",
-    "WindTunnelEnv",
-    "PpoConfig",
-    "train",
-]

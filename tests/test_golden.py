@@ -3,11 +3,11 @@ files under tests/data/golden byte for byte.
 
 The files pin the tunnel at 10 and 60 mph on four designs, including a
 0.05 m grid where a sphere spans three columns, with each simulate run's
-heatmap (CSV and PGM) and config echo, and a short masked training run with its heatmaps, its
-baseline and optimised results and the `voxwind report` table built from
-them. They change only with a deliberate change of outputs: re-record them
-with `PYTHONPATH=src python tests/data/record_golden.py` and say why in
-CHANGES.md.
+heatmap (CSV and PGM) and config echo, and a short masked training run
+with its heatmaps, its baseline and optimised results and the `voxwind
+report` table built from them. They change only with a deliberate change
+of outputs: re-record them with `PYTHONPATH=src python
+tests/data/record_golden.py` and say why in CHANGES.md.
 """
 
 import json
